@@ -9,63 +9,18 @@ decode must be exact with no ambiguity.
 """
 
 import json
-import random
 import time
-from itertools import product
 
-from streamfec import (
-    ChannelModel,
-    ErrorPattern,
-    GF,
-    build_mds,
-    build_multi_burst,
-    enumerate_admissible,
-    simulate,
-)
-
-
-def sweep(code, model, tau, support_model, support_bound, seed=0):
-    field = code.field
-    horizon = support_bound + 1
-    supports = [p.support for p in enumerate_admissible(support_model, horizon)]
-    values = []
-    for row in range(code.n):
-        for scalar in range(1, field.q):
-            pkt = [0] * code.n
-            pkt[row] = scalar
-            values.append(tuple(pkt))
-    rng = random.Random(seed)
-    msgs = [[rng.randrange(field.q) for _ in range(code.k)] for _ in range(horizon)]
-    patterns = exact = ambiguous = 0
-    for support in supports:
-        for combo in product(values, repeat=len(support)):
-            pattern = ErrorPattern.from_entries(horizon + code.n - 1, code.n, dict(zip(support, combo)))
-            report = simulate(code, tau, model, pattern, msgs)
-            patterns += 1
-            exact += report.success and list(report.messages) == [tuple(u) for u in msgs]
-            ambiguous += len(report.ambiguities)
-    return {"patterns": patterns, "exact": exact, "ambiguities": ambiguous}
+from streamfec import ChannelModel, GF, build_mds, build_multi_burst, equivalence_sweep
 
 
 def main() -> None:
     t0 = time.time()
-    # random errors: one per window of 5, [5,3] MDS, delay 4
-    res = sweep(
-        build_mds(5, 3, GF(8)),
-        ChannelModel.sw_err(1, 5),
-        4,
-        ChannelModel.sw(1, 5),
-        support_bound=9,
-    )
+    # random errors: one per window of 5, [5,3] MDS, delay 4, supports in [0, 9]
+    res = equivalence_sweep(build_mds(5, 3, GF(8)), ChannelModel.sw_err(1, 5), 4, 10, seed=0)
     print(json.dumps({"model": "sw_err:1,5", "code": "[5,3] gf8", **res}))
-    # burst errors: one length-2 burst per window of 7, [8,4], delay 6
-    res = sweep(
-        build_multi_burst(4, 2, 2, GF(8)),
-        ChannelModel.mbsw_err(1, 2, 7),
-        6,
-        ChannelModel.mbsw(1, 2, 7),
-        support_bound=4,
-    )
+    # burst errors: one length-2 burst per window of 7, [8,4], delay 6, supports in [0, 4]
+    res = equivalence_sweep(build_multi_burst(4, 2, 2, GF(8)), ChannelModel.mbsw_err(1, 2, 7), 6, 5, seed=0)
     print(json.dumps({"model": "mbsw_err:1,2,7", "code": "[8,4] gf8", **res}))
     print(json.dumps({"seconds": round(time.time() - t0, 1)}))
 

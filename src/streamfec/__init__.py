@@ -2,7 +2,6 @@
 errors over adversarial sliding-window channels."""
 
 from .block_code import (
-    BurstSpec,
     CausalCode,
     SystematicCode,
     build_mds,
@@ -36,7 +35,7 @@ from .channel import (
     min_burst_cover,
     periodic_mbsw_pattern,
 )
-from .galois import GF, Field, FieldElement
+from .galois import GF, Field
 from .matrix import (
     FieldMatrix,
     FieldVector,
@@ -61,6 +60,7 @@ from .streaming import (
     de_encode,
     decode_erasures,
     decode_errors,
+    equivalence_sweep,
     simulate,
 )
 

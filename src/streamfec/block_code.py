@@ -19,31 +19,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .bounds import delay_tau_star  # noqa: F401  (callers import it from here too)
 from .galois import Field
 from .matrix import FieldMatrix, _rref, in_span, punctured_parity, rank, right_nullspace, shortened_parity
-
-
-@dataclass(frozen=True)
-class BurstSpec:
-    """Up to z non-overlapping erasure bursts, each of length <= b."""
-
-    z: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.z < 1 or self.b < 1:
-            raise ValueError("burst spec needs z >= 1 and b >= 1")
-
-    def tau_star(self, k: int) -> int:
-        return delay_tau_star(k, self.z, self.b)
-
-
-def delay_tau_star(k: int, z: int, b: int) -> int:
-    """Smallest delay at which an [k+zb, k] code can survive all
-    (z,b)-bursts: max(k + (z-1)*b, z*b)."""
-    if k < 1 or z < 1 or b < 1:
-        raise ValueError("k, z, b must be positive")
-    return max(k + (z - 1) * b, z * b)
 
 
 @dataclass(frozen=True)
@@ -158,7 +136,8 @@ def build_mds(n: int, k: int, field: Field) -> SystematicCode:
     # Row-reduce [V] so the first k columns become the identity.
     rows = [list(r) for r in vand.data]
     rows, pivots = _rref(field, rows, k)
-    assert pivots == list(range(k)), "Vandermonde systematization cannot fail on distinct points"
+    if pivots != list(range(k)):
+        raise RuntimeError(f"Vandermonde systematization failed for [{n},{k}] over {field!r}")
     p = FieldMatrix(field, [r[k:] for r in rows])
     return SystematicCode(field=field, n=n, k=k, P=p, construction={"kind": "mds", "n": n, "k": k})
 

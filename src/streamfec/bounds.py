@@ -107,6 +107,14 @@ def de_achievable(z: int, b: int, w: int) -> bool:
     return (w - 1) % b == 0
 
 
+def delay_tau_star(k: int, z: int, b: int) -> int:
+    """Smallest delay at which an [k+zb, k] code can survive all
+    (z,b)-bursts: max(k + (z-1)*b, z*b)."""
+    if k < 1 or z < 1 or b < 1:
+        raise ValueError("k, z, b must be positive")
+    return max(k + (z - 1) * b, z * b)
+
+
 def causal_code_exists(k: int, z: int, b: int, tau: int) -> bool:
     """Existence of an [k+zb, k] causal code that is delay-tau decodable
     for every (z, b)-burst, in the regime k >= b.
@@ -115,11 +123,9 @@ def causal_code_exists(k: int, z: int, b: int, tau: int) -> bool:
     (equivalently b | k); below tau* no code exists; above tau* one
     always does.
     """
-    if k < 1 or z < 1 or b < 1:
-        raise ValueError("k, z, b must be positive")
+    tau_star = delay_tau_star(k, z, b)
     if k < b:
         raise ValueError(f"regime k >= b required, got k={k}, b={b}")
-    tau_star = max(k + (z - 1) * b, z * b)
     if tau < tau_star:
         return False
     if tau == tau_star:

@@ -2,14 +2,16 @@
 
 Erasure patterns are 0/1 flag sequences over a finite horizon; windows
 that overhang the horizon are zero-padded, matching a semi-infinite
-channel observed over a finite prefix.  Four models are supported:
+channel observed over a finite prefix.
 
-* (a, w)-SW: at most a erasures in every window of w slots.
-* (z, b, w)-MBSW: every window of w slots is coverable by at most z
-  disjoint intervals of length <= b ("bursts"; a burst may contain
-  unerased slots).
-* the *_ERR variants, where the same window constraints apply to the
-  times of nonzero packet errors instead of erasures.
+Every model is a (z, b, w) window constraint: the points of every window
+of w slots must be coverable by at most z disjoint intervals of length
+<= b ("bursts"; a burst may contain unerased slots).  The constraint
+applies to erasure times, or for the *_err kinds to the times of nonzero
+packet errors.  The random model (a, w)-SW, at most a points per window,
+is exactly (a, 1, w)-MBSW, because a length-1 burst covers one point.
+So the four kinds (sw, mbsw, sw_err, mbsw_err) are two flags, b == 1 and
+errors, and one window predicate, `windows_ok`, decides all of them.
 
 The burst-cover decision uses greedy left-anchored intervals, which is
 optimal for covering points on a line.
@@ -18,7 +20,9 @@ optimal for covering points on a line.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -106,93 +110,64 @@ class ErrorPattern:
         return cls.from_entries(d["horizon"], d["packet_size"], entries)
 
 
-_KINDS = ("sw", "mbsw", "sw_err", "mbsw_err")
-
-
 @dataclass(frozen=True)
 class ChannelModel:
-    """Parameter bundle for one of the four window-constrained models.
+    """A (z, b, w) window constraint on erasure times, or on error times
+    when `errors` is set.  (a, w)-SW is the b == 1 case with z = a; the
+    `kind` name and the `a` view exist for serialization and specs."""
 
-    For sw kinds `a` is the per-window erasure/error budget; for mbsw
-    kinds `z` and `b` bound the bursts.  Factories normalize b == 1
-    multi-burst models to the corresponding random model.
-    """
-
-    kind: str
+    z: int
+    b: int
     w: int
-    a: int = 0
-    z: int = 0
-    b: int = 0
+    errors: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.w < 1:
-            raise ValueError("window length must be positive")
-        if self.kind == "sw" and not 0 < self.a < self.w:
-            raise ValueError("sw model needs 0 < a < w")
-        if self.kind == "sw_err" and not 0 < 2 * self.a < self.w:
-            raise ValueError("sw_err model needs 0 < 2a < w")
-        if self.kind in ("mbsw", "mbsw_err"):
-            if self.z < 1 or self.b < 2:
-                raise ValueError("mbsw models need z >= 1 and b >= 2 (b = 1 normalizes to sw)")
-            if self.kind == "mbsw" and self.z * self.b >= self.w:
-                raise ValueError("mbsw model needs z*b < w")
-            if self.kind == "mbsw_err" and 2 * self.z * self.b >= self.w:
-                raise ValueError("mbsw_err model needs 2*z*b < w")
+        got = f"got z={self.z}, b={self.b}, w={self.w}"
+        if self.z < 1 or self.b < 1:
+            raise ValueError(f"{self.kind} model needs z >= 1 and b >= 1, {got}")
+        if (2 if self.errors else 1) * self.z * self.b >= self.w:
+            raise ValueError(f"{self.kind} model needs {'2*' if self.errors else ''}z*b < w, {got}")
 
     @classmethod
     def sw(cls, a: int, w: int) -> "ChannelModel":
-        return cls(kind="sw", w=w, a=a)
+        return cls(a, 1, w)
 
     @classmethod
     def mbsw(cls, z: int, b: int, w: int) -> "ChannelModel":
-        if b == 1:
-            return cls.sw(z, w)
-        return cls(kind="mbsw", w=w, z=z, b=b)
+        return cls(z, b, w)
 
     @classmethod
     def sw_err(cls, a: int, w: int) -> "ChannelModel":
-        return cls(kind="sw_err", w=w, a=a)
+        return cls(a, 1, w, errors=True)
 
     @classmethod
     def mbsw_err(cls, z: int, b: int, w: int) -> "ChannelModel":
-        if b == 1:
-            return cls.sw_err(z, w)
-        return cls(kind="mbsw_err", w=w, z=z, b=b)
+        return cls(z, b, w, errors=True)
 
     @property
-    def is_error_model(self) -> bool:
-        return self.kind.endswith("_err")
+    def kind(self) -> str:
+        return ("sw" if self.b == 1 else "mbsw") + ("_err" if self.errors else "")
+
+    @property
+    def a(self) -> int:
+        """The per-window budget of an sw kind, which is z."""
+        return self.z
 
     @property
     def erasure_equivalent(self) -> "ChannelModel":
         """The erasure model with the doubled budget that an error model
         reduces to; erasure models return themselves."""
-        if self.kind == "sw_err":
-            return ChannelModel.sw(2 * self.a, self.w)
-        if self.kind == "mbsw_err":
-            return ChannelModel.mbsw(2 * self.z, self.b, self.w)
-        return self
+        return ChannelModel(2 * self.z, self.b, self.w) if self.errors else self
 
     def admits(self, pattern: ErasurePattern) -> bool:
         """Admissibility of an erasure pattern (or of the support pattern
         of an error pattern, for *_err kinds)."""
-        if self.kind in ("sw", "sw_err"):
-            return is_admissible_sw(pattern, self.a, self.w)
         return is_admissible_mbsw(pattern, self.z, self.b, self.w)
 
-    def admits_support(self, support: Iterable[int], horizon: int) -> bool:
-        return self.admits(ErasurePattern.from_support(horizon, support))
-
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "w": self.w}
-        if self.kind in ("sw", "sw_err"):
-            d["a"] = self.a
-        else:
-            d["z"] = self.z
-            d["b"] = self.b
-        return d
+        if self.b == 1:
+            return {"kind": self.kind, "w": self.w, "a": self.z}
+        return {"kind": self.kind, "w": self.w, "z": self.z, "b": self.b}
 
 
 def min_burst_cover(support: Sequence[int], b: int) -> int:
@@ -207,45 +182,38 @@ def min_burst_cover(support: Sequence[int], b: int) -> int:
     return count
 
 
+def windows_ok(points: Sequence[int], z: int, b: int, w: int) -> bool:
+    """Whether the points of every length-w window, for sorted distinct
+    `points`, are coverable by <= z disjoint intervals of length <= b.
+
+    Only windows that start at a point need checking: any other window
+    holds a subset of the points of the window that starts at its first
+    point, and a subset never needs more bursts.  For the same reason the
+    scan stops at the first window that reaches the last point.
+    """
+    if w < 1:
+        raise ValueError("window length must be positive")
+    for i, start in enumerate(points):
+        end = bisect_left(points, start + w, i)
+        count = end - i
+        # z bursts cover any z points and never more than z*b
+        if count > z and (count > z * b or min_burst_cover(points[i:end], b) > z):
+            return False
+        if end == len(points):
+            break
+    return True
+
+
 def is_admissible_sw(pattern: ErasurePattern, a: int, w: int) -> bool:
     """Every length-w window (zero-padded past the horizon) holds <= a
     erasures."""
-    if w < 1:
-        raise ValueError("window length must be positive")
-    flags = pattern.flags
-    t_max = len(flags)
-    weight = sum(flags[:w])
-    if weight > a:
-        return False
-    for start in range(1, t_max):
-        weight -= flags[start - 1]
-        if start + w - 1 < t_max:
-            weight += flags[start + w - 1]
-        if weight > a:
-            return False
-    return True
+    return windows_ok(pattern.support, a, 1, w)
 
 
 def is_admissible_mbsw(pattern: ErasurePattern, z: int, b: int, w: int) -> bool:
     """Every length-w window's erasures are coverable by <= z disjoint
     intervals of length <= b."""
-    if w < 1:
-        raise ValueError("window length must be positive")
-    support = pattern.support
-    t_max = pattern.horizon
-    for start in range(t_max):
-        in_window = [t for t in support if start <= t <= start + w - 1]
-        if min_burst_cover(in_window, b) > z:
-            return False
-    return True
-
-
-def _window_ok(model: ChannelModel, recent: Sequence[int]) -> bool:
-    """Constraint check for the trailing (partial) window during search."""
-    if model.kind in ("sw", "sw_err"):
-        return sum(recent) <= model.a
-    support = [t for t, f in enumerate(recent) if f]
-    return min_burst_cover(support, model.b) <= model.z
+    return windows_ok(pattern.support, z, b, w)
 
 
 def enumerate_admissible(
@@ -261,20 +229,22 @@ def enumerate_admissible(
     """
     w = model.w
     flags: list[int] = []
+    points: list[int] = []  # the erased slots of the prefix
 
     def rec() -> Iterator[ErasurePattern]:
         t = len(flags)
         if t == horizon:
             yield ErasurePattern(horizon, tuple(flags))
             return
-        choices = (0, 1)
-        if support_bound is not None and t > support_bound:
-            choices = (0,)
-        for f in choices:
-            flags.append(f)
-            if f == 0 or _window_ok(model, flags[max(0, t - w + 1):]):
+        flags.append(0)
+        yield from rec()
+        if support_bound is None or t <= support_bound:
+            flags[-1] = 1
+            points.append(t)
+            if min_burst_cover(points[bisect_left(points, t - w + 1):], model.b) <= model.z:
                 yield from rec()
-            flags.pop()
+            points.pop()
+        flags.pop()
 
     yield from rec()
 
@@ -282,15 +252,12 @@ def enumerate_admissible(
 def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:
     """Every subset of [0, n-1] coverable by <= z disjoint intervals of
     length <= b, as sorted tuples in lexicographic order.  This is the
-    per-codeword erasure family for a length-n code facing (z,b)-bursts.
+    per-codeword erasure family for a length-n code facing (z,b)-bursts:
+    the (z, b, n) window constraint, whose first window spans the code.
+    No subset of more than z*b points qualifies.
     """
-    out = []
-    for mask in range(1 << n):
-        support = tuple(t for t in range(n) if (mask >> t) & 1)
-        if len(support) <= z * b and min_burst_cover(support, b) <= z:
-            out.append(support)
-    out.sort()
-    return out
+    sizes = range(min(n, z * b) + 1)
+    return sorted(s for r in sizes for s in combinations(range(n), r) if windows_ok(s, z, b, n))
 
 
 def error_to_erasure(e: ErrorPattern, e_tilde: ErrorPattern) -> ErasurePattern:

@@ -30,7 +30,7 @@ from .channel import (
 )
 from .galois import GF
 from .search import progress_to_stderr, search_nonexistence
-from .streaming import simulate
+from .streaming import equivalence_sweep, simulate
 
 
 def _emit(args, text: str) -> None:
@@ -43,21 +43,23 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
+# The model spec kinds, parsed as "kind:a,w" or "kind:z,b,w".
+_MODEL_SPECS = {
+    "sw": ChannelModel.sw,
+    "mbsw": ChannelModel.mbsw,
+    "sw_err": ChannelModel.sw_err,
+    "mbsw_err": ChannelModel.mbsw_err,
+}
+
+
 def _parse_model(spec: str) -> ChannelModel:
+    kind, _, rest = spec.partition(":")
+    if kind not in _MODEL_SPECS:
+        raise SystemExit(f"bad model spec {spec!r}: unknown kind")
     try:
-        kind, rest = spec.split(":", 1)
-        nums = [int(x) for x in rest.split(",")]
-        if kind == "sw":
-            return ChannelModel.sw(*nums)
-        if kind == "mbsw":
-            return ChannelModel.mbsw(*nums)
-        if kind == "sw_err":
-            return ChannelModel.sw_err(*nums)
-        if kind == "mbsw_err":
-            return ChannelModel.mbsw_err(*nums)
+        return _MODEL_SPECS[kind](*(int(x) for x in rest.split(",")))
     except (ValueError, TypeError) as exc:
         raise SystemExit(f"bad model spec {spec!r}: {exc}")
-    raise SystemExit(f"bad model spec {spec!r}: unknown kind")
 
 
 def _load_descriptor(path: str) -> SystematicCode:
@@ -70,15 +72,12 @@ def _load_descriptor(path: str) -> SystematicCode:
 
 def _cmd_construct(args) -> int:
     field = GF(args.gf, args.modulus)
-    try:
-        if args.mds:
-            n, k = args.mds
-            code = build_mds(n, k, field)
-        else:
-            k, z, b = args.multi_burst
-            code = build_multi_burst(k, z, b, field)
-    except ValueError as exc:
-        raise SystemExit(f"infeasible parameters: {exc}")
+    if args.mds:
+        n, k = args.mds
+        code = build_mds(n, k, field)
+    else:
+        k, z, b = args.multi_burst
+        code = build_multi_burst(k, z, b, field)
     _emit(args, json.dumps(code.to_descriptor(), indent=2))
     return 0
 
@@ -166,81 +165,37 @@ def _cmd_enumerate_patterns(args) -> int:
     return 0
 
 
-def _sw_error_value_grid(field, n):
-    values = []
-    for pos in range(n):
-        for scalar in range(1, field.q):
-            pkt = [0] * n
-            pkt[pos] = scalar
-            values.append(tuple(pkt))
-    return values
-
-
 def _cmd_equivalence_check(args) -> int:
     field = GF(args.gf, args.modulus)
-    try:
-        if args.a is not None:
-            a, w = args.a, args.w
-            model = ChannelModel.sw_err(a, w)
-            code = build_mds(w, w - 2 * a, field)
-        else:
-            if args.z is None or args.b is None:
-                raise SystemExit("equivalence-check needs either --a or both --z and --b")
-            z, b, w = args.z, args.b, args.w
-            model = ChannelModel.mbsw_err(z, b, w)
-            code = build_multi_burst(w - 1 - (2 * z - 1) * b, 2 * z, b, field)
-    except ValueError as exc:
-        raise SystemExit(f"infeasible parameters: {exc}")
-    tau = w - 1
+    w = args.w
+    if args.a is not None:
+        model = ChannelModel.sw_err(args.a, w)
+        code = build_mds(w, w - 2 * args.a, field)
+    elif args.z is not None and args.b is not None:
+        model = ChannelModel.mbsw_err(args.z, args.b, w)
+        code = build_multi_burst(w - 1 - (2 * args.z - 1) * args.b, 2 * args.z, args.b, field)
+    else:
+        raise SystemExit("equivalence-check needs either --a or both --z and --b")
     bound = args.support_bound if args.support_bound is not None else 2 * w - 1
-    horizon = bound + 1
-    # Error-pattern supports are constrained exactly like erasures at the
-    # same (undoubled) budget.
-    support_model = (
-        ChannelModel.sw(model.a, w)
-        if model.kind == "sw_err"
-        else ChannelModel.mbsw(model.z, model.b, w)
-    )
-    supports = [p.support for p in enumerate_admissible(support_model, horizon)]
-    values = _sw_error_value_grid(field, code.n)
-    rng = random.Random(args.seed)
-    messages = [[rng.randrange(field.q) for _ in range(code.k)] for _ in range(horizon)]
-    patterns = 0
-    exact = 0
-    ambiguities = 0
-    for support in supports:
-        for combo in product(values, repeat=len(support)):
-            entries = dict(zip(support, combo))
-            pattern = ErrorPattern.from_entries(horizon, code.n, entries)
-            report = simulate(code, tau, model, pattern, messages)
-            patterns += 1
-            if report.success and all(
-                m == tuple(msg) for m, msg in zip(report.messages, messages)
-            ):
-                exact += 1
-            ambiguities += len(report.ambiguities)
-    _emit(args, json.dumps({"patterns": patterns, "exact": exact, "ambiguities": ambiguities}))
+    _emit(args, json.dumps(equivalence_sweep(code, model, w - 1, bound + 1, args.seed)))
     return 0
 
 
 def _cmd_search_nonexistence(args) -> int:
     field = GF(args.gf, args.modulus)
     progress = progress_to_stderr(f"search n={args.n} k={args.k}") if args.progress else None
-    try:
-        result = search_nonexistence(
-            args.n,
-            args.k,
-            args.z,
-            args.b,
-            args.tau,
-            field,
-            guard=args.guard,
-            start=args.resume_from,
-            jobs=args.jobs,
-            progress=progress,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"infeasible search: {exc}")
+    result = search_nonexistence(
+        args.n,
+        args.k,
+        args.z,
+        args.b,
+        args.tau,
+        field,
+        guard=args.guard,
+        start=args.resume_from,
+        jobs=args.jobs,
+        progress=progress,
+    )
     obj = {
         "found": result["found"],
         "witness": result["witness"].to_descriptor() if result["witness"] else None,
@@ -333,9 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # Bad input anywhere below is an operational error: one line, no
+        # traceback, nonzero exit.
+        raise SystemExit(f"streamfec {args.command}: {exc}")
 
 
 if __name__ == "__main__":

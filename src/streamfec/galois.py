@@ -3,9 +3,9 @@
 Two families are supported: binary extension fields GF(2^m) for
 1 <= m <= 16, represented in the polynomial basis with log/antilog
 tables, and prime fields GF(p) for p < 256.  Values are plain ints in
-[0, q-1]; :class:`FieldElement` is a thin checked wrapper for use at
-API boundaries.  Field objects are immutable once constructed and are
-safe to share between threads or worker processes.
+[0, q-1]; :meth:`Field.check` validates one at API boundaries.  Field
+objects are immutable once constructed and are safe to share between
+threads or worker processes.
 
 The default modulus for GF(2^m) is the lexicographically smallest
 irreducible polynomial of degree m (bit-encoded, bit i = coefficient of
@@ -14,9 +14,7 @@ x^i), so that descriptors are reproducible across machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 _MAX_EXTENSION_DEGREE = 16
 _MAX_PRIME = 256
@@ -89,8 +87,7 @@ class Field:
     """A finite field GF(p^m): either GF(2^m), m <= 16, or GF(p), p < 256.
 
     Arithmetic methods (`add`, `mul`, `inv`, ...) operate on plain int
-    values; use :meth:`element` to obtain checked :class:`FieldElement`
-    wrappers.
+    values; :meth:`check` validates a value.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log")
@@ -198,26 +195,6 @@ class Field:
             e >>= 1
         return res
 
-    # -- element-level API ------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self.check(value), self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def elements(self) -> tuple["FieldElement", ...]:
-        """All q elements exactly once, ascending by value."""
-        return tuple(FieldElement(v, self) for v in range(self.q))
-
-    def values(self) -> Iterator[int]:
-        return iter(range(self.q))
-
     # -- identity and serialization ---------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -259,48 +236,3 @@ def GF(q: int, modulus: int | None = None) -> Field:
             raise ValueError("prime fields take no modulus polynomial")
         return _cached_field(q, 1, None)
     raise ValueError(f"unsupported field order {q}: need 2^m (m <= 16) or a prime < 256")
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a specific finite field, with checked arithmetic."""
-
-    value: int
-    field: Field
-
-    def __post_init__(self) -> None:
-        self.field.check(self.value)
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.add(self.value, self._coerce(other)), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.sub(self.value, self._coerce(other)), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.mul(self.value, self._coerce(other)), self.field)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.div(self.value, self._coerce(other)), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0

@@ -299,6 +299,8 @@ def search_nonexistence(
     total = field.q ** (k * r)
     if total > guard:
         raise ValueError(f"candidate space of size {field.q}^{k * r} exceeds the guard {guard}")
+    if not 0 <= start <= total:
+        raise ValueError(f"resume cursor {start} outside the candidate space [0, {total}]")
     supports = burst_supports(n, z, b)
     checks = _build_checks(n, k, tau, supports)
     rows = _row_space(field, r)
@@ -325,7 +327,8 @@ def search_nonexistence(
         return {"found": False, "witness": None, "candidates_checked": total - start, "total": total}
     code = _code_from_digits(field, n, k, rows, _digits_of(survivor, len(rows), k))
     confirmed: VerifyResult = verify_delay_decodable(code, tau, supports)
-    assert confirmed.ok, "kernel survivor must pass the reference verifier"
+    if not confirmed.ok:
+        raise RuntimeError(f"kernel survivor {survivor} fails the reference verifier at {confirmed.counterexample}")
     return {
         "found": True,
         "witness": code,

@@ -26,11 +26,13 @@ ambiguity, never silently resolved.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations, product
 from typing import Sequence
 
 from .block_code import SystematicCode
-from .channel import ChannelModel, ErasurePattern, ErrorPattern, min_burst_cover
+from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,8 @@ def decode_erasures(
                         pin_value[(d, i)] = v
                         done.append(i)
                 pending.difference_update(done)
-        assert solver.consistent, "received symbols of a valid stream cannot conflict"
+        if not solver.consistent:
+            raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
 
     per_packet = []
     failures = []
@@ -289,46 +292,17 @@ def decode_erasures(
 def _standalone_window_subsets(model: ChannelModel, width: int) -> list[tuple[int, ...]]:
     """Offset tuples within a width-slot window that the model admits on
     their own, ordered by (size, lexicographic)."""
-    out = []
-    for mask in range(1 << width):
-        offs = tuple(o for o in range(width) if (mask >> o) & 1)
-        if model.kind in ("sw", "sw_err"):
-            ok = all(
-                sum(1 for o in offs if s <= o < s + model.w) <= model.a
-                for s in range(-model.w + 1, width)
-            )
-        else:
-            ok = all(
-                min_burst_cover([o for o in offs if s <= o < s + model.w], model.b) <= model.z
-                for s in range(-model.w + 1, width)
-            )
-        if ok:
-            out.append(offs)
-    out.sort(key=lambda s: (len(s), s))
-    return out
+    subsets = (offs for size in range(width + 1) for offs in combinations(range(width), size))
+    return [offs for offs in subsets if windows_ok(offs, model.z, model.b, model.w)]
 
 
-def _union_admissible(
-    model: ChannelModel, past: list[int], cand: tuple[int, ...], t: int, wend: int
-) -> bool:
-    """Admissibility of past + candidate over [0, wend]; only windows
-    reaching position t or later need checking because the past alone is
-    a subset of an admissible pattern."""
-    w = model.w
-    lo = max(0, t - w + 1)
-    near_past = [p for p in past if p >= lo]
-    if not near_past:
-        return True
-    pts = sorted(near_past + list(cand))
-    for start in range(lo, wend + 1):
-        window_pts = [p for p in pts if start <= p <= start + w - 1]
-        if model.kind in ("sw", "sw_err"):
-            if len(window_pts) > model.a:
-                return False
-        else:
-            if min_burst_cover(window_pts, model.b) > model.z:
-                return False
-    return True
+def _union_admissible(model: ChannelModel, past: list[int], cand: tuple[int, ...], t: int) -> bool:
+    """Admissibility of past + candidate, where the candidate lies at or
+    after t.  Only past points within w-1 slots of t share a window with
+    the candidate, and the past alone is a subset of an admissible
+    pattern."""
+    near_past = [p for p in past if p > t - model.w]
+    return not near_past or windows_ok(near_past + list(cand), model.z, model.b, model.w)
 
 
 def decode_errors(
@@ -349,7 +323,7 @@ def decode_errors(
     accepted; disagreement or an underdetermined u(t) becomes an
     ambiguity record and decoding halts there.
     """
-    if not model.is_error_model:
+    if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
     t_msgs = message_horizon
@@ -416,7 +390,7 @@ def decode_errors(
             cand = tuple(t + o for o in offs if o < width)
             if len(cand) != len(offs):
                 continue
-            if not _union_admissible(model, past_support, cand, t, wend):
+            if not _union_admissible(model, past_support, cand, t):
                 continue
             cand_set = frozenset(cand)
             ok = True
@@ -519,20 +493,26 @@ def simulate(
     the declared model, decoded values are checked against the encoded
     messages; a mismatch would be an implementation defect and raises.
     """
+    if not isinstance(pattern, (ErasurePattern, ErrorPattern)):
+        raise TypeError(f"unsupported pattern type {type(pattern).__name__}")
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
     stream = de_encode(code, messages)
     t_msgs = stream.message_horizon
+    if max(pattern.support, default=-1) >= stream.packet_horizon:
+        raise ValueError(
+            f"pattern support {pattern.support} reaches past the last packet time {stream.packet_horizon - 1}"
+        )
     if isinstance(pattern, ErasurePattern):
         received = apply_erasures(stream, pattern)
         report = decode_erasures(code, tau, received, t_msgs, pattern, model)
-    elif isinstance(pattern, ErrorPattern):
-        if model is None or not model.is_error_model:
+    else:
+        if model is None or not model.errors:
             raise ValueError("error patterns need an error-channel model")
         if pattern.packet_size != code.n:
             raise ValueError("error packet size must equal the code length")
         received = apply_errors(stream, pattern)
         report = decode_errors(code, tau, received, t_msgs, model, pattern)
-    else:
-        raise TypeError(f"unsupported pattern type {type(pattern).__name__}")
     if report.pattern_admissible:
         for t, val in enumerate(report.messages):
             if val is not None and val != stream.messages[t]:
@@ -541,3 +521,30 @@ def simulate(
                     "this is an implementation defect"
                 )
     return report
+
+
+def equivalence_sweep(
+    code: SystematicCode, model: ChannelModel, tau: int, message_horizon: int, seed: int
+) -> dict:
+    """Decode every error pattern of the error model whose support lies in
+    [0, message_horizon - 1], with each error packet one of the unit
+    error values (a single nonzero symbol).  The supports are those the
+    same-budget erasure model (z, b, w) admits.  Messages are drawn from
+    `seed`.  Returns {"patterns", "exact", "ambiguities"}; the paper's
+    equivalence holds on the sweep when every pattern decodes exactly.
+    """
+    f, n = code.field, code.n
+    rng = random.Random(seed)
+    messages = [[rng.randrange(f.q) for _ in range(code.k)] for _ in range(message_horizon)]
+    sent = [tuple(u) for u in messages]
+    values = [tuple(s if j == pos else 0 for j in range(n)) for pos in range(n) for s in range(1, f.q)]
+    horizon = message_horizon + n - 1
+    patterns = exact = ambiguities = 0
+    for p in enumerate_admissible(ChannelModel.mbsw(model.z, model.b, model.w), message_horizon):
+        for combo in product(values, repeat=len(p.support)):
+            pattern = ErrorPattern.from_entries(horizon, n, dict(zip(p.support, combo)))
+            report = simulate(code, tau, model, pattern, messages)
+            patterns += 1
+            exact += report.success and list(report.messages) == sent
+            ambiguities += len(report.ambiguities)
+    return {"patterns": patterns, "exact": exact, "ambiguities": ambiguities}

@@ -37,7 +37,7 @@ from streamfec.search import (
     enumerate_codebook,
     search_nonexistence,
 )
-from streamfec.streaming import simulate
+from streamfec.streaming import equivalence_sweep, simulate
 
 F2, F3, F8 = GF(2), GF(3), GF(8)
 
@@ -75,28 +75,11 @@ def test_criterion_2_erasure_stream_exhaustive():
 
 
 def test_criterion_3_error_stream_exhaustive():
-    code = build_mds(5, 3, F8)
-    model = ChannelModel.sw_err(1, 5)
-    t_msgs = 10
-    msgs = _messages(F8, t_msgs, 3, seed=2026)
-    supports = [p.support for p in enumerate_admissible(ChannelModel.sw(1, 5), 10)]
-    values = []
-    for row in range(5):
-        for scalar in range(1, 8):
-            pkt = [0] * 5
-            pkt[row] = scalar
-            values.append(tuple(pkt))
-    count = 0
-    horizon = t_msgs + 4
-    for support in supports:
-        for combo in product(values, repeat=len(support)):
-            pattern = ErrorPattern.from_entries(horizon, 5, dict(zip(support, combo)))
-            report = simulate(code, 4, model, pattern, msgs)
-            assert report.success, f"miss under {support} {combo}"
-            assert not report.ambiguities
-            assert list(report.messages) == [tuple(u) for u in msgs]
-            count += 1
-    assert count == 18726
+    # every (1,5)-admissible support in [0, 9] times the 35 unit error
+    # values, 10 messages: each decode exact, none ambiguous
+    res = equivalence_sweep(build_mds(5, 3, F8), ChannelModel.sw_err(1, 5), 4, 10, seed=2026)
+    assert res == {"patterns": 18726, "exact": 18726, "ambiguities": 0}
+    count = res["patterns"]
     _passed(3, f"(1,5,4) error stream: {count} error patterns, exact recovery, zero ambiguity signals")
 
 

@@ -287,15 +287,6 @@ def test_delay_tau_star_examples():
         delay_tau_star(0, 1, 1)
 
 
-def test_burst_spec():
-    from streamfec.block_code import BurstSpec
-
-    assert BurstSpec(2, 2).tau_star(5) == 7
-    assert BurstSpec(1, 3).tau_star(3) == 3
-    with pytest.raises(ValueError):
-        BurstSpec(0, 2)
-
-
 # -- descriptors -------------------------------------------------------------
 
 

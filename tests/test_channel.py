@@ -42,11 +42,27 @@ def test_mbsw_admissibility_examples():
     assert not is_admissible_mbsw(_pat(1, 0, 1, 0), 1, 2, 4)
 
 
+def _naive_admissible(pattern, z, b, w):
+    # the definition itself: every window start that overlaps the
+    # horizon, each window's points covered by the greedy rule
+    support = pattern.support
+    return all(
+        min_burst_cover([t for t in support if s <= t < s + w], b) <= z
+        for s in range(-w + 1, pattern.horizon)
+    )
+
+
 def test_mbsw_b1_reduces_to_sw_exhaustively():
+    # the predicate checks only windows that start at a support point;
+    # this compares it with every window start, and b = 1 with sw
     for z, w, t_max in ((1, 3, 8), (2, 4, 8), (2, 3, 10)):
-        for flags in product((0, 1), repeat=t_max):
-            p = ErasurePattern(t_max, flags)
-            assert is_admissible_mbsw(p, z, 1, w) == is_admissible_sw(p, z, w)
+        for b in (1, 2, 3):
+            for flags in product((0, 1), repeat=t_max):
+                p = ErasurePattern(t_max, flags)
+                want = _naive_admissible(p, z, b, w)
+                assert is_admissible_mbsw(p, z, b, w) == want, (z, b, w, p.support)
+                if b == 1:
+                    assert is_admissible_sw(p, z, w) == want, (z, w, p.support)
 
 
 def test_burst_with_gap_inside_is_allowed():

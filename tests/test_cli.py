@@ -177,3 +177,33 @@ def test_bad_model_spec_is_operational_error(tmp_path, capsys):
     run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(desc))
     with pytest.raises(SystemExit):
         main(["verify-code", "--descriptor", str(desc), "--tau", "4", "--model", "nope:1"])
+
+
+# Each of these printed a traceback or a wrong count before the CLI had
+# one error boundary and the library validated its inputs.
+BAD_INPUT = {
+    "construct-unsupported-field": "construct --mds 5 3 --gf 6",
+    "bounds-non-numeric-grid": "bounds --grid z=a..3",
+    "verify-tau-below-k": "verify-code --descriptor {dir}/code53.json --tau 2 --bursts 1 2",
+    "simulate-csv-flag-2": "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/two.csv --horizon 4",
+    "simulate-negative-tau": "simulate --descriptor {dir}/code53.json --tau -1 --pattern {dir}/ok.csv --horizon 4",
+    "simulate-pattern-past-stream": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/long.csv --horizon 2"
+    ),
+    "search-cursor-past-end": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from 99999",
+    "search-cursor-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from -5",
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exits_with_one_line(tmp_path, capsys, argv):
+    run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(tmp_path / "code53.json"))
+    (tmp_path / "two.csv").write_text("1,2,0\n")
+    (tmp_path / "ok.csv").write_text("1,0,0\n")
+    # [5,3] with 2 messages has packets 0..5; slot 7 is past the stream
+    (tmp_path / "long.csv").write_text("0,0,0,0,0,0,0,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(dir=tmp_path).split())
+    message = exc.value.code
+    assert isinstance(message, str) and message and "\n" not in message
+    assert capsys.readouterr().out == ""

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfec.galois import GF, Field, FieldElement, default_modulus
+from streamfec.galois import GF, Field, default_modulus
 
 SMALL_FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(11), GF(13), GF(16)]
 
@@ -33,15 +33,7 @@ def test_zero_inversion_rejected():
     with pytest.raises(ZeroDivisionError):
         GF(8).inv(0)
     with pytest.raises(ZeroDivisionError):
-        GF(7).element(3) / GF(7).zero
-
-
-def test_enumerate_elements():
-    assert [e.value for e in GF(2).elements()] == [0, 1]
-    assert [e.value for e in GF(4).elements()] == [0, 1, 2, 3]
-    vals = [e.value for e in GF(8).elements()]
-    assert len(vals) == 8 and len(set(vals)) == 8
-    assert vals == sorted(vals)
+        GF(7).inv(0)
 
 
 def test_default_moduli_are_lexicographically_smallest():
@@ -104,31 +96,11 @@ def test_gf256_inverse_roundtrip(a):
     assert f.mul(a, f.inv(a)) == 1
 
 
-def test_element_wrapper_arithmetic():
-    f = GF(8)
-    a, b = f.element(3), f.element(5)
-    assert (a + b).value == 6
-    assert (a * b).value == f.mul(3, 5)
-    assert (-a).value == 3
-    assert (a / a).value == 1
-    assert (a**3).value == f.pow(3, 3)
-    assert int(b) == 5 and bool(b) and not bool(f.zero)
-
-
-def test_field_mismatch_rejected():
-    a = GF(8).element(3)
-    b = GF(16).element(3)
-    with pytest.raises(ValueError):
-        _ = a + b
-    with pytest.raises(ValueError):
-        _ = a * b
-
-
 def test_out_of_range_values_rejected():
     with pytest.raises(ValueError):
-        GF(8).element(8)
+        GF(8).check(8)
     with pytest.raises(ValueError):
-        FieldElement(-1, GF(7))
+        GF(7).check(-1)
 
 
 def test_unsupported_orders_rejected():

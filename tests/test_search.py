@@ -3,7 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from streamfec.block_code import SystematicCode, build_mds, build_multi_burst, verify_delay_decodable
+from streamfec import search
+from streamfec.block_code import SystematicCode, VerifyResult, build_mds, build_multi_burst, verify_delay_decodable
 from streamfec.channel import burst_supports
 from streamfec.galois import GF
 from streamfec.matrix import FieldMatrix
@@ -107,6 +108,22 @@ def test_search_validates_shape():
         search_nonexistence(8, 5, 2, 2, 6, F2)  # n != k + z*b
     with pytest.raises(ValueError):
         search_nonexistence(7, 3, 2, 2, 2, F2)  # tau < k
+
+
+def test_search_rejects_cursor_outside_space():
+    # the [7,3] binary space has 4096 candidates; 4096 itself is the end
+    assert search_nonexistence(7, 3, 2, 2, 5, F2, start=4096)["candidates_checked"] == 0
+    for start in (-5, 4097, 99999):
+        with pytest.raises(ValueError):
+            search_nonexistence(7, 3, 2, 2, 5, F2, start=start)
+
+
+def test_witness_confirmation_failure_raises(monkeypatch):
+    # the kernel survivor is re-checked by the reference verifier; a
+    # disagreement is a defect and must raise, not pass silently
+    monkeypatch.setattr(search, "verify_delay_decodable", lambda *a: VerifyResult(False, ((0,), 0)))
+    with pytest.raises(RuntimeError):
+        search_nonexistence(4, 2, 1, 2, 2, F2)
 
 
 def test_search_parallel_matches_sequential():
