@@ -38,13 +38,11 @@ from .channel import (
 from .galois import GF, Field
 from .matrix import (
     FieldMatrix,
-    FieldVector,
     in_span,
     punctured_parity,
     rank,
     right_nullspace,
     shortened_parity,
-    solve,
 )
 from .search import (
     brute_force_decodable,

@@ -52,6 +52,47 @@ class SystematicCode:
         neg_pt = FieldMatrix(f, [[f.neg(v) for v in self.P.column(j)] for j in range(self.P.cols)])
         return neg_pt.hstack(FieldMatrix.identity(f, self.n - self.k))
 
+    @cached_property
+    def _recoveries(self) -> dict:
+        return {}
+
+    def recovery(
+        self, known: int, avail: int
+    ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, tuple[int, ...]]]]:
+        """What one codeword reveals from the message coordinates in the
+        bitmask `known` and the code symbols at the positions in the
+        bitmask `avail`, observed as y = (given coordinates, received
+        symbols), each in ascending order.
+
+        Returns (checks, pins): y is consistent with some codeword iff
+        c . y == 0 for every row c of checks; pins[i] = (position, row)
+        for each coordinate i outside `known` that y fixes, with
+        u_i == row . y and position the smallest received position whose
+        prefix, together with the given coordinates, fixes u_i.  Memoised
+        per code; callers share the result and must not mutate it."""
+        hit = self._recoveries.get((known, avail))
+        if hit is not None:
+            return hit
+        # A given coordinate i is the systematic symbol at position i, so
+        # every observation is a generator column.  Each row also records
+        # which combination of observations it is, so a reduced row reads
+        # off as u . (its column part) == (its record) . y.
+        k = self.k
+        given = [i for i in range(k) if known >> i & 1]
+        positions = [j for j in range(self.n) if avail >> j & 1]
+        obs = given + positions
+        aug = [list(self.generator.column(j)) + [int(l == c) for c in range(len(obs))] for l, j in enumerate(obs)]
+        rows, pivots = _rref(self.field, aug[: len(given)], k)
+        pins: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for row_in, j in zip(aug[len(given) :], positions):
+            rows, pivots = _rref(self.field, rows + [row_in], k)
+            for row, c in zip(rows, pivots):
+                if c not in pins and not known >> c & 1 and not any(row[c + 1 : k]):
+                    pins[c] = (j, tuple(row[k:]))
+        checks = tuple(tuple(row[k:]) for row in rows[len(pivots) :])
+        self._recoveries[(known, avail)] = checks, pins
+        return checks, pins
+
     def encode(self, u: Sequence[int]) -> tuple[int, ...]:
         if len(u) != self.k:
             raise ValueError(f"message must have {self.k} symbols")

@@ -106,8 +106,21 @@ class ErrorPattern:
     @classmethod
     def from_json(cls, text: str) -> "ErrorPattern":
         d = json.loads(text)
-        entries = {item["t"]: item["packet"] for item in d["errors"]}
-        return cls.from_entries(d["horizon"], d["packet_size"], entries)
+        keys = ("horizon", "packet_size", "errors")
+        missing = [key for key in keys if not isinstance(d, dict) or key not in d]
+        if missing:
+            raise ValueError(f"error pattern JSON lacks {', '.join(missing)}")
+        horizon, packet_size, errors = (d[key] for key in keys)
+        if not (isinstance(horizon, int) and isinstance(packet_size, int) and isinstance(errors, list)):
+            raise ValueError("error pattern JSON needs an integer horizon and packet_size and an errors list")
+        entries: dict[int, Sequence[int]] = {}
+        for item in errors:
+            t = item.get("t") if isinstance(item, dict) else None
+            new_t = isinstance(t, int) and 0 <= t < horizon and t not in entries
+            if not new_t or not isinstance(item.get("packet"), list):
+                raise ValueError(f"malformed error entry {item!r}: need a distinct t in [0, horizon) and a packet")
+            entries[t] = item["packet"]
+        return cls.from_entries(horizon, packet_size, entries)
 
 
 @dataclass(frozen=True)

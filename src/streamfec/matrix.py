@@ -8,28 +8,9 @@ return new objects and are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .galois import Field
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """A vector over a finite field, entries as ints."""
-
-    field: Field
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.entries:
-            self.field.check(v)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
 
 
 class FieldMatrix:
@@ -193,12 +174,12 @@ def rank(m: FieldMatrix) -> int:
     return len(pivots)
 
 
-def in_span(v: FieldVector | Sequence[int], basis_columns: FieldMatrix) -> bool:
+def in_span(v: Sequence[int], basis_columns: FieldMatrix) -> bool:
     """True iff v is a linear combination of the columns of basis_columns.
 
     The zero vector lies in every span, including the empty one.
     """
-    entries = tuple(v.entries if isinstance(v, FieldVector) else v)
+    entries = tuple(v)
     if len(entries) != basis_columns.rows:
         raise ValueError("dimension mismatch between vector and basis columns")
     if all(x == 0 for x in entries):
@@ -209,27 +190,6 @@ def in_span(v: FieldVector | Sequence[int], basis_columns: FieldMatrix) -> bool:
         [row + (entries[i],) for i, row in enumerate(basis_columns.data)],
     )
     return rank(aug) == base_rank
-
-
-def solve(a: FieldMatrix, b: FieldVector | Sequence[int]) -> FieldVector | None:
-    """Any x with a @ x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the output is reproducible; when
-    the solution is unique it is returned exactly.
-    """
-    entries = tuple(b.entries if isinstance(b, FieldVector) else b)
-    if len(entries) != a.rows:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    field = a.field
-    rows = [list(r) + [entries[i]] for i, r in enumerate(a.data)]
-    rows, pivots = _rref(field, rows, a.cols)
-    for i in range(len(pivots), a.rows):
-        if rows[i][a.cols] != 0:
-            return None
-    x = [0] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][a.cols]
-    return FieldVector(field, tuple(x))
 
 
 def right_nullspace(m: FieldMatrix) -> FieldMatrix:

@@ -6,19 +6,28 @@ starting at time d into packet d + j, so each packet erasure costs every
 affected codeword exactly one symbol.  The encoder is causal and message
 packets before time 0 are zero by convention.
 
-The erasure decoder recovers each message coordinate from the parity
-equations of its own diagonal codeword, using only packets received by
-the coordinate's deadline; packets recovered earlier carry no extra
-information for later ones beyond what the received symbols already
-determine, so per-diagonal solving realizes sequential (peeling)
-recovery exactly.
+Both decoders ask one question of one diagonal codeword at a time:
+given some of its message coordinates and the symbols received by a
+deadline, are those symbols consistent with a codeword, and which
+coordinates do they fix, from which position on?  `SystematicCode.recovery`
+answers it once per (given, received) mask pair and caches the answer
+as parity checks and recovery rows, so decoding is lookups and dot
+products.
+
+The erasure decoder asks it of each diagonal with the coordinates before
+time 0 given as zero and every unerased symbol received; a coordinate is
+recovered at the diagonal's start plus its pin position.  Packets
+recovered earlier carry no extra information for later ones beyond what
+the received symbols already determine, so per-diagonal solving realizes
+sequential (peeling) recovery exactly.
 
 The error decoder is the reference exhaustive one: to decode u(t) it
 assumes all earlier messages are known (sequential recovery), enumerates
 every candidate set S of error times inside [t, t+tau] that is jointly
-admissible with the already-inferred past errors, treats S as erased,
-and keeps the candidates whose remaining window symbols are consistent
-with some message continuation.  All consistent candidates must agree on
+admissible with the already-inferred past errors, and asks the question
+of every diagonal touching [t, t+tau] with S erased.  A candidate is
+consistent when every diagonal's checks vanish, and it fixes u(t) when
+each coordinate is pinned.  All consistent candidates must agree on
 u(t); disagreement (or an underdetermined u(t)) is reported as an
 ambiguity, never silently resolved.
 """
@@ -120,76 +129,12 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     return PacketStream(code=code, message_horizon=t_msgs, messages=msgs, packets=tuple(packets))
 
 
-class _IncrementalSolver:
-    """Reduced-row-echelon accumulator for a small linear system over a
-    finite field, supporting per-unknown resolution queries."""
-
-    __slots__ = ("field", "nu", "rows", "rhs", "pivots", "consistent")
-
-    def __init__(self, field, num_unknowns: int):
-        self.field = field
-        self.nu = num_unknowns
-        self.rows: list[list[int]] = []
-        self.rhs: list[int] = []
-        self.pivots: list[int] = []
-        self.consistent = True
-
-    def add_equation(self, coeffs: Sequence[int], rhs: int) -> None:
-        f = self.field
-        sub, mul = f.sub, f.mul
-        row = list(coeffs)
-        for r, c in enumerate(self.pivots):
-            fac = row[c]
-            if fac:
-                prow = self.rows[r]
-                row = [sub(a, mul(fac, b)) for a, b in zip(row, prow)]
-                rhs = sub(rhs, mul(fac, self.rhs[r]))
-        pc = -1
-        for j, v in enumerate(row):
-            if v:
-                pc = j
-                break
-        if pc < 0:
-            if rhs:
-                self.consistent = False
-            return
-        inv = f.inv(row[pc])
-        if inv != 1:
-            row = [mul(inv, v) for v in row]
-            rhs = mul(inv, rhs)
-        for r in range(len(self.rows)):
-            fac = self.rows[r][pc]
-            if fac:
-                prow = self.rows[r]
-                self.rows[r] = [sub(a, mul(fac, b)) for a, b in zip(prow, row)]
-                self.rhs[r] = sub(self.rhs[r], mul(fac, rhs))
-        self.rows.append(row)
-        self.rhs.append(rhs)
-        self.pivots.append(pc)
-
-    def resolve(self, i: int) -> int | None:
-        """Value of unknown i when the accumulated equations pin it,
-        else None."""
-        f = self.field
-        sub, mul = f.sub, f.mul
-        res = [0] * self.nu
-        res[i] = 1
-        val = 0
-        for r, c in enumerate(self.pivots):
-            fac = res[c]
-            if fac:
-                prow = self.rows[r]
-                res = [sub(a, mul(fac, b)) for a, b in zip(res, prow)]
-                val = f.add(val, mul(fac, self.rhs[r]))
-        if any(res):
-            return None
-        return val
-
-
-def _unit_row(k: int, i: int) -> list[int]:
-    row = [0] * k
-    row[i] = 1
-    return row
+def _dot(f, row: Sequence[int], y: Sequence[int]) -> int:
+    acc = 0
+    for c, v in zip(row, y):
+        if c and v:
+            acc = f.add(acc, f.mul(c, v))
+    return acc
 
 
 def decode_erasures(
@@ -212,40 +157,19 @@ def decode_erasures(
     t_msgs = message_horizon
     if len(received) != t_msgs + n - 1:
         raise ValueError(f"received stream must cover {t_msgs + n - 1} packet times")
-    gcols = code.generator.columns()
     last = len(received) - 1
 
-    pin_time: dict[tuple[int, int], int] = {}
-    pin_value: dict[tuple[int, int], int] = {}
+    # Per diagonal d: its pins and the observation vector they read.
+    diagonals: dict[int, tuple[dict, list[int]]] = {}
     for d in range(-(k - 1), t_msgs):
-        solver = _IncrementalSolver(f, k)
-        pending = set()
-        for i in range(k):
-            if d + i < 0:
-                solver.add_equation(_unit_row(k, i), 0)
-            else:
-                pending.add(i)
-        for j in range(n):
-            s = d + j
-            if s < 0:
-                continue
-            if s > last:
-                break
-            pkt = received[s]
-            if pkt is None:
-                continue
-            solver.add_equation(gcols[j], pkt[j])
-            if pending:
-                done = []
-                for i in pending:
-                    v = solver.resolve(i)
-                    if v is not None:
-                        pin_time[(d, i)] = s
-                        pin_value[(d, i)] = v
-                        done.append(i)
-                pending.difference_update(done)
-        if not solver.consistent:
+        # Coordinates i with d + i < 0 are given as zero.
+        given = max(-d, 0)
+        recv = [j for j in range(given, min(n, last - d + 1)) if received[d + j] is not None]
+        checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
+        y = [0] * given + [received[d + j][j] for j in recv]
+        if any(_dot(f, c, y) for c in checks):
             raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
+        diagonals[d] = (pins, y)
 
     per_packet = []
     failures = []
@@ -255,23 +179,18 @@ def decode_erasures(
         if received[t] is not None:
             status = PacketStatus(t, True, t, deadline)
             messages_out.append(tuple(received[t][:k]))
-        else:
-            times = []
-            vals = []
-            complete = True
+        elif all(i in diagonals[t - i][0] for i in range(k)):
+            times, vals = [], []
             for i in range(k):
-                key = (t - i, i)
-                if key not in pin_time:
-                    complete = False
-                    break
-                times.append(pin_time[key])
-                vals.append(pin_value[key])
-            if complete:
-                status = PacketStatus(t, True, max(times), deadline)
-                messages_out.append(tuple(vals))
-            else:
-                status = PacketStatus(t, False, None, deadline)
-                messages_out.append(None)
+                pins, y = diagonals[t - i]
+                position, row = pins[i]
+                times.append(t - i + position)
+                vals.append(_dot(f, row, y))
+            status = PacketStatus(t, True, max(times), deadline)
+            messages_out.append(tuple(vals))
+        else:
+            status = PacketStatus(t, False, None, deadline)
+            messages_out.append(None)
         if not (status.recovered and status.time is not None and status.time <= deadline):
             failures.append(t)
         per_packet.append(status)
@@ -360,21 +279,6 @@ def decode_errors(
                 acc = add(acc, mul(c, msg_value(d + i, i)))
         return acc
 
-    def solve_diagonal(d: int, excluded: frozenset[int], t: int, wend: int) -> _IncrementalSolver | None:
-        solver = _IncrementalSolver(f, k)
-        for i in range(k):
-            tm = d + i
-            if tm < t:
-                solver.add_equation(_unit_row(k, i), msg_value(tm, i))
-        for j in range(n):
-            s = d + j
-            if s < t or s > wend or s in excluded:
-                continue
-            solver.add_equation(gcols[j], received[s][j])
-            if not solver.consistent:
-                return None
-        return solver
-
     for t in range(t_msgs):
         deadline = t + tau
         if halted:
@@ -384,53 +288,40 @@ def decode_errors(
             continue
         wend = min(deadline, last)
         width = wend - t + 1
-        diag_cache: dict[tuple[int, frozenset[int]], _IncrementalSolver | None] = {}
-        consistent: list[tuple[tuple[int, ...], bool, tuple[int, ...] | None]] = []
+        consistent: list[tuple[int | None, ...]] = []
         for offs in rel_candidates:
             cand = tuple(t + o for o in offs if o < width)
             if len(cand) != len(offs):
                 continue
             if not _union_admissible(model, past_support, cand, t):
                 continue
-            cand_set = frozenset(cand)
-            ok = True
             values: list[int | None] = [None] * k
             for d in range(t - n + 1, wend + 1):
-                excl = frozenset(s for s in cand_set if d <= s <= d + n - 1)
-                key = (d, excl)
-                if key in diag_cache:
-                    solver = diag_cache[key]
-                else:
-                    solver = solve_diagonal(d, excl, t, wend)
-                    diag_cache[key] = solver
-                if solver is None:
-                    ok = False
+                # Diagonal d knows its coordinates before time t and reads
+                # its symbols in [t, wend] outside the candidate support.
+                given = min(max(t - d, 0), k)
+                recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
+                checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
+                y = [msg_value(d + i, i) for i in range(given)] + [received[d + j][j] for j in recv]
+                if any(_dot(f, c, y) for c in checks):
                     break
-                i = t - d
-                if 0 <= i < k:
-                    values[i] = solver.resolve(i)
-            if not ok:
-                continue
-            determined = all(v is not None for v in values)
-            consistent.append((cand, determined, tuple(values) if determined else None))
+                if t - d in pins:
+                    values[t - d] = _dot(f, pins[t - d][1], y)
+            else:
+                consistent.append(tuple(values))
 
-        distinct = {val for (_, det, val) in consistent if det}
-        has_undetermined = any(not det for (_, det, _) in consistent)
-        if not consistent:
-            # No admissible explanation: the actual pattern violates the
-            # declared model.  Nothing sound can be decoded from here on.
-            per_packet.append(PacketStatus(t, False, None, deadline))
-            failures.append(t)
-            messages_out.append(None)
-            halted = True
-        elif has_undetermined or len(distinct) != 1:
-            ambiguities.append(t)
+        if len(set(consistent)) != 1 or None in consistent[0]:
+            # No consistent candidate means the actual pattern violates the
+            # declared model; disagreeing candidates or an underdetermined
+            # u(t) is an ambiguity.  Nothing sound can be decoded from here on.
+            if consistent:
+                ambiguities.append(t)
             per_packet.append(PacketStatus(t, False, None, deadline))
             failures.append(t)
             messages_out.append(None)
             halted = True
         else:
-            value = next(iter(distinct))
+            value = consistent[0]
             known.append(value)
             messages_out.append(value)
             per_packet.append(PacketStatus(t, True, wend, deadline))
@@ -511,6 +402,9 @@ def simulate(
             raise ValueError("error patterns need an error-channel model")
         if pattern.packet_size != code.n:
             raise ValueError("error packet size must equal the code length")
+        for packet in pattern.packets:
+            for v in packet:
+                code.field.check(v)
         received = apply_errors(stream, pattern)
         report = decode_errors(code, tau, received, t_msgs, model, pattern)
     if report.pattern_admissible:

@@ -21,6 +21,7 @@ from streamfec.block_code import (
 from streamfec.channel import burst_supports
 from streamfec.galois import GF
 from streamfec.matrix import FieldMatrix, rank
+from streamfec.search import enumerate_codebook
 
 F2, F3, F5, F8 = GF(2), GF(3), GF(5), GF(8)
 
@@ -285,6 +286,53 @@ def test_delay_tau_star_examples():
     assert delay_tau_star(1, 3, 4) == 12
     with pytest.raises(ValueError):
         delay_tau_star(0, 1, 1)
+
+
+# -- the recovery query against the codebook --------------------------------
+
+
+def _dot(field, row, y):
+    acc = 0
+    for a, b in zip(row, y):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3)])
+def test_recovery_matches_codebook(n, k, q):
+    """Every (prefix known, avail) query of a random, typically non-MDS
+    code, decided independently by enumerating the codebook."""
+    f = GF(q)
+    rng = random.Random(10 * n + q)
+    code = SystematicCode(f, n, k, FieldMatrix(f, [[rng.randrange(q) for _ in range(n - k)] for _ in range(k)]))
+    book = enumerate_codebook(code)
+    for avail in range(1 << n):
+        positions = [j for j in range(n) if avail >> j & 1]
+        for g in range(k + 1):
+            checks, pins = code.recovery((1 << g) - 1, avail)
+            assert set(pins) <= set(range(g, k))
+            zero_given = [(u, c) for u, c in book if not any(u[:g])]
+            for i in range(g, k):
+                # u_i is fixed by a prefix iff no codeword that is zero on
+                # the given coordinates and on the prefix has u_i != 0
+                fixed_at = [
+                    p
+                    for p in positions
+                    if all(u[i] == 0 for u, c in zero_given if not any(c[j] for j in positions if j <= p))
+                ]
+                assert pins.get(i, (None,))[0] == (fixed_at[0] if fixed_at else None)
+            observed = set()
+            for u, c in book:
+                y = u[:g] + tuple(c[j] for j in positions)
+                observed.add(y)
+                assert all(_dot(f, row, y) == 0 for row in checks)
+                for i, (p, row) in pins.items():
+                    assert _dot(f, row, y) == u[i]
+                    assert not any(row[g + l] for l, j in enumerate(positions) if j > p)
+            for _ in range(20):
+                y = tuple(rng.randrange(q) for _ in range(g + len(positions)))
+                assert all(_dot(f, row, y) == 0 for row in checks) == (y in observed)
 
 
 # -- descriptors -------------------------------------------------------------

@@ -179,7 +179,7 @@ def test_bad_model_spec_is_operational_error(tmp_path, capsys):
         main(["verify-code", "--descriptor", str(desc), "--tau", "4", "--model", "nope:1"])
 
 
-# Each of these printed a traceback or a wrong count before the CLI had
+# Each of these printed a traceback, a wrong count or a silent accept before the CLI had
 # one error boundary and the library validated its inputs.
 BAD_INPUT = {
     "construct-unsupported-field": "construct --mds 5 3 --gf 6",
@@ -189,6 +189,15 @@ BAD_INPUT = {
     "simulate-negative-tau": "simulate --descriptor {dir}/code53.json --tau -1 --pattern {dir}/ok.csv --horizon 4",
     "simulate-pattern-past-stream": (
         "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/long.csv --horizon 2"
+    ),
+    "simulate-error-json-lacks-keys": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/nokeys.json --horizon 2"
+    ),
+    "simulate-error-value-past-field": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/big.json --horizon 2"
+    ),
+    "simulate-error-value-negative": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/neg.json --horizon 2"
     ),
     "search-cursor-past-end": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from 99999",
     "search-cursor-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from -5",
@@ -202,6 +211,10 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "ok.csv").write_text("1,0,0\n")
     # [5,3] with 2 messages has packets 0..5; slot 7 is past the stream
     (tmp_path / "long.csv").write_text("0,0,0,0,0,0,0,1\n")
+    (tmp_path / "nokeys.json").write_text('{"horizon": 4}')
+    for name, value in (("big", 9), ("neg", -1)):
+        errors = [{"t": 1, "packet": [value, 0, 0, 0, 0]}]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"horizon": 6, "packet_size": 5, "errors": errors}))
     with pytest.raises(SystemExit) as exc:
         main(argv.format(dir=tmp_path).split())
     message = exc.value.code

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from streamfec.galois import GF
 from streamfec.matrix import (
     FieldMatrix,
-    FieldVector,
     in_span,
     punctured_parity,
     rank,
     right_nullspace,
     shortened_parity,
-    solve,
 )
 
 F2, F8 = GF(2), GF(8)
@@ -45,30 +43,6 @@ def test_submatrix_examples():
     assert m.submatrix([0, 2], [0, 2]) == FieldMatrix.identity(F8, 2)
     with pytest.raises(IndexError):
         m.submatrix([3], [0])
-
-
-def test_solve_examples():
-    ident = FieldMatrix.identity(F8, 4)
-    b = FieldVector(F8, (3, 1, 4, 7))
-    assert solve(ident, b).entries == (3, 1, 4, 7)
-    assert solve(FieldMatrix.zeros(F8, 2, 2), [1, 0]) is None
-
-
-def test_solve_vandermonde_multiply_back():
-    rng = random.Random(7)
-    vand = FieldMatrix(F8, [[F8.pow(x, i) for x in (1, 2, 3)] for i in range(3)])
-    for _ in range(20):
-        b = [rng.randrange(8) for _ in range(3)]
-        x = solve(vand, b)
-        assert x is not None
-        assert vand.mul_vector(x.entries) == tuple(b)
-
-
-def test_solve_underdetermined_sets_free_variables_to_zero():
-    m = FieldMatrix(F2, [[1, 1]])
-    x = solve(m, [1])
-    assert x.entries == (1, 0)
-    assert m.mul_vector(x.entries) == (1,)
 
 
 def _random_matrix(field, rows, cols, rng):
