@@ -41,8 +41,6 @@ from .matrix import (
     in_span,
     punctured_parity,
     rank,
-    right_nullspace,
-    shortened_parity,
 )
 from .search import (
     brute_force_decodable,

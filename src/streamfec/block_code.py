@@ -8,9 +8,9 @@ recover every erased message symbol within a per-symbol delay budget.
 
 Delay semantics: message symbol i of a codeword must be recovered from
 the non-erased code symbols in positions [0, min(i + tau, n-1)].  The
-verifier decides this through the parity-check criterion: symbol i is
-recoverable iff its column of the punctured parity matrix lies outside
-the span of the other erased columns.
+verifier asks `SystematicCode.recovery`'s elimination, the same one both
+stream decoders ask, which received position first fixes u_i: symbol i
+is recoverable iff that pin position exists and is within its deadline.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from typing import Iterable, Sequence
 
 from .bounds import delay_tau_star  # noqa: F401  (callers import it from here too)
 from .galois import Field
-from .matrix import FieldMatrix, _rref, in_span, punctured_parity, rank, right_nullspace, shortened_parity
+from .matrix import FieldMatrix, _rref, rank
+
+# Nothing here calls these two any more; the benchmark's tracer installs
+# spans at `block_code.in_span` and `block_code.punctured_parity` and
+# fails if either name is missing, so they stay importable from here
+# until the benchmark drops those span sites.
+from .matrix import in_span, punctured_parity  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,15 @@ class SystematicCode:
         prefix, together with the given coordinates, fixes u_i.  Memoised
         per code; callers share the result and must not mutate it."""
         hit = self._recoveries.get((known, avail))
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._recoveries[(known, avail)] = self._recover(known, avail)
+        return hit
+
+    def _recover(
+        self, known: int, avail: int
+    ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, tuple[int, ...]]]]:
+        """`recovery` without the memo, for callers that ask each
+        question once (the verifier asks once per erasure support)."""
         # A given coordinate i is the systematic symbol at position i, so
         # every observation is a generator column.  Each row also records
         # which combination of observations it is, so a reduced row reads
@@ -90,7 +103,6 @@ class SystematicCode:
                 if c not in pins and not known >> c & 1 and not any(row[c + 1 : k]):
                     pins[c] = (j, tuple(row[k:]))
         checks = tuple(tuple(row[k:]) for row in rows[len(pivots) :])
-        self._recoveries[(known, avail)] = checks, pins
         return checks, pins
 
     def encode(self, u: Sequence[int]) -> tuple[int, ...]:
@@ -142,16 +154,20 @@ class CausalCode:
                     raise ValueError("leading block must be upper-triangular")
 
 
+def _systematize(g: FieldMatrix) -> SystematicCode:
+    """The code of generator g in systematic form: row-reduce g to
+    [I | P], which keeps its row space (and hence the codebook)."""
+    k = g.rows
+    rows, pivots = _rref(g.field, [list(r) for r in g.data], k)
+    if pivots != list(range(k)):
+        raise ValueError("leading k x k block is singular")
+    return SystematicCode(field=g.field, n=g.cols, k=k, P=FieldMatrix(g.field, [r[k:] for r in rows]))
+
+
 def causal_to_systematic(code: CausalCode) -> SystematicCode:
     """Row-reduce [U | P] to [I | U^-1 P]; the row space (and hence the
     codebook) is unchanged."""
-    f = code.field
-    rows = [list(r) for r in code.G.data]
-    rows, pivots = _rref(f, rows, code.k)
-    if pivots != list(range(code.k)):
-        raise ValueError("leading k x k block is singular")
-    p_hat = FieldMatrix(f, [r[code.k:] for r in rows])
-    return SystematicCode(field=f, n=code.n, k=code.k, P=p_hat)
+    return _systematize(code.G)
 
 
 def build_mds(n: int, k: int, field: Field) -> SystematicCode:
@@ -227,66 +243,56 @@ class VerifyResult:
         return self.ok
 
 
+def _check_range(support: tuple[int, ...], n: int) -> tuple[int, ...]:
+    if support and not 0 <= support[0] <= support[-1] < n:
+        raise ValueError(f"pattern support {support} out of range for length {n}")
+    return support
+
+
+def _first_miss(code: SystematicCode, tau: int, patterns: Iterable) -> VerifyResult:
+    """Fails at the first (support, i), in sorted support order and then
+    ascending i, whose erased message symbol u_i is not fixed by the
+    unerased positions up to its deadline min(i + tau, n-1)."""
+    n, k = code.n, code.k
+    for support in sorted({_as_support(p) for p in patterns}):
+        erased = [i for i in _check_range(support, n) if i < k]
+        if not erased:
+            continue
+        _, pins = code._recover(0, (1 << n) - 1 - sum(1 << j for j in support))
+        for i in erased:
+            # no pin position exceeds n-1, so i + tau stands for the deadline
+            if i not in pins or pins[i][0] > i + tau:
+                return VerifyResult(False, (support, i))
+    return VerifyResult(True, None)
+
+
 def verify_delay_decodable(code: SystematicCode, tau: int, patterns: Iterable) -> VerifyResult:
     """Exact decodability check for a set of erasure patterns.
 
     True iff for every pattern and every erased message position i, the
-    i-th column of the punctured parity matrix is outside the span of
-    the other erased columns at positions <= tau + i.  On failure the
+    unerased positions up to min(i + tau, n-1) fix u_i.  On failure the
     lexicographically smallest failing (support, i) pair is returned;
     patterns are normalized to sorted supports before checking.
     """
-    n, k = code.n, code.k
-    if not k <= tau <= n - 1:
+    if not code.k <= tau <= code.n - 1:
         raise ValueError(f"tau must satisfy k <= tau <= n-1, got {tau}")
-    h = code.parity
-    punctured_cache: dict[int, FieldMatrix] = {}
-    supports = sorted({_as_support(p) for p in patterns})
-    for support in supports:
-        if support and not 0 <= support[0] <= support[-1] < n:
-            raise ValueError(f"pattern support {support} out of range for length {n}")
-        for i in support:
-            if i >= k:
-                continue
-            hi = punctured_cache.get(i)
-            if hi is None:
-                hi = punctured_parity(h, n, k, tau, i)
-                punctured_cache[i] = hi
-            limit = min(tau + i, n - 1)
-            others = [j for j in support if j != i and j <= limit]
-            basis = FieldMatrix.from_columns(code.field, [hi.column(j) for j in others], rows=hi.rows)
-            if in_span(hi.column(i), basis):
-                return VerifyResult(False, (support, i))
-    return VerifyResult(True, None)
+    return _first_miss(code, tau, patterns)
 
 
 def verify_delay_decodable_general(g: FieldMatrix, tau: int, patterns: Iterable) -> VerifyResult:
-    """Decodability check for an arbitrary generator matrix, using a
-    parity basis from the nullspace of g and generic shortening.
+    """Decodability check for a generator g whose leading k x k block is
+    invertible, at any delay tau: erased code symbol i < k must be fixed
+    by the unerased positions up to min(i + tau, n-1).
 
-    For causal codes (invertible upper-triangular leading block) this
-    agrees with `verify_delay_decodable` on the systematized code:
-    message symbols are recoverable exactly when the erased code symbols
-    at message positions are.
+    The systematic form of g has the same codebook and carries code
+    symbol i as its message coordinate i, so this is
+    `verify_delay_decodable` on that form without its tau range.  For
+    causal codes (upper-triangular leading block) the verdict and the
+    counterexample are also those of the causal message symbols: u_i
+    depends only on code symbols 0..i and vice versa, and the deadlines
+    grow with i.
     """
-    k, n = g.rows, g.cols
-    h = right_nullspace(g).transpose()
-    shortened_cache: dict[int, FieldMatrix] = {}
-    supports = sorted({_as_support(p) for p in patterns})
-    for support in supports:
-        for i in support:
-            if i >= k:
-                continue
-            last = min(i + tau, n - 1)
-            hs = shortened_cache.get(last)
-            if hs is None:
-                hs = shortened_parity(h, last)
-                shortened_cache[last] = hs
-            others = [j for j in support if j != i and j <= last]
-            basis = FieldMatrix.from_columns(g.field, [hs.column(j) for j in others], rows=hs.rows)
-            if in_span(hs.column(i), basis):
-                return VerifyResult(False, (support, i))
-    return VerifyResult(True, None)
+    return _first_miss(_systematize(g), tau, patterns)
 
 
 def check_full_rank_property(code: SystematicCode, z: int, b: int) -> bool:

@@ -82,6 +82,9 @@ class ErrorPattern:
 
     @classmethod
     def from_entries(cls, horizon: int, packet_size: int, entries: dict[int, Sequence[int]]) -> "ErrorPattern":
+        for t in entries:
+            if t not in range(horizon):
+                raise ValueError(f"error entry time {t!r} outside [0, {horizon})")
         packets = []
         for t in range(horizon):
             if t in entries:
@@ -240,6 +243,8 @@ def enumerate_admissible(
     pattern, because later flags only add erasures.  `support_bound`
     restricts the support to [0, support_bound].
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     w = model.w
     flags: list[int] = []
     points: list[int] = []  # the erased slots of the prefix
@@ -259,7 +264,7 @@ def enumerate_admissible(
             points.pop()
         flags.pop()
 
-    yield from rec()
+    return rec()
 
 
 def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:
@@ -269,6 +274,8 @@ def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:
     the (z, b, n) window constraint, whose first window spans the code.
     No subset of more than z*b points qualifies.
     """
+    if z < 1 or b < 1:
+        raise ValueError(f"burst family needs z >= 1 and b >= 1, got z={z}, b={b}")
     sizes = range(min(n, z * b) + 1)
     return sorted(s for r in sizes for s in combinations(range(n), r) if windows_ok(s, z, b, n))
 

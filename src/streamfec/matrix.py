@@ -192,44 +192,6 @@ def in_span(v: Sequence[int], basis_columns: FieldMatrix) -> bool:
     return rank(aug) == base_rank
 
 
-def right_nullspace(m: FieldMatrix) -> FieldMatrix:
-    """Matrix whose columns are a basis of {x : m @ x = 0}."""
-    field = m.field
-    rows = [list(r) for r in m.data]
-    rows, pivots = _rref(field, rows, m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    cols = []
-    for fcol in free:
-        x = [0] * m.cols
-        x[fcol] = 1
-        for r, c in enumerate(pivots):
-            x[c] = field.neg(rows[r][fcol])
-        cols.append(x)
-    return FieldMatrix.from_columns(field, cols, rows=m.cols)
-
-
-def shortened_parity(h: FieldMatrix, last: int) -> FieldMatrix:
-    """Parity-check matrix of the code punctured beyond position `last`.
-
-    Rows span the subspace of rowspace(h) vanishing on positions
-    [last+1, n-1], with those positions deleted.  Valid for any parity
-    matrix h, systematic or not.
-    """
-    n = h.cols
-    if not 0 <= last < n:
-        raise ValueError("puncturing position out of range")
-    if last == n - 1:
-        return h
-    tail = h.submatrix(range(h.rows), range(last + 1, n))
-    combos = right_nullspace(tail.transpose())  # columns: coefficient vectors
-    rows = []
-    for j in range(combos.cols):
-        lam = combos.column(j)
-        rows.append(h.vector_mul(lam)[: last + 1])
-    return FieldMatrix(h.field, rows, cols=last + 1)
-
-
 def punctured_parity(h: FieldMatrix, n: int, k: int, tau: int, i: int) -> FieldMatrix:
     """Parity-check matrix of the code restricted to positions [0, tau+i],
     for a systematic parity matrix h = [P' | I].

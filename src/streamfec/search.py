@@ -19,7 +19,7 @@ import sys
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .block_code import SystematicCode, VerifyResult, _as_support, verify_delay_decodable
+from .block_code import SystematicCode, VerifyResult, _as_support, _check_range, verify_delay_decodable
 from .channel import burst_supports
 from .galois import Field
 from .matrix import FieldMatrix
@@ -50,10 +50,11 @@ def brute_force_decodable(
     Erased message symbol i is recoverable within delay tau iff every
     codeword that agrees with the transmitted one on the non-erased
     positions up to min(i+tau, n-1) agrees on u_i; by linearity it
-    suffices that every codeword vanishing there has u_i = 0.
+    suffices that every codeword vanishing there has u_i = 0.  A support
+    outside [0, n-1] raises ValueError, as in the verifier.
     """
     n, k = code.n, code.k
-    support = set(_as_support(pattern))
+    support = set(_check_range(_as_support(pattern), n))
     if codebook is None:
         codebook = enumerate_codebook(code)
     for i in sorted(support):

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -147,32 +148,75 @@ def test_causal_to_systematic_preserves_row_space():
             assert rank(stacked) == 3
 
 
+def _codebook_verdict(book, n, k, tau, support):
+    """The verifier's answer for one support, decided on the codebook:
+    the first erased message coordinate i that some codeword zero on the
+    unerased positions up to min(i + tau, n-1) leaves nonzero."""
+    for i in support:
+        if i < k:
+            kept = [j for j in range(min(i + tau, n - 1) + 1) if j not in support]
+            if any(u[i] and not any(c[j] for j in kept) for u, c in book):
+                return False, (support, i)
+    return True, None
+
+
+def _assert_matches_codebook(verify, book, n, k, taus, supports):
+    """`verify(tau, patterns)` against the codebook on every support one
+    at a time and on the whole family; returns the verdicts seen."""
+    seen = set()
+    for tau in taus:
+        first_miss = None
+        for support in supports:
+            want = _codebook_verdict(book, n, k, tau, support)
+            got = verify(tau, [support])
+            assert (got.ok, got.counterexample) == want, (tau, support)
+            seen.add(want[0])
+            first_miss = first_miss or want[1]
+        got = verify(tau, supports)
+        assert (got.ok, got.counterexample) == (first_miss is None, first_miss)
+    return seen
+
+
 def test_causal_delay_decodability_matches_systematic_transform():
-    # the causal-side verifier and the systematized code agree on every
-    # pattern family tried
+    # the general verifier on random causal generators, against the
+    # codebook of c = u . G for the causal message u itself (not the
+    # systematized code), at every delay from 0 to n-1
     rng = random.Random(13)
-    supports = burst_supports(6, 2, 2)
-    for field in (F2, F3):
-        for _ in range(15):
-            causal = _random_causal(field, 6, 2, rng)
-            sys_code = causal_to_systematic(causal)
-            for tau in (2, 4, 5):
-                got = verify_delay_decodable_general(causal.G, tau, supports)
-                want = verify_delay_decodable(sys_code, tau, supports)
-                assert got.ok == want.ok
+    n, k = 6, 2
+    supports = burst_supports(n, 2, 2)
+    seen = set()
+    for field in (F2, F3, GF(4)):
+        for _ in range(6):
+            g = _random_causal(field, n, k, rng).G
+            book = [(u, g.vector_mul(u)) for u in product(range(field.q), repeat=k)]
+            verify = partial(verify_delay_decodable_general, g)
+            seen |= _assert_matches_codebook(verify, book, n, k, range(n), supports)
+    assert seen == {True, False}
 
 
 def test_general_verifier_agrees_on_systematic_codes():
+    # both verifiers on random, typically non-MDS systematic codes,
+    # against their codebook at every delay from k to n-1
     rng = random.Random(17)
-    supports = burst_supports(7, 2, 2)
-    for _ in range(20):
-        p = FieldMatrix(F2, [[rng.randrange(2) for _ in range(4)] for _ in range(3)])
-        code = SystematicCode(field=F2, n=7, k=3, P=p)
-        for tau in (3, 5, 6):
-            assert (
-                verify_delay_decodable_general(code.generator, tau, supports).ok
-                == verify_delay_decodable(code, tau, supports).ok
-            )
+    n, k = 7, 3
+    supports = burst_supports(n, 2, 2)
+    seen = set()
+    for field in (F2, F3, GF(4)):
+        for _ in range(4):
+            p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
+            code = SystematicCode(field=field, n=n, k=k, P=p)
+            book = enumerate_codebook(code)
+            for verify in (
+                partial(verify_delay_decodable, code),
+                partial(verify_delay_decodable_general, code.generator),
+            ):
+                seen |= _assert_matches_codebook(verify, book, n, k, range(k, n), supports)
+    assert seen == {True, False}
+
+
+def test_general_verifier_rejects_singular_leading_block():
+    with pytest.raises(ValueError):
+        verify_delay_decodable_general(FieldMatrix(F2, [[1, 1, 1], [1, 1, 0]]), 2, [(0,)])
 
 
 def test_causal_requires_invertible_triangular_block():

@@ -163,7 +163,23 @@ def test_burst_supports_counts():
     assert all(min_burst_cover(s, 2) <= 2 for s in fam)
 
 
+def test_pattern_spaces_reject_bad_parameters():
+    with pytest.raises(ValueError):
+        enumerate_admissible(ChannelModel.sw(1, 3), -2)
+    for z, b in ((0, 2), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            burst_supports(5, z, b)
+
+
 # -- error/erasure conversions -------------------------------------------------
+
+
+def test_error_entries_outside_horizon_rejected():
+    # an entry the horizon cannot hold must not vanish from the support
+    for t in (7, 5, -1):
+        with pytest.raises(ValueError, match=f"time {t} "):
+            ErrorPattern.from_entries(5, 4, {1: (1, 0, 0, 0), t: (0, 1, 0, 0)})
+    assert ErrorPattern.from_entries(5, 4, {4: (0, 1, 0, 0)}).support == (4,)
 
 
 def test_error_to_erasure_examples():

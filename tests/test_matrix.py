@@ -11,8 +11,6 @@ from streamfec.matrix import (
     in_span,
     punctured_parity,
     rank,
-    right_nullspace,
-    shortened_parity,
 )
 
 F2, F8 = GF(2), GF(8)
@@ -117,30 +115,6 @@ def test_punctured_parity_annihilates_punctured_codewords():
         for u in product(range(8), repeat=3):
             cw = g.vector_mul(u)
             assert hi.mul_vector(cw[:width]) == (0,) * hi.rows
-
-
-def test_right_nullspace_annihilated():
-    rng = random.Random(9)
-    for field in (F2, F8):
-        m = _random_matrix(field, 3, 6, rng)
-        ns = right_nullspace(m)
-        assert ns.cols == 6 - rank(m)
-        for j in range(ns.cols):
-            assert m.mul_vector(ns.column(j)) == (0, 0, 0)
-
-
-def test_shortened_parity_spans_vanishing_subspace():
-    p_rows = [[1, 4], [1, 3], [1, 6]]
-    h = _systematic_parity(F8, p_rows)
-    g = FieldMatrix.identity(F8, 3).hstack(FieldMatrix(F8, p_rows))
-    for last in range(2, 5):
-        hs = shortened_parity(h, last)
-        # every codeword prefix is annihilated
-        for u in product(range(8), repeat=3):
-            cw = g.vector_mul(u)
-            assert hs.mul_vector(cw[: last + 1]) == (0,) * hs.rows
-        # dimension matches the punctured code's redundancy
-        assert rank(hs) == (last + 1) - 3
 
 
 def test_matrix_json_literals_roundtrip():

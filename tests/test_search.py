@@ -34,6 +34,16 @@ def test_brute_force_matches_verifier_on_mds():
             assert brute_force_decodable(code, 4, support, codebook) == (r <= 2)
 
 
+def test_oracle_rejects_supports_out_of_range():
+    # the oracle must not read u[-1] or ignore position 9 of a [5,3] code
+    code = build_mds(5, 3, F8)
+    for support in ((-1,), (9,), (0, 5)):
+        with pytest.raises(ValueError):
+            brute_force_decodable(code, 4, support)
+        with pytest.raises(ValueError):
+            verify_delay_decodable(code, 4, [support])
+
+
 def test_codebook_guard():
     code = build_mds(8, 5, GF(256))
     with pytest.raises(ValueError):
