@@ -245,6 +245,8 @@ def enumerate_admissible(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    if support_bound is not None and support_bound < 0:
+        raise ValueError(f"support bound must be nonnegative, got {support_bound}")
     w = model.w
     flags: list[int] = []
     points: list[int] = []  # the erased slots of the prefix

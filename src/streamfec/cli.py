@@ -115,6 +115,8 @@ def _cmd_simulate(args) -> int:
     code = _load_descriptor(args.descriptor)
     model = _parse_model(args.model) if args.model else None
     pattern = _read_pattern(args.pattern)
+    if args.horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {args.horizon}")
     rng = random.Random(args.seed)
     messages = [
         [rng.randrange(code.field.q) for _ in range(code.k)] for _ in range(args.horizon)
@@ -177,6 +179,8 @@ def _cmd_equivalence_check(args) -> int:
     else:
         raise SystemExit("equivalence-check needs either --a or both --z and --b")
     bound = args.support_bound if args.support_bound is not None else 2 * w - 1
+    if bound < 0:
+        raise ValueError(f"support bound must be nonnegative, got {bound}")
     _emit(args, json.dumps(equivalence_sweep(code, model, w - 1, bound + 1, args.seed)))
     return 0
 

@@ -18,17 +18,13 @@ class FieldMatrix:
 
     __slots__ = ("field", "rows", "cols", "data")
 
-    def __init__(self, field: Field, rows_data: Iterable[Iterable[int]], cols: int | None = None):
+    def __init__(self, field: Field, rows_data: Iterable[Iterable[int]]):
         data = tuple(tuple(field.check(v) for v in row) for row in rows_data)
-        rows = len(data)
-        if rows:
-            cols = len(data[0]) if cols is None else cols
-        else:
-            cols = 0 if cols is None else cols
+        cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
         self.field = field
-        self.rows = rows
+        self.rows = len(data)
         self.cols = cols
         self.data = data
 
@@ -36,80 +32,23 @@ class FieldMatrix:
     def identity(cls, field: Field, n: int) -> "FieldMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_columns(cls, field: Field, columns: Sequence[Sequence[int]], rows: int | None = None) -> "FieldMatrix":
-        if not columns:
-            if rows is None:
-                raise ValueError("need explicit row count for a matrix with no columns")
-            return cls(field, [[] for _ in range(rows)])
-        nrows = len(columns[0])
-        return cls(field, [[col[i] for col in columns] for i in range(nrows)])
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, [self.column(j) for j in range(self.cols)])
 
     def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
         if other.rows != self.rows or other.field != self.field:
             raise ValueError("hstack shape or field mismatch")
         return FieldMatrix(self.field, [a + b for a, b in zip(self.data, other.data)])
 
-    def mul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.cols != other.rows or self.field != other.field:
-            raise ValueError("matrix product shape or field mismatch")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = 0
-                for t in range(self.cols):
-                    acc = f.add(acc, f.mul(row[t], other.data[t][j]))
-                out_row.append(acc)
-            out.append(out_row)
-        return FieldMatrix(f, out)
-
-    def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("matrix-vector shape mismatch")
-        f = self.field
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, b in zip(row, vec):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
-
     def vector_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix."""
         if len(vec) != self.rows:
             raise ValueError("vector-matrix shape mismatch")
-        f = self.field
-        out = []
-        for j in range(self.cols):
-            acc = 0
-            for i in range(self.rows):
-                acc = f.add(acc, f.mul(vec[i], self.data[i][j]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(self.field, vec, col) for col in zip(*self.data))
 
     def submatrix(self, row_set: Iterable[int], col_set: Iterable[int]) -> "FieldMatrix":
         """Rows and columns extracted in ascending index order."""
@@ -137,6 +76,15 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.field!r}, {self.to_lists()!r})"
+
+
+def dot(field: Field, a: Sequence[int], b: Sequence[int]) -> int:
+    """a . b over the field, for sequences of equal length."""
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc = field.add(acc, field.mul(x, y))
+    return acc
 
 
 def _rref(field: Field, rows: list[list[int]], pivot_cols_limit: int) -> tuple[list[list[int]], list[int]]:

@@ -1,10 +1,13 @@
 """Diagonal embedding of block codes into packet streams, and
 delay-constrained decoding of erased or corrupted packets.
 
-A diagonally embedded [n, k] code places code symbol j of the codeword
-starting at time d into packet d + j, so each packet erasure costs every
-affected codeword exactly one symbol.  The encoder is causal and message
-packets before time 0 are zero by convention.
+A diagonally embedded [n, k] stream is the block code's codewords laid
+out on diagonals: the codeword of diagonal d encodes the message symbols
+(u_0(d), u_1(d+1), ..., u_{k-1}(d+k-1)), and its symbol j goes into
+packet d + j, so each packet erasure costs every affected codeword
+exactly one symbol.  Message packets outside [0, T) are zero, so the
+encoder is causal and the n-1 trailing packets complete the last
+diagonals.
 
 Both decoders ask one question of one diagonal codeword at a time:
 given some of its message coordinates and the symbols received by a
@@ -29,7 +32,10 @@ of every diagonal touching [t, t+tau] with S erased.  A candidate is
 consistent when every diagonal's checks vanish, and it fixes u(t) when
 each coordinate is pinned.  All consistent candidates must agree on
 u(t); disagreement (or an underdetermined u(t)) is reported as an
-ambiguity, never silently resolved.
+ambiguity, never silently resolved.  Once u(t) is decided, diagonal
+t-k+1 has all its message symbols and is encoded, once; packet t was in
+error iff it differs from u(t) followed by parity symbol j of diagonal
+t-j for each j >= k.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from typing import Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
+from .matrix import dot
 
 
 @dataclass(frozen=True)
@@ -96,8 +103,10 @@ class DecodeReport:
 
 
 def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> PacketStream:
-    """Diagonal embedding: packet row j at time t carries symbol j of the
-    codeword whose message symbols are u_0(t-j), u_1(t-j+1), ..."""
+    """Diagonal embedding: each diagonal d is encoded once, as the
+    codeword of (u_0(d), u_1(d+1), ..., u_{k-1}(d+k-1)) with message
+    packets outside [0, T) zero, and its symbol j goes into packet d + j.
+    Diagonals before 1-k or from T on are all zero."""
     f = code.field
     n, k = code.n, code.k
     msgs = tuple(tuple(f.check(v) for v in u) for u in messages)
@@ -105,36 +114,12 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
         if len(u) != k:
             raise ValueError(f"every message packet must have {k} symbols")
     t_msgs = len(msgs)
-    gcols = code.generator.columns()
-    mul, add = f.mul, f.add
-
-    def msg(tm: int, i: int) -> int:
-        if 0 <= tm < t_msgs:
-            return msgs[tm][i]
-        return 0
-
-    packets = []
-    for t in range(t_msgs + n - 1):
-        pkt = []
-        for j in range(n):
-            d = t - j
-            col = gcols[j]
-            acc = 0
-            for i in range(k):
-                ui = msg(d + i, i)
-                if ui:
-                    acc = add(acc, mul(col[i], ui))
-            pkt.append(acc)
-        packets.append(tuple(pkt))
-    return PacketStream(code=code, message_horizon=t_msgs, messages=msgs, packets=tuple(packets))
-
-
-def _dot(f, row: Sequence[int], y: Sequence[int]) -> int:
-    acc = 0
-    for c, v in zip(row, y):
-        if c and v:
-            acc = f.add(acc, f.mul(c, v))
-    return acc
+    packets = [[0] * n for _ in range(t_msgs + n - 1)]
+    for d in range(1 - k, t_msgs):
+        codeword = code.encode([msgs[d + i][i] if 0 <= d + i < t_msgs else 0 for i in range(k)])
+        for j in range(max(-d, 0), n):
+            packets[d + j][j] = codeword[j]
+    return PacketStream(code=code, message_horizon=t_msgs, messages=msgs, packets=tuple(map(tuple, packets)))
 
 
 def decode_erasures(
@@ -167,7 +152,7 @@ def decode_erasures(
         recv = [j for j in range(given, min(n, last - d + 1)) if received[d + j] is not None]
         checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
         y = [0] * given + [received[d + j][j] for j in recv]
-        if any(_dot(f, c, y) for c in checks):
+        if any(dot(f, c, y) for c in checks):
             raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
         diagonals[d] = (pins, y)
 
@@ -185,7 +170,7 @@ def decode_erasures(
                 pins, y = diagonals[t - i]
                 position, row = pins[i]
                 times.append(t - i + position)
-                vals.append(_dot(f, row, y))
+                vals.append(dot(f, row, y))
             status = PacketStatus(t, True, max(times), deadline)
             messages_out.append(tuple(vals))
         else:
@@ -248,13 +233,15 @@ def decode_errors(
     t_msgs = message_horizon
     if len(received) != t_msgs + n - 1:
         raise ValueError(f"received stream must cover {t_msgs + n - 1} packet times")
-    gcols = code.generator.columns()
     last = len(received) - 1
-    mul, add = f.mul, f.add
 
     rel_candidates = _standalone_window_subsets(model, tau + 1)
 
     known: list[tuple[int, ...]] = []
+    # The codewords of the diagonals whose message symbols are all known;
+    # diagonals before 1-k are zero.
+    codewords: dict[int, tuple[int, ...]] = {}
+    zero = (0,) * n
     past_support: list[int] = []
     per_packet: list[PacketStatus] = []
     failures: list[int] = []
@@ -266,18 +253,6 @@ def decode_errors(
         if tm < 0:
             return 0
         return known[tm][i]
-
-    def encode_symbol(t: int, j: int) -> int:
-        # Zero generator entries are skipped before touching the message
-        # table: for systematic positions only u_j(t) itself contributes.
-        d = t - j
-        col = gcols[j]
-        acc = 0
-        for i in range(k):
-            c = col[i]
-            if c:
-                acc = add(acc, mul(c, msg_value(d + i, i)))
-        return acc
 
     for t in range(t_msgs):
         deadline = t + tau
@@ -303,10 +278,10 @@ def decode_errors(
                 recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
                 checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
                 y = [msg_value(d + i, i) for i in range(given)] + [received[d + j][j] for j in recv]
-                if any(_dot(f, c, y) for c in checks):
+                if any(dot(f, c, y) for c in checks):
                     break
                 if t - d in pins:
-                    values[t - d] = _dot(f, pins[t - d][1], y)
+                    values[t - d] = dot(f, pins[t - d][1], y)
             else:
                 consistent.append(tuple(values))
 
@@ -325,7 +300,8 @@ def decode_errors(
             known.append(value)
             messages_out.append(value)
             per_packet.append(PacketStatus(t, True, wend, deadline))
-            if tuple(received[t]) != tuple(encode_symbol(t, j) for j in range(n)):
+            codewords[t - k + 1] = code.encode([msg_value(t - k + 1 + i, i) for i in range(k)])
+            if tuple(received[t]) != value + tuple(codewords.get(t - j, zero)[j] for j in range(k, n)):
                 past_support.append(t)
 
     admissible = True
@@ -426,19 +402,24 @@ def equivalence_sweep(
     same-budget erasure model (z, b, w) admits.  Messages are drawn from
     `seed`.  Returns {"patterns", "exact", "ambiguities"}; the paper's
     equivalence holds on the sweep when every pattern decodes exactly.
+    The messages are encoded once and every pattern decodes that stream.
     """
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not model.errors:
+        raise ValueError("error patterns need an error-channel model")
     f, n = code.field, code.n
     rng = random.Random(seed)
     messages = [[rng.randrange(f.q) for _ in range(code.k)] for _ in range(message_horizon)]
-    sent = [tuple(u) for u in messages]
+    stream = de_encode(code, messages)
     values = [tuple(s if j == pos else 0 for j in range(n)) for pos in range(n) for s in range(1, f.q)]
     horizon = message_horizon + n - 1
     patterns = exact = ambiguities = 0
     for p in enumerate_admissible(ChannelModel.mbsw(model.z, model.b, model.w), message_horizon):
         for combo in product(values, repeat=len(p.support)):
             pattern = ErrorPattern.from_entries(horizon, n, dict(zip(p.support, combo)))
-            report = simulate(code, tau, model, pattern, messages)
+            report = decode_errors(code, tau, apply_errors(stream, pattern), message_horizon, model)
             patterns += 1
-            exact += report.success and list(report.messages) == sent
+            exact += report.success and report.messages == stream.messages
             ambiguities += len(report.ambiguities)
     return {"patterns": patterns, "exact": exact, "ambiguities": ambiguities}

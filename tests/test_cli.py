@@ -199,8 +199,13 @@ BAD_INPUT = {
     "simulate-error-value-negative": (
         "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/neg.json --horizon 2"
     ),
+    "simulate-negative-horizon": "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/ok.csv --horizon -1",
     "enumerate-negative-horizon": "enumerate-patterns --model sw:1,3 --horizon -2 --count-only",
+    "enumerate-negative-support-bound": (
+        "enumerate-patterns --model sw:1,3 --horizon 4 --support-bound -3 --count-only"
+    ),
     "equivalence-negative-support-bound": "equivalence-check --a 1 --w 5 --gf 8 --support-bound -3",
+    "equivalence-support-bound-minus-one": "equivalence-check --a 1 --w 5 --gf 8 --support-bound -1",
     "verify-no-bursts": "verify-code --descriptor {dir}/code53.json --tau 4 --bursts 0 2",
     "verify-zero-burst-length": "verify-code --descriptor {dir}/code53.json --tau 4 --bursts 1 0",
     "search-cursor-past-end": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from 99999",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from streamfec.galois import GF
 from streamfec.matrix import (
     FieldMatrix,
+    dot,
     in_span,
     punctured_parity,
     rank,
@@ -18,15 +19,15 @@ F2, F8 = GF(2), GF(8)
 
 def test_rank_examples():
     assert rank(FieldMatrix.identity(F2, 3)) == 3
-    assert rank(FieldMatrix.zeros(F2, 2, 5)) == 0
+    assert rank(FieldMatrix(F2, [[0] * 5] * 2)) == 0
     assert rank(FieldMatrix(F2, [[1, 1], [1, 1]])) == 1
 
 
 def test_in_span_examples():
-    empty = FieldMatrix.from_columns(F2, [], rows=2)
+    empty = FieldMatrix(F2, [[], []])
     assert in_span([0, 0], empty)
     assert in_span([1, 0], FieldMatrix.identity(F2, 2))
-    assert not in_span([1, 0], FieldMatrix.from_columns(F2, [[0, 1]]))
+    assert not in_span([1, 0], FieldMatrix(F2, [[0], [1]]))
 
 
 def test_in_span_dimension_mismatch():
@@ -52,7 +53,7 @@ def _random_matrix(field, rows, cols, rng):
 def test_rank_equals_rank_of_transpose(rows, cols, rng):
     for field in (F2, F8):
         m = _random_matrix(field, rows, cols, rng)
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(FieldMatrix(field, zip(*m.data)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,7 +115,7 @@ def test_punctured_parity_annihilates_punctured_codewords():
         width = hi.cols
         for u in product(range(8), repeat=3):
             cw = g.vector_mul(u)
-            assert hi.mul_vector(cw[:width]) == (0,) * hi.rows
+            assert all(dot(F8, row, cw[:width]) == 0 for row in hi.data)
 
 
 def test_matrix_json_literals_roundtrip():

@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from streamfec.block_code import build_mds, build_multi_burst
+from streamfec.block_code import SystematicCode, build_mds, build_multi_burst
 from streamfec.channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible
 from streamfec.galois import GF
+from streamfec.matrix import FieldMatrix
 from streamfec.streaming import (
     apply_errors,
     de_encode,
@@ -15,7 +16,7 @@ from streamfec.streaming import (
     simulate,
 )
 
-F2, F4, F8 = GF(2), GF(4), GF(8)
+F2, F3, F4, F8 = GF(2), GF(3), GF(4), GF(8)
 
 
 def _messages(field, t_max, k, seed):
@@ -37,7 +38,7 @@ def test_single_message_symbol_diagonal_layout():
     # three parities marching down the diagonal, scaled by the P row
     code = build_mds(5, 2, F8)
     stream = de_encode(code, [[3, 0]] + [[0, 0]] * 5)
-    p_row = code.P.row(0)
+    p_row = code.P.data[0]
     expect = {(0, 0): 3}
     for s in range(3):
         expect[(2 + s, s + 2)] = F8.mul(3, p_row[s])
@@ -46,20 +47,37 @@ def test_single_message_symbol_diagonal_layout():
             assert v == expect.get((t, j), 0)
 
 
-def test_stream_rows_follow_their_diagonal_codeword():
-    code = build_multi_burst(4, 2, 2, F8)
-    msgs = _messages(F8, 7, 4, seed=23)
-    stream = de_encode(code, msgs)
+def _generator_column_stream(code, msgs):
+    """Packet t, symbol j = sum_i G[i][j] u_i(t-j+i), with the message
+    packets outside [0, T) zero: the encoder written column by column,
+    independently of the codeword-per-diagonal route."""
+    f, n, k, horizon = code.field, code.n, code.k, len(msgs)
+    packets = []
+    for t in range(horizon + n - 1):
+        packet = []
+        for j in range(n):
+            acc = 0
+            for i in range(k):
+                u = msgs[t - j + i][i] if 0 <= t - j + i < horizon else 0
+                acc = f.add(acc, f.mul(code.generator[i, j], u))
+            packet.append(acc)
+        packets.append(tuple(packet))
+    return tuple(packets)
 
-    def msg(t, i):
-        return msgs[t][i] if 0 <= t < 7 else 0
 
-    for d in range(-3, 7):
-        cw = code.encode([msg(d + i, i) for i in range(4)])
-        for j in range(8):
-            t = d + j
-            if 0 <= t < len(stream.packets):
-                assert stream.packets[t][j] == cw[j]
+@pytest.mark.parametrize("field", [F2, F3, F4, F8], ids=lambda f: f"q{f.q}")
+def test_de_encode_matches_generator_column_formula(field):
+    # random, typically non-MDS codes plus one multi-burst construction,
+    # at horizons 0, 1, n and past n
+    rng = random.Random(field.q)
+    codes = [build_multi_burst(4, 2, 2, field)] if field.q >= 4 else []
+    for n, k in ((4, 1), (5, 2), (6, 3), (7, 5)):
+        p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
+        codes.append(SystematicCode(field=field, n=n, k=k, P=p))
+    for code in codes:
+        for horizon in (0, 1, code.n, code.n + 4):
+            msgs = _messages(field, horizon, code.k, seed=rng.randrange(1 << 30))
+            assert de_encode(code, msgs).packets == _generator_column_stream(code, msgs)
 
 
 def test_encoder_causality():
@@ -226,6 +244,21 @@ def test_ambiguity_halts_subsequent_decoding():
     report = decode_errors(code, 4, received, 4, ChannelModel.sw_err(1, 5))
     assert report.failures == (0, 1, 2, 3)
     assert all(not s.recovered for s in report.per_packet)
+
+
+def test_past_error_rules_out_candidates_in_its_window():
+    # [4,1] repetition over GF(2) at tau=1 sees two copies of u(t), so it
+    # cannot tell an error at t from one at t+1 by itself.  The error at
+    # 0 also hits the zero diagonal -2, so it is inferred, and with it in
+    # the window [0, 2] only candidate {3} remains for u(2) under sw_err:1,3
+    code = SystematicCode(field=F2, n=4, k=1, P=FieldMatrix(F2, [[1, 1, 1]]))
+    msgs = [[1]] * 5
+    pattern = ErrorPattern.from_entries(8, 4, {0: (1, 0, 1, 0), 3: (0, 1, 0, 0)})
+    received = apply_errors(de_encode(code, msgs), pattern)
+    report = decode_errors(code, 1, received, 5, ChannelModel.sw_err(1, 3), pattern)
+    assert report.pattern_admissible
+    assert report.success and not report.ambiguities
+    assert list(report.messages) == [(1,)] * 5
 
 
 def test_error_decoder_requires_error_model():
