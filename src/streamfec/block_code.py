@@ -62,6 +62,11 @@ class SystematicCode:
     def _recoveries(self) -> dict:
         return {}
 
+    @cached_property
+    def _error_decisions(self) -> dict:
+        """`streaming.decode_errors`' decision memo, per (tau, model)."""
+        return {}
+
     def recovery(
         self, known: int, avail: int
     ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, tuple[int, ...]]]]:

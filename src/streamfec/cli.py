@@ -130,9 +130,10 @@ def _parse_range(spec: str) -> range:
     # "z=1..3" -> range(1, 4)
     _, _, body = spec.partition("=")
     lo, _, hi = body.partition("..")
-    if hi:
-        return range(int(lo), int(hi) + 1)
-    return range(int(lo), int(lo) + 1)
+    lo, hi = int(lo), int(hi or lo)
+    if hi < lo:
+        raise ValueError(f"empty range {spec!r}: {hi} is below {lo}")
+    return range(lo, hi + 1)
 
 
 def _cmd_bounds(args) -> int:

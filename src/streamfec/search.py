@@ -302,26 +302,27 @@ def search_nonexistence(
         raise ValueError(f"candidate space of size {field.q}^{k * r} exceeds the guard {guard}")
     if not 0 <= start <= total:
         raise ValueError(f"resume cursor {start} outside the candidate space [0, {total}]")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     supports = burst_supports(n, z, b)
     checks = _build_checks(n, k, tau, supports)
     rows = _row_space(field, r)
 
     survivor: int | None = None
-    if jobs <= 1:
+    if jobs == 1:
         survivor = _scan_range(field, n, k, tau, checks, start, total, progress)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         span = total - start
-        chunk = (span + jobs - 1) // jobs
-        tasks = []
-        for w in range(jobs):
-            lo = start + w * chunk
-            hi = min(start + (w + 1) * chunk, total)
-            if lo < hi:
-                tasks.append((field.to_dict(), n, k, tau, z, b, lo, hi))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = [s for s in pool.map(_scan_task, tasks) if s is not None]
+        chunk = max(1, (span + jobs - 1) // jobs)
+        # One worker per non-empty chunk, so a space smaller than `jobs`
+        # starts only as many workers as it has chunks.
+        tasks = [(field.to_dict(), n, k, tau, z, b, lo, min(lo + chunk, total)) for lo in range(start, total, chunk)]
+        found = []
+        if tasks:
+            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+                found = [s for s in pool.map(_scan_task, tasks) if s is not None]
         survivor = min(found) if found else None
 
     if survivor is None:

@@ -36,6 +36,14 @@ ambiguity, never silently resolved.  Once u(t) is decided, diagonal
 t-k+1 has all its message symbols and is encoded, once; packet t was in
 error iff it differs from u(t) followed by parity symbol j of diagonal
 t-j for each j >= k.
+
+That decision is memoised.  The window syndrome applies the checks of
+every diagonal with all window positions received to the window.  A
+candidate's checks, and each pin value minus the received u_i(t), vanish
+on every codeword, so they are combinations of those checks: with the
+window width and the near-past error offsets (which fix the candidate
+set), the syndrome fixes the verdict and the correction to u(t).  Only
+a new key runs the candidate loop.
 """
 
 from __future__ import annotations
@@ -44,10 +52,11 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
+from .galois import Field
 from .matrix import dot
 
 
@@ -209,6 +218,99 @@ def _union_admissible(model: ChannelModel, past: list[int], cand: tuple[int, ...
     return not near_past or windows_ok(near_past + list(cand), model.z, model.b, model.w)
 
 
+# The error decoder's decision memo keeps at most this many verdicts per
+# (code, tau, model) and is cleared when full.  An entry is its packed key
+# and its dict slot (equal corrections share one tuple): about 80 B for the
+# burst sweep's 94-bit keys, plus 4 B per 30 more key bits, so a full memo
+# of such keys holds about 2.5 MiB.
+_DECISION_CAP = 1 << 15
+# Verdicts other than a correction tuple.
+_NO_CANDIDATE = "no consistent candidate"
+_AMBIGUOUS = "ambiguous"
+
+
+class _Products(dict):
+    """v -> c * v over the field for one constant c, filled on first use,
+    so a large field never tabulates values it does not see."""
+
+    __slots__ = ("field", "c")
+
+    def __init__(self, field: Field, c: int):
+        super().__init__()
+        self.field, self.c = field, c
+
+    def __missing__(self, v: int) -> int:
+        p = self[v] = self.field.mul(self.c, v)
+        return p
+
+
+def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, _Products], ...]]:
+    """The full-window checks of a width-slot window [t, t+width-1], one
+    per check of `code.recovery` with every window position received, on
+    every diagonal touching the window.  They read the window observation
+    Y: the messages of times [t-n+1, t-1] (k symbols each), then the
+    received packets [t, t+width-1] (n symbols each).  A check is its
+    nonzero terms (index into Y, products by its coefficient)."""
+    n, k, f = code.n, code.k, code.field
+    products: dict[int, _Products] = {}
+    out = []
+    for o in range(1 - n, width):
+        # Diagonal t+o knows its coordinates before time t and reads its
+        # symbols in [t, t+width-1].
+        given = min(max(-o, 0), k)
+        positions = range(max(-o, 0), min(n, width - o))
+        checks, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
+        index = [(o + i + n - 1) * k + i for i in range(given)]
+        index += [(n - 1) * k + (o + j) * n + j for j in positions]
+        for c in checks:
+            out.append(tuple((at, products.setdefault(a, _Products(f, a))) for at, a in zip(index, c) if a))
+    return out
+
+
+def _candidate_verdict(
+    code: SystematicCode,
+    model: ChannelModel,
+    rel_candidates: list[tuple[int, ...]],
+    past_support: list[int],
+    t: int,
+    width: int,
+    received: Sequence[tuple[int, ...]],
+    msg_value: Callable[[int, int], int],
+) -> str | tuple[int, ...]:
+    """Try every candidate error support in the window [t, t+width-1]
+    that is admissible together with the past errors.  Returns
+    _NO_CANDIDATE, _AMBIGUOUS, or the correction g with u(t) equal to
+    received[t][:k] + g."""
+    n, k, f = code.n, code.k, code.field
+    wend = t + width - 1
+    consistent: list[tuple[int | None, ...]] = []
+    for offs in rel_candidates:
+        cand = tuple(t + o for o in offs if o < width)
+        if len(cand) != len(offs):
+            continue
+        if not _union_admissible(model, past_support, cand, t):
+            continue
+        values: list[int | None] = [None] * k
+        for d in range(t - n + 1, wend + 1):
+            # Diagonal d knows its coordinates before time t and reads
+            # its symbols in [t, wend] outside the candidate support.
+            given = min(max(t - d, 0), k)
+            recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
+            checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
+            y = [msg_value(d + i, i) for i in range(given)] + [received[d + j][j] for j in recv]
+            if any(dot(f, c, y) for c in checks):
+                break
+            if t - d in pins:
+                values[t - d] = dot(f, pins[t - d][1], y)
+        else:
+            consistent.append(tuple(values))
+    if not consistent:
+        return _NO_CANDIDATE
+    if len(set(consistent)) != 1 or None in consistent[0]:
+        return _AMBIGUOUS
+    return tuple(f.sub(v, r) for v, r in zip(consistent[0], received[t]))
+
+
 def decode_errors(
     code: SystematicCode,
     tau: int,
@@ -226,18 +328,38 @@ def decode_errors(
     with some message continuation.  The unique agreed value is
     accepted; disagreement or an underdetermined u(t) becomes an
     ambiguity record and decoding halts there.
+
+    The decision is memoised per (code, tau, model) under (window width,
+    near-past error offsets, window syndrome), and a miss runs the
+    candidate loop.  Each candidate's checks and pin values, minus the
+    received u(t), are combinations of the full-window checks, so the
+    key fixes the verdict and the correction to u(t) exactly.  The memo
+    holds at most `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB with the
+    burst sweep's 94-bit keys, and is cleared when full.
     """
     if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
+    q, w = f.q, model.w
+    # Field addition: XOR in characteristic 2, else integer addition mod q.
+    binary = f.p == 2
     t_msgs = message_horizon
     if len(received) != t_msgs + n - 1:
         raise ValueError(f"received stream must cover {t_msgs + n - 1} packet times")
     last = len(received) - 1
 
-    rel_candidates = _standalone_window_subsets(model, tau + 1)
+    memo = code._error_decisions.get((tau, model))
+    if memo is None:
+        memo = code._error_decisions[tau, model] = (_standalone_window_subsets(model, tau + 1), {}, {}, {})
+    rel_candidates, window_checks, verdicts, shared = memo
+    # Width and near-past offsets fill the key's low bits.
+    low_bits = w + (tau + 1).bit_length()
 
-    known: list[tuple[int, ...]] = []
+    # The decoded messages after n-1 zero packets for the times before 0,
+    # and the received stream, each flattened; window observations are
+    # slices of them.
+    known_flat = [0] * ((n - 1) * k)
+    received_flat = [v for packet in received for v in packet]
     # The codewords of the diagonals whose message symbols are all known;
     # diagonals before 1-k are zero.
     codewords: dict[int, tuple[int, ...]] = {}
@@ -250,9 +372,7 @@ def decode_errors(
     halted = False
 
     def msg_value(tm: int, i: int) -> int:
-        if tm < 0:
-            return 0
-        return known[tm][i]
+        return known_flat[(tm + n - 1) * k + i]
 
     for t in range(t_msgs):
         deadline = t + tau
@@ -263,41 +383,43 @@ def decode_errors(
             continue
         wend = min(deadline, last)
         width = wend - t + 1
-        consistent: list[tuple[int | None, ...]] = []
-        for offs in rel_candidates:
-            cand = tuple(t + o for o in offs if o < width)
-            if len(cand) != len(offs):
-                continue
-            if not _union_admissible(model, past_support, cand, t):
-                continue
-            values: list[int | None] = [None] * k
-            for d in range(t - n + 1, wend + 1):
-                # Diagonal d knows its coordinates before time t and reads
-                # its symbols in [t, wend] outside the candidate support.
-                given = min(max(t - d, 0), k)
-                recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
-                checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
-                y = [msg_value(d + i, i) for i in range(given)] + [received[d + j][j] for j in recv]
-                if any(dot(f, c, y) for c in checks):
-                    break
-                if t - d in pins:
-                    values[t - d] = dot(f, pins[t - d][1], y)
-            else:
-                consistent.append(tuple(values))
+        checks_of_width = window_checks.get(width)
+        if checks_of_width is None:
+            checks_of_width = window_checks[width] = _window_checks(code, width)
+        window = known_flat[t * k : (t + n - 1) * k] + received_flat[t * n : (wend + 1) * n]
+        syndrome = 0
+        for terms in checks_of_width:
+            s = 0
+            for at, mul in terms:
+                s = s ^ mul[window[at]] if binary else s + mul[window[at]]
+            syndrome = syndrome * q + s % q
+        near_past = 0
+        for p in reversed(past_support):
+            if p <= t - w:
+                break
+            near_past |= 1 << (t - p)
+        key = syndrome << low_bits | width << w | near_past
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = _candidate_verdict(code, model, rel_candidates, past_support, t, width, received, msg_value)
+            if len(verdicts) >= _DECISION_CAP:
+                verdicts.clear()
+                shared.clear()
+            verdict = verdicts[key] = shared.setdefault(verdict, verdict)
 
-        if len(set(consistent)) != 1 or None in consistent[0]:
+        if verdict is _NO_CANDIDATE or verdict is _AMBIGUOUS:
             # No consistent candidate means the actual pattern violates the
             # declared model; disagreeing candidates or an underdetermined
             # u(t) is an ambiguity.  Nothing sound can be decoded from here on.
-            if consistent:
+            if verdict is _AMBIGUOUS:
                 ambiguities.append(t)
             per_packet.append(PacketStatus(t, False, None, deadline))
             failures.append(t)
             messages_out.append(None)
             halted = True
         else:
-            value = consistent[0]
-            known.append(value)
+            value = tuple(f.add(r, g) for r, g in zip(received[t], verdict))
+            known_flat += value
             messages_out.append(value)
             per_packet.append(PacketStatus(t, True, wend, deadline))
             codewords[t - k + 1] = code.encode([msg_value(t - k + 1 + i, i) for i in range(k)])

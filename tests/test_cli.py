@@ -184,6 +184,7 @@ def test_bad_model_spec_is_operational_error(tmp_path, capsys):
 BAD_INPUT = {
     "construct-unsupported-field": "construct --mds 5 3 --gf 6",
     "bounds-non-numeric-grid": "bounds --grid z=a..3",
+    "bounds-reversed-range": "bounds --grid z=1..0",
     "verify-tau-below-k": "verify-code --descriptor {dir}/code53.json --tau 2 --bursts 1 2",
     "simulate-csv-flag-2": "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/two.csv --horizon 4",
     "simulate-negative-tau": "simulate --descriptor {dir}/code53.json --tau -1 --pattern {dir}/ok.csv --horizon 4",
@@ -210,6 +211,8 @@ BAD_INPUT = {
     "verify-zero-burst-length": "verify-code --descriptor {dir}/code53.json --tau 4 --bursts 1 0",
     "search-cursor-past-end": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from 99999",
     "search-cursor-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from -5",
+    "search-jobs-zero": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs 0",
+    "search-jobs-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs -2",
 }
 
 

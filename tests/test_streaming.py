@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from streamfec import streaming
 from streamfec.block_code import SystematicCode, build_mds, build_multi_burst
 from streamfec.channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible
 from streamfec.galois import GF
@@ -266,6 +267,69 @@ def test_error_decoder_requires_error_model():
     stream = de_encode(code, [[0] * 3] * 3)
     with pytest.raises(ValueError):
         decode_errors(code, 4, stream.packets, 3, ChannelModel.sw(2, 5))
+
+
+def _random_error_decodes(field, seed):
+    """`decode_errors` arguments (code, tau, received, message_horizon,
+    model, pattern) on random, typically non-MDS codes over the field,
+    with mostly inadmissible random error patterns and fresh messages
+    per decode.  tau runs past n-1, so windows at the tail are cut short."""
+    rng = random.Random(seed)
+    cases = []
+    for n, k in ((2, 1), (3, 2), (4, 2), (5, 4)):
+        p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
+        code = SystematicCode(field=field, n=n, k=k, P=p)
+        for model in (ChannelModel.sw_err(1, 3), ChannelModel.sw_err(1, 4), ChannelModel.mbsw_err(1, 2, 5)):
+            for tau in (0, n - 1, n, n + 2):
+                for horizon, rate in product((1, 3, 6), (0.15, 0.3)):
+                    stream = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
+                    entries = {
+                        t: tuple(rng.randrange(field.q) for _ in range(n))
+                        for t in range(horizon + n - 1)
+                        if rng.random() < rate
+                    }
+                    pattern = ErrorPattern.from_entries(horizon + n - 1, n, entries)
+                    cases.append((code, tau, apply_errors(stream, pattern), horizon, model, pattern))
+    return cases
+
+
+def _report_bytes(report):
+    return report.to_json(), report.messages
+
+
+def _fresh(code):
+    # an equal code with empty memos
+    return SystematicCode(field=code.field, n=code.n, k=code.k, P=code.P)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"q{f.q}")
+def test_error_decision_memo_cold_equals_warm(field):
+    # Each report must not depend on what the decision memo already
+    # holds: every decode with an empty memo equals the same decode
+    # through a memo warmed by the earlier cases, and by all of them.
+    cases = _random_error_decodes(field, seed=field.q)
+    cold = [_report_bytes(decode_errors(_fresh(code), *rest)) for code, *rest in cases]
+    reports = [decode_errors(*case) for case in cases]
+    assert [_report_bytes(r) for r in reports] == cold
+    rewarm = [_report_bytes(decode_errors(*case)) for case in reversed(cases)]
+    assert rewarm[::-1] == cold
+    # all three verdicts occur: exact, ambiguous, no consistent candidate
+    assert any(r.success for r in reports)
+    assert any(r.ambiguities for r in reports)
+    assert any(r.failures and not r.ambiguities for r in reports)
+
+
+def test_error_decision_memo_cap_keeps_reports(monkeypatch):
+    # A full memo is cleared, so a memo of one or two entries churns on
+    # every step, and the reports must stay those of the uncapped memo.
+    cases = _random_error_decodes(F3, seed=7)
+    uncapped = [_report_bytes(decode_errors(_fresh(code), *rest)) for code, *rest in cases]
+    for cap in (1, 2):
+        monkeypatch.setattr(streaming, "_DECISION_CAP", cap)
+        codes = {}
+        capped = [_report_bytes(decode_errors(codes.setdefault(code, _fresh(code)), *rest)) for code, *rest in cases]
+        assert capped == uncapped
+        assert all(len(memo[2]) <= cap for code in codes.values() for memo in code._error_decisions.values())
 
 
 def test_error_value_grid_small_sweep():
