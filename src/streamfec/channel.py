@@ -114,12 +114,13 @@ class ErrorPattern:
         if missing:
             raise ValueError(f"error pattern JSON lacks {', '.join(missing)}")
         horizon, packet_size, errors = (d[key] for key in keys)
-        if not (isinstance(horizon, int) and isinstance(packet_size, int) and isinstance(errors, list)):
+        # Exactly int: JSON true parses as bool, an int subclass.
+        if not (type(horizon) is int and type(packet_size) is int and isinstance(errors, list)):
             raise ValueError("error pattern JSON needs an integer horizon and packet_size and an errors list")
         entries: dict[int, Sequence[int]] = {}
         for item in errors:
             t = item.get("t") if isinstance(item, dict) else None
-            new_t = isinstance(t, int) and 0 <= t < horizon and t not in entries
+            new_t = type(t) is int and 0 <= t < horizon and t not in entries
             if not new_t or not isinstance(item.get("packet"), list):
                 raise ValueError(f"malformed error entry {item!r}: need a distinct t in [0, horizon) and a packet")
             entries[t] = item["packet"]

@@ -296,8 +296,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # Bad input anywhere below is an operational error: one line, no
+    except (ValueError, OSError) as exc:
+        # Bad input anywhere below, or a pattern or output file that
+        # cannot be opened, is an operational error: one line, no
         # traceback, nonzero exit.
         raise SystemExit(f"streamfec {args.command}: {exc}")
 

@@ -146,7 +146,8 @@ class Field:
     # -- arithmetic on raw int values ------------------------------------
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        # Exactly int: bool is an int subclass, and JSON true is no value.
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not a value of {self!r}")
         return a
 

@@ -37,13 +37,17 @@ t-k+1 has all its message symbols and is encoded, once; packet t was in
 error iff it differs from u(t) followed by parity symbol j of diagonal
 t-j for each j >= k.
 
-That decision is memoised.  The window syndrome applies the checks of
-every diagonal with all window positions received to the window.  A
-candidate's checks, and each pin value minus the received u_i(t), vanish
-on every codeword, so they are combinations of those checks: with the
-window width and the near-past error offsets (which fix the candidate
-set), the syndrome fixes the verdict and the correction to u(t).  Only
-a new key runs the candidate loop.
+That decision is memoised under (window width, near-past error
+offsets, window syndrome); the syndrome applies the full-window checks
+H_d of every diagonal d touching the window, those with all window
+positions received, to the window.  A new key is decided from the key
+alone.  A candidate's checks, and each of its pin rows minus the
+received u_i(t), are rows phi that vanish on every valid observation of
+d, so phi = lambda . H_d with lambda = phi . R_d for a right inverse R_d
+of H_d, and phi's value on the window is lambda . s_d, with s_d the
+syndrome's slice for d.  So each candidate of the key's (width,
+near-past offsets) context is tested on the syndrome digits, through
+rows built once per (width, candidate), and no received packet is read.
 """
 
 from __future__ import annotations
@@ -51,13 +55,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
-from typing import Callable, Sequence
+from itertools import product
+from typing import Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from .galois import Field
-from .matrix import dot
+from .matrix import _rref, dot
 
 
 @dataclass(frozen=True)
@@ -202,22 +206,6 @@ def decode_erasures(
     )
 
 
-def _standalone_window_subsets(model: ChannelModel, width: int) -> list[tuple[int, ...]]:
-    """Offset tuples within a width-slot window that the model admits on
-    their own, ordered by (size, lexicographic)."""
-    subsets = (offs for size in range(width + 1) for offs in combinations(range(width), size))
-    return [offs for offs in subsets if windows_ok(offs, model.z, model.b, model.w)]
-
-
-def _union_admissible(model: ChannelModel, past: list[int], cand: tuple[int, ...], t: int) -> bool:
-    """Admissibility of past + candidate, where the candidate lies at or
-    after t.  Only past points within w-1 slots of t share a window with
-    the candidate, and the past alone is a subset of an admissible
-    pattern."""
-    near_past = [p for p in past if p > t - model.w]
-    return not near_past or windows_ok(near_past + list(cand), model.z, model.b, model.w)
-
-
 # The error decoder's decision memo keeps at most this many verdicts per
 # (code, tau, model) and is cleared when full.  An entry is its packed key
 # and its dict slot (equal corrections share one tuple): about 80 B for the
@@ -244,6 +232,15 @@ class _Products(dict):
         return p
 
 
+def _window_diagonals(code: SystematicCode, width: int):
+    """(o, given, positions) for each diagonal t+o touching the window
+    [t, t+width-1]: it knows its first `given` coordinates (those before
+    time t) and reads its symbols at `positions` in the window."""
+    n, k = code.n, code.k
+    for o in range(1 - n, width):
+        yield o, min(max(-o, 0), k), range(max(-o, 0), min(n, width - o))
+
+
 def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, _Products], ...]]:
     """The full-window checks of a width-slot window [t, t+width-1], one
     per check of `code.recovery` with every window position received, on
@@ -254,11 +251,7 @@ def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, _P
     n, k, f = code.n, code.k, code.field
     products: dict[int, _Products] = {}
     out = []
-    for o in range(1 - n, width):
-        # Diagonal t+o knows its coordinates before time t and reads its
-        # symbols in [t, t+width-1].
-        given = min(max(-o, 0), k)
-        positions = range(max(-o, 0), min(n, width - o))
+    for o, given, positions in _window_diagonals(code, width):
         checks, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
         index = [(o + i + n - 1) * k + i for i in range(given)]
         index += [(n - 1) * k + (o + j) * n + j for j in positions]
@@ -267,48 +260,119 @@ def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, _P
     return out
 
 
-def _candidate_verdict(
-    code: SystematicCode,
-    model: ChannelModel,
-    rel_candidates: list[tuple[int, ...]],
-    past_support: list[int],
-    t: int,
-    width: int,
-    received: Sequence[tuple[int, ...]],
-    msg_value: Callable[[int, int], int],
+def _candidate_rows(
+    code: SystematicCode, width: int, candidates: list[tuple[int, ...]]
+) -> dict[tuple[int, ...], tuple[int, list, list]]:
+    """Each candidate support (offsets in the width-slot window) as rows
+    over the digits of the window syndrome, which are the checks of
+    `_window_checks(code, width)` in order: (untouched, checks,
+    corrections).  `untouched` is the bitmask of the digits of the
+    diagonals the candidate leaves untouched, which must all be zero; each
+    check is terms (digit index, products) whose sum must be zero;
+    corrections[i] is the terms giving coordinate i of the correction to
+    u(t), or None when the candidate leaves u_i(t) unpinned.
+
+    On diagonal d, a row phi over its full-window observation y that
+    vanishes on every valid y is lambda . H_d, with H_d its full-window
+    checks, so phi . y = lambda . s_d for its syndrome slice s_d = H_d y.
+    Reducing [H_d | I] gives a right inverse R_d of H_d, and lambda =
+    phi . R_d.  A candidate's checks, and each of its pin rows minus the
+    received u_i(t), are such rows."""
+    k, f = code.k, code.field
+    products: dict[int, _Products] = {}
+    rows = {offs: [0, [], [None] * k] for offs in candidates}
+    start = 0
+    for o, given, positions in _window_diagonals(code, width):
+        known = (1 << given) - 1
+        full_checks, _ = code.recovery(known, sum(1 << j for j in positions))
+        r, m = len(full_checks), given + len(positions)
+        aug = [list(c) + [int(l == i) for i in range(r)] for l, c in enumerate(full_checks)]
+        reduced, pivots = _rref(f, aug, m)
+        columns = list(zip(*full_checks)) or [()] * m
+
+        def over_syndrome(phi: list[int]) -> tuple:
+            lam = [0] * r
+            for row, col in zip(reduced, pivots):
+                if phi[col]:
+                    lam = [f.add(a, f.mul(phi[col], e)) for a, e in zip(lam, row[m:])]
+            if [dot(f, lam, column) for column in columns] != phi:
+                raise RuntimeError(f"a candidate row on diagonal offset {o} is no combination of its window checks")
+            return tuple((start + at, products.setdefault(a, _Products(f, a))) for at, a in enumerate(lam) if a)
+
+        def rows_without(kept: list[int]) -> tuple[tuple, tuple | None]:
+            """The check rows and the u_i(t) correction row, i = -o, of
+            this diagonal observed at the kept positions only."""
+            checks, pins = code.recovery(known, sum(1 << j for j in kept))
+            # That observation is the given coordinates and the kept
+            # positions, a sub-vector of the full one.
+            index = list(range(given)) + [given + j - positions.start for j in kept]
+
+            def embed(row: tuple[int, ...]) -> list[int]:
+                phi = [0] * m
+                for at, a in zip(index, row):
+                    phi[at] = a
+                return phi
+
+            correction = None
+            i = -o
+            if 0 <= i < k and i in pins:
+                # u_i(t) is received at position i of diagonal t-i, which
+                # is index i of its observation.
+                phi = embed(pins[i][1])
+                phi[i] = f.sub(phi[i], 1)
+                correction = over_syndrome(phi)
+            return tuple(over_syndrome(embed(c)) for c in checks), correction
+
+        # Candidates that erase the same positions of this diagonal share
+        # its rows.
+        by_erased: dict[tuple[int, ...], tuple[tuple, tuple | None]] = {}
+        for offs, (_, cand_checks, corrections) in rows.items():
+            erased = tuple(j for j in positions if o + j in offs)
+            if erased not in by_erased:
+                by_erased[erased] = rows_without([j for j in positions if j not in erased])
+            checks, correction = by_erased[erased]
+            if erased:
+                cand_checks.extend(checks)
+            else:
+                rows[offs][0] |= ((1 << r) - 1) << start
+            if 0 <= -o < k:
+                corrections[-o] = correction
+        start += r
+    return {offs: tuple(entry) for offs, entry in rows.items()}
+
+
+def _decide(
+    candidates: list[tuple[int, list, list]], q: int, binary: bool, digits: int, syndrome: int
 ) -> str | tuple[int, ...]:
-    """Try every candidate error support in the window [t, t+width-1]
-    that is admissible together with the past errors.  Returns
+    """The verdict on a window syndrome of `digits` base-q digits, given
+    the rows of its context's candidates (see `_candidate_rows`):
     _NO_CANDIDATE, _AMBIGUOUS, or the correction g with u(t) equal to
-    received[t][:k] + g."""
-    n, k, f = code.n, code.k, code.field
-    wend = t + width - 1
-    consistent: list[tuple[int | None, ...]] = []
-    for offs in rel_candidates:
-        cand = tuple(t + o for o in offs if o < width)
-        if len(cand) != len(offs):
+    received u(t) + g."""
+    s = [0] * digits
+    nonzero = 0
+    for at in range(digits - 1, -1, -1):
+        syndrome, s[at] = divmod(syndrome, q)
+        if s[at]:
+            nonzero |= 1 << at
+
+    def value(terms: tuple) -> int:
+        v = 0
+        for at, mul in terms:
+            v = v ^ mul[s[at]] if binary else v + mul[s[at]]
+        return v % q
+
+    agreed = None
+    for untouched, checks, corrections in candidates:
+        if nonzero & untouched or any(value(c) for c in checks):
             continue
-        if not _union_admissible(model, past_support, cand, t):
-            continue
-        values: list[int | None] = [None] * k
-        for d in range(t - n + 1, wend + 1):
-            # Diagonal d knows its coordinates before time t and reads
-            # its symbols in [t, wend] outside the candidate support.
-            given = min(max(t - d, 0), k)
-            recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
-            checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
-            y = [msg_value(d + i, i) for i in range(given)] + [received[d + j][j] for j in recv]
-            if any(dot(f, c, y) for c in checks):
-                break
-            if t - d in pins:
-                values[t - d] = dot(f, pins[t - d][1], y)
-        else:
-            consistent.append(tuple(values))
-    if not consistent:
-        return _NO_CANDIDATE
-    if len(set(consistent)) != 1 or None in consistent[0]:
-        return _AMBIGUOUS
-    return tuple(f.sub(v, r) for v, r in zip(consistent[0], received[t]))
+        if None in corrections:
+            return _AMBIGUOUS
+        g = tuple(value(c) for c in corrections)
+        if agreed is None:
+            agreed = g
+        elif g != agreed:
+            return _AMBIGUOUS
+    return _NO_CANDIDATE if agreed is None else agreed
 
 
 def decode_errors(
@@ -330,12 +394,17 @@ def decode_errors(
     ambiguity record and decoding halts there.
 
     The decision is memoised per (code, tau, model) under (window width,
-    near-past error offsets, window syndrome), and a miss runs the
-    candidate loop.  Each candidate's checks and pin values, minus the
-    received u(t), are combinations of the full-window checks, so the
-    key fixes the verdict and the correction to u(t) exactly.  The memo
-    holds at most `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB with the
-    burst sweep's 94-bit keys, and is cleared when full.
+    near-past error offsets, window syndrome), and a miss is decided from
+    the key alone.  On each diagonal d, a candidate's checks and its pin
+    rows minus the received u(t) are rows phi that vanish on every valid
+    observation, so phi = lambda . H_d for the full-window checks H_d,
+    with lambda = phi . R_d for a right inverse R_d of H_d; phi's value
+    on the window is lambda . s_d, which reads only d's slice s_d of the
+    syndrome.  The width and near-past offsets fix the admissible
+    candidates, so the key fixes the verdict and the correction to u(t)
+    exactly.  The memo holds at most `_DECISION_CAP` = 2^15 verdicts,
+    about 2.5 MiB with the burst sweep's 94-bit keys, and is cleared when
+    full.
     """
     if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
@@ -350,8 +419,8 @@ def decode_errors(
 
     memo = code._error_decisions.get((tau, model))
     if memo is None:
-        memo = code._error_decisions[tau, model] = (_standalone_window_subsets(model, tau + 1), {}, {}, {})
-    rel_candidates, window_checks, verdicts, shared = memo
+        memo = code._error_decisions[tau, model] = ({}, {}, {}, {}, {})
+    window_checks, window_rows, verdicts, shared, contexts = memo
     # Width and near-past offsets fill the key's low bits.
     low_bits = w + (tau + 1).bit_length()
 
@@ -401,7 +470,19 @@ def decode_errors(
         key = syndrome << low_bits | width << w | near_past
         verdict = verdicts.get(key)
         if verdict is None:
-            verdict = _candidate_verdict(code, model, rel_candidates, past_support, t, width, received, msg_value)
+            # A miss is decided from the key alone: the candidates of its
+            # (width, near-past offsets) context, tested on its syndrome.
+            candidates = contexts.get((width, near_past))
+            if candidates is None:
+                rows = window_rows.get(width)
+                if rows is None:
+                    subsets = [p.support for p in enumerate_admissible(model, width)]
+                    rows = window_rows[width] = _candidate_rows(code, width, subsets)
+                near = [-r for r in range(w - 1, 0, -1) if near_past >> r & 1]
+                candidates = contexts[width, near_past] = [
+                    rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
+                ]
+            verdict = _decide(candidates, q, binary, len(checks_of_width), syndrome)
             if len(verdicts) >= _DECISION_CAP:
                 verdicts.clear()
                 shared.clear()

@@ -213,6 +213,21 @@ BAD_INPUT = {
     "search-cursor-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from -5",
     "search-jobs-zero": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs 0",
     "search-jobs-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs -2",
+    "simulate-missing-pattern-file": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/missing.csv --horizon 2"
+    ),
+    "construct-out-in-missing-dir": "construct --mds 5 3 --gf 8 --out {dir}/nonexistent/x.json",
+    "simulate-error-value-true": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/true.json --horizon 2"
+    ),
+    "simulate-error-time-true": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/true_t.json --horizon 2"
+    ),
+    "simulate-error-horizon-true": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/true_horizon.json "
+        "--horizon 2"
+    ),
+    "verify-descriptor-true-in-P": "verify-code --descriptor {dir}/true_P.json --tau 4 --bursts 1 2",
 }
 
 
@@ -224,9 +239,16 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv):
     # [5,3] with 2 messages has packets 0..5; slot 7 is past the stream
     (tmp_path / "long.csv").write_text("0,0,0,0,0,0,0,1\n")
     (tmp_path / "nokeys.json").write_text('{"horizon": 4}')
-    for name, value in (("big", 9), ("neg", -1)):
+    for name, value in (("big", 9), ("neg", -1), ("true", True)):
         errors = [{"t": 1, "packet": [value, 0, 0, 0, 0]}]
         (tmp_path / f"{name}.json").write_text(json.dumps({"horizon": 6, "packet_size": 5, "errors": errors}))
+    # JSON true is no integer, even where 1 would be valid
+    for name, horizon, t in (("true_t", 6, True), ("true_horizon", True, 0)):
+        errors = [{"t": t, "packet": [1, 0, 0, 0, 0]}]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"horizon": horizon, "packet_size": 5, "errors": errors}))
+    descriptor = json.loads((tmp_path / "code53.json").read_text())
+    descriptor["P"][0][0] = True
+    (tmp_path / "true_P.json").write_text(json.dumps(descriptor))
     with pytest.raises(SystemExit) as exc:
         main(argv.format(dir=tmp_path).split())
     message = exc.value.code

@@ -1,15 +1,16 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from streamfec import streaming
 from streamfec.block_code import SystematicCode, build_mds, build_multi_burst
-from streamfec.channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible
+from streamfec.channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from streamfec.galois import GF
-from streamfec.matrix import FieldMatrix
+from streamfec.matrix import FieldMatrix, dot
 from streamfec.streaming import (
+    PacketStatus,
     apply_errors,
     de_encode,
     decode_errors,
@@ -319,6 +320,79 @@ def test_error_decision_memo_cold_equals_warm(field):
     assert any(r.failures and not r.ambiguities for r in reports)
 
 
+def _window_candidate_decode(code, tau, received, message_horizon, model):
+    """The error decoder without a memo: for each u(t), every candidate
+    support in the window [t, wend] that is admissible with the near-past
+    inferred errors is erased on every diagonal touching the window, and
+    the diagonal's own recovery checks and pins are applied to its
+    received symbols.  Returns (per_packet, failures, ambiguities,
+    messages) as `decode_errors` reports them."""
+    n, k, f, w = code.n, code.k, code.field, model.w
+    last = len(received) - 1
+    subsets = [offs for size in range(tau + 2) for offs in combinations(range(tau + 1), size)]
+    known = {}
+    past, per_packet, failures, ambiguities, messages = [], [], [], [], []
+    halted = False
+    for t in range(message_horizon):
+        deadline = t + tau
+        if halted:
+            per_packet.append(PacketStatus(t, False, None, deadline))
+            failures.append(t)
+            messages.append(None)
+            continue
+        wend = min(deadline, last)
+        near = [p for p in past if p > t - w]
+        consistent = []
+        for offs in subsets:
+            cand = [t + o for o in offs]
+            if cand and cand[-1] > wend or not windows_ok(near + cand, model.z, model.b, w):
+                continue
+            values = [None] * k
+            for d in range(t - n + 1, wend + 1):
+                given = min(max(t - d, 0), k)
+                recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
+                checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
+                y = [known[d + i][i] if d + i >= 0 else 0 for i in range(given)] + [received[d + j][j] for j in recv]
+                if any(dot(f, c, y) for c in checks):
+                    break
+                if t - d in pins:
+                    values[t - d] = dot(f, pins[t - d][1], y)
+            else:
+                consistent.append(tuple(values))
+        if len(set(consistent)) != 1 or None in consistent[0]:
+            if consistent:
+                ambiguities.append(t)
+            per_packet.append(PacketStatus(t, False, None, deadline))
+            failures.append(t)
+            messages.append(None)
+            halted = True
+            continue
+        known[t] = consistent[0]
+        messages.append(consistent[0])
+        per_packet.append(PacketStatus(t, True, wend, deadline))
+        # packet t carries u(t) and parity j of diagonal t-j for j >= k
+        sent = [code.encode([known[t - j + i][i] if t - j + i >= 0 else 0 for i in range(k)])[j] for j in range(k, n)]
+        if tuple(received[t]) != consistent[0] + tuple(sent):
+            past.append(t)
+    return tuple(per_packet), tuple(failures), tuple(ambiguities), tuple(messages)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"q{f.q}")
+def test_syndrome_verdicts_match_window_candidate_loop(field):
+    # A memo miss decides from the key alone; the window candidate loop
+    # above reads the received symbols instead, and every report must
+    # agree with it, cold or warm.
+    cases = _random_error_decodes(field, seed=field.q)
+    reports = [decode_errors(_fresh(code), *rest) for code, *rest in cases] + [decode_errors(*case) for case in cases]
+    for report, (code, tau, received, horizon, model, _) in zip(reports, cases + cases):
+        expected = _window_candidate_decode(code, tau, received, horizon, model)
+        assert (report.per_packet, report.failures, report.ambiguities, report.messages) == expected
+    # all three verdicts occur: exact, ambiguous, no consistent candidate
+    assert any(r.success for r in reports)
+    assert any(r.ambiguities for r in reports)
+    assert any(r.failures and not r.ambiguities for r in reports)
+
+
 def test_error_decision_memo_cap_keeps_reports(monkeypatch):
     # A full memo is cleared, so a memo of one or two entries churns on
     # every step, and the reports must stay those of the uncapped memo.
@@ -346,6 +420,13 @@ def test_error_value_grid_small_sweep():
                 pattern = ErrorPattern.from_entries(10, 5, {t: tuple(pkt)})
                 report = simulate(code, 4, model, pattern, msgs)
                 assert report.success and not report.ambiguities
+
+
+def test_burst_error_equivalence_full_sweep():
+    # the 12 825-pattern mbsw_err:1,2,7 sweep of scripts/equivalence_sweep.py:
+    # every single-burst error of unit values with support in [0, 4]
+    res = equivalence_sweep(build_multi_burst(4, 2, 2, F8), ChannelModel.mbsw_err(1, 2, 7), 6, 5, seed=0)
+    assert res == {"patterns": 12825, "exact": 12825, "ambiguities": 0}
 
 
 @pytest.mark.parametrize("w", [3, 4])
