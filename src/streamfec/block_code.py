@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .bounds import delay_tau_star  # noqa: F401  (callers import it from here too)
 from .galois import Field
-from .matrix import FieldMatrix, _rref, rank
+from .matrix import FieldMatrix, _insert, _rref, rank
 
 # Nothing here calls these two any more; the benchmark's tracer installs
 # spans at `block_code.in_span` and `block_code.punctured_parity` and
@@ -79,8 +79,9 @@ class SystematicCode:
         c . y == 0 for every row c of checks; pins[i] = (position, row)
         for each coordinate i outside `known` that y fixes, with
         u_i == row . y and position the smallest received position whose
-        prefix, together with the given coordinates, fixes u_i.  Memoised
-        per code; callers share the result and must not mutate it."""
+        prefix, together with the given coordinates, fixes u_i.  The
+        order of the checks carries no meaning.  Memoised per code;
+        callers share the result and must not mutate it."""
         hit = self._recoveries.get((known, avail))
         if hit is None:
             hit = self._recoveries[(known, avail)] = self._recover(known, avail)
@@ -90,30 +91,68 @@ class SystematicCode:
         self, known: int, avail: int
     ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, tuple[int, ...]]]]:
         """`recovery` without the memo, for callers that ask each
-        question once (the verifier asks once per erasure support)."""
+        question once (the verifier asks once per erasure support).
+
+        Each observation is eliminated once: `matrix._insert` adds it to a
+        reduced row echelon basis keyed by pivot coordinate, the given
+        coordinates first and then the received positions in ascending
+        order, and the pins are read after each received position.  The
+        basis after a prefix is the reduced form of that prefix, so u_i is
+        pinned exactly when its basis row first reads u_i alone.  A row
+        that reduces to zero on the coordinates is a check, and no later
+        step touches it."""
         # A given coordinate i is the systematic symbol at position i, so
         # every observation is a generator column.  Each row also records
         # which combination of observations it is, so a reduced row reads
         # off as u . (its column part) == (its record) . y.
-        k = self.k
+        k, columns = self.k, self._generator_columns
         given = [i for i in range(k) if known >> i & 1]
-        positions = [j for j in range(self.n) if avail >> j & 1]
-        obs = given + positions
-        aug = [list(self.generator.column(j)) + [int(l == c) for c in range(len(obs))] for l, j in enumerate(obs)]
-        rows, pivots = _rref(self.field, aug[: len(given)], k)
+        obs = given + [j for j in range(self.n) if avail >> j & 1]
+        basis: dict[int, list[int]] = {}
+        checks = []
         pins: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for row_in, j in zip(aug[len(given) :], positions):
-            rows, pivots = _rref(self.field, rows + [row_in], k)
-            for row, c in zip(rows, pivots):
-                if c not in pins and not known >> c & 1 and not any(row[c + 1 : k]):
-                    pins[c] = (j, tuple(row[k:]))
-        checks = tuple(tuple(row[k:]) for row in rows[len(pivots) :])
-        return checks, pins
+        unpinned = [i for i in range(k) if not known >> i & 1]
+        for l, j in enumerate(obs):
+            row = columns[j] + [0] * len(obs)
+            row[k + l] = 1
+            if _insert(self.field, basis, row, k) is None:
+                checks.append(tuple(row[k:]))
+            if l < len(given):
+                continue
+            for i in unpinned:
+                pivot_row = basis.get(i)
+                if pivot_row is not None and not any(pivot_row[i + 1 : k]):
+                    pins[i] = (j, tuple(pivot_row[k:]))
+            unpinned = [i for i in unpinned if i not in pins]
+        return tuple(checks), pins
+
+    @cached_property
+    def _generator_columns(self) -> tuple[list[int], ...]:
+        return tuple(list(col) for col in zip(*self.generator.data))
+
+    @cached_property
+    def _parity_terms(self) -> tuple[tuple[tuple[int, Sequence[int]], ...], ...]:
+        """Per parity column j: (i, the product table of P[i][j]) for each
+        nonzero P[i][j]."""
+        f = self.field
+        return tuple(tuple((i, f.times(a)) for i, a in enumerate(col) if a) for col in zip(*self.P.data))
 
     def encode(self, u: Sequence[int]) -> tuple[int, ...]:
         if len(u) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
-        return tuple(u) + self.P.vector_mul(u)
+        p = self.field.p
+        parity = []
+        for terms in self._parity_terms:
+            s = 0
+            if p == 2:
+                for i, t in terms:
+                    s ^= t[u[i]]
+            else:
+                for i, t in terms:
+                    s += t[u[i]]
+                s %= p
+            parity.append(s)
+        return tuple(u) + tuple(parity)
 
     def to_descriptor(self) -> dict:
         return {
@@ -126,12 +165,20 @@ class SystematicCode:
 
     @staticmethod
     def from_descriptor(d: dict) -> "SystematicCode":
+        if not isinstance(d, dict):
+            raise ValueError(f"a code descriptor is an object, got {type(d).__name__}")
         fld = Field.from_dict(d["field"])
+        n, k, p_rows = d["n"], d["k"], d["P"]
+        # Exactly int, as in `Field.check`: "5" and JSON true are no lengths.
+        if type(n) is not int or type(k) is not int:
+            raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
+        if not (isinstance(p_rows, list) and all(isinstance(row, list) for row in p_rows)):
+            raise ValueError("P must be a list of rows, each a list of field values")
         return SystematicCode(
             field=fld,
-            n=d["n"],
-            k=d["k"],
-            P=FieldMatrix(fld, d["P"]),
+            n=n,
+            k=k,
+            P=FieldMatrix(fld, p_rows),
             construction=d.get("construction"),
         )
 

@@ -3,9 +3,15 @@
 Two families are supported: binary extension fields GF(2^m) for
 1 <= m <= 16, represented in the polynomial basis with log/antilog
 tables, and prime fields GF(p) for p < 256.  Values are plain ints in
-[0, q-1]; :meth:`Field.check` validates one at API boundaries.  Field
-objects are immutable once constructed and are safe to share between
-threads or worker processes.
+[0, q-1]; :meth:`Field.check` validates one at API boundaries.
+
+Hot loops multiply by a constant through :meth:`Field.times`, a product
+table per constant that the field builds on first use and caches, so a
+product is one lookup; above q = 256 the table fills one value at a time,
+so a large field never tabulates values it does not see.  Filling a table
+writes the same values whoever does it, so fields stay safe to share
+between threads or worker processes; their identity (p, m, modulus)
+never changes after construction.
 
 The default modulus for GF(2^m) is the lexicographically smallest
 irreducible polynomial of degree m (bit-encoded, bit i = coefficient of
@@ -18,6 +24,8 @@ from functools import lru_cache
 
 _MAX_EXTENSION_DEGREE = 16
 _MAX_PRIME = 256
+# `Field.times` tabulates every product by a constant up to this order.
+_MAX_LIST_TABLE = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -83,14 +91,30 @@ def default_modulus(m: int) -> int:
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 
 
+class _Products(dict):
+    """v -> c * v over the field for one constant c, filled on first use:
+    `Field.times`' table above q = 256."""
+
+    __slots__ = ("field", "c")
+
+    def __init__(self, field: "Field", c: int):
+        super().__init__()
+        self.field, self.c = field, c
+
+    def __missing__(self, v: int) -> int:
+        p = self[v] = self.field.mul(self.c, v)
+        return p
+
+
 class Field:
     """A finite field GF(p^m): either GF(2^m), m <= 16, or GF(p), p < 256.
 
     Arithmetic methods (`add`, `mul`, `inv`, ...) operate on plain int
-    values; :meth:`check` validates a value.
+    values; :meth:`check` validates a value, and :meth:`times` gives the
+    product table of a constant.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_times")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
         if not _is_prime(p):
@@ -109,7 +133,9 @@ class Field:
                 raise ValueError(f"extension degree limited to {_MAX_EXTENSION_DEGREE}, got {m}")
             if modulus is None:
                 modulus = default_modulus(m)
-            if _poly_degree(modulus) != m or not _is_irreducible_gf2(modulus):
+            # A negative int has a bit length too, but the division loop
+            # never ends on one.
+            if not 1 << m <= modulus < 1 << (m + 1) or not _is_irreducible_gf2(modulus):
                 raise ValueError(f"modulus 0b{modulus:b} is not irreducible of degree {m}")
         self.p = p
         self.m = m
@@ -117,6 +143,7 @@ class Field:
         self.modulus = modulus
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._times: dict[int, list[int] | _Products] = {}
         if m > 1:
             self._build_tables()
 
@@ -182,6 +209,20 @@ class Field:
         assert self._exp is not None and self._log is not None
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
+    def times(self, c: int) -> list[int] | _Products:
+        """The products c * v as a table indexed by the value v, cached per
+        constant c and shared by every caller that multiplies by c: a list,
+        built when c is first asked for, up to q = 256, and for larger
+        fields a dict that fills each value on first use."""
+        table = self._times.get(c)
+        if table is None:
+            if self.q <= _MAX_LIST_TABLE:
+                table = [self.mul(c, v) for v in range(self.q)]
+            else:
+                table = _Products(self, c)
+            self._times[c] = table
+        return table
+
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
@@ -217,8 +258,16 @@ class Field:
 
     @staticmethod
     def from_dict(d: dict) -> "Field":
-        m = d["m"]
-        return Field(d["p"], m, d["modulus"] if m > 1 else None)
+        if not isinstance(d, dict):
+            raise ValueError(f"a field descriptor is an object, got {d!r}")
+        # Exactly int, as in `check`: "3" and JSON true are no parameters.
+        p, m = d["p"], d["m"]
+        if type(p) is not int or type(m) is not int:
+            raise ValueError(f"field p and m must be integers, got {d!r}")
+        modulus = d["modulus"] if m > 1 else None
+        if m > 1 and type(modulus) is not int:
+            raise ValueError(f"field modulus must be an integer, got {d!r}")
+        return Field(p, m, modulus)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """Dense matrices and vectors over a finite field.
 
-Entries are plain int values interpreted in the owning field; all
-operations are exact Gaussian elimination with first-nonzero pivoting,
-so there is no tolerance anywhere.  Matrices are immutable; operations
-return new objects and are safe to call concurrently.
+Entries are plain int values interpreted in the owning field; every
+product is a lookup in the field's product table for its constant.
+Elimination is exact, one row at a time (`_insert`), pivoting on the
+first nonzero column, so there is no tolerance anywhere.  Matrices are
+immutable; operations return new objects and are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -79,41 +81,68 @@ class FieldMatrix:
 
 
 def dot(field: Field, a: Sequence[int], b: Sequence[int]) -> int:
-    """a . b over the field, for sequences of equal length."""
+    """a . b over the field, for sequences of equal length: a sum of
+    product-table lookups."""
+    times = field.times
     acc = 0
+    if field.p == 2:
+        for x, y in zip(a, b):
+            if x and y:
+                acc ^= times(x)[y]
+        return acc
     for x, y in zip(a, b):
         if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+            acc += times(x)[y]
+    return acc % field.p
+
+
+def _axpy(field: Field, y: list[int], a: int, x: Sequence[int]) -> list[int]:
+    """y + a * x, entrywise."""
+    t = field.times(a)
+    if field.p == 2:
+        return [u ^ t[v] for u, v in zip(y, x)]
+    p = field.p
+    return [(u + t[v]) % p for u, v in zip(y, x)]
+
+
+def _insert(field: Field, basis: dict[int, list[int]], row: list[int], limit: int) -> int | None:
+    """One elimination step: reduce `row`, in place, against `basis`, the
+    rows of a reduced row echelon form keyed by pivot column.  If the
+    reduced row is nonzero in its first `limit` columns, scale it to a
+    leading 1 there, clear that column from the basis rows, and add it to
+    `basis` under that column, which is returned; otherwise return None.
+
+    Basis rows vanish on each other's pivot columns, so the coefficient
+    of each basis row is read off `row` as given, in any order."""
+    for c, prow in basis.items():
+        if row[c]:
+            row[:] = _axpy(field, row, field.neg(row[c]), prow)
+    pc = next((c for c in range(limit) if row[c]), None)
+    if pc is None:
+        return None
+    if row[pc] != 1:
+        t = field.times(field.inv(row[pc]))
+        row[:] = [t[v] for v in row]
+    for prow in basis.values():
+        if prow[pc]:
+            prow[:] = _axpy(field, prow, field.neg(prow[pc]), row)
+    basis[pc] = row
+    return pc
 
 
 def _rref(field: Field, rows: list[list[int]], pivot_cols_limit: int) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; pivots searched in columns
-    [0, pivot_cols_limit).  Returns (rows, pivot column indices)."""
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(pivot_cols_limit):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Reduced row echelon form, pivots searched in columns
+    [0, pivot_cols_limit): each row is `_insert`-ed once, in order, and
+    reduced in place.  Returns (rows, pivot column indices): the pivot
+    rows in column order, then the rows that vanish on that range, in
+    input order.  Pivot columns, and the part of each pivot row inside
+    the range, depend only on the row space; the whole pivot rows do too
+    when no nonzero combination of the rows vanishes on the range, as
+    for every caller that reads them."""
+    basis: dict[int, list[int]] = {}
+    rest = [row for row in rows if _insert(field, basis, row, pivot_cols_limit) is None]
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots] + rest, pivots
 
 
 def rank(m: FieldMatrix) -> int:

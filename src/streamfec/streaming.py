@@ -60,7 +60,6 @@ from typing import Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
-from .galois import Field
 from .matrix import _rref, dot
 
 
@@ -217,21 +216,6 @@ _NO_CANDIDATE = "no consistent candidate"
 _AMBIGUOUS = "ambiguous"
 
 
-class _Products(dict):
-    """v -> c * v over the field for one constant c, filled on first use,
-    so a large field never tabulates values it does not see."""
-
-    __slots__ = ("field", "c")
-
-    def __init__(self, field: Field, c: int):
-        super().__init__()
-        self.field, self.c = field, c
-
-    def __missing__(self, v: int) -> int:
-        p = self[v] = self.field.mul(self.c, v)
-        return p
-
-
 def _window_diagonals(code: SystematicCode, width: int):
     """(o, given, positions) for each diagonal t+o touching the window
     [t, t+width-1]: it knows its first `given` coordinates (those before
@@ -241,7 +225,7 @@ def _window_diagonals(code: SystematicCode, width: int):
         yield o, min(max(-o, 0), k), range(max(-o, 0), min(n, width - o))
 
 
-def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, _Products], ...]]:
+def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, Sequence[int]], ...]]:
     """The full-window checks of a width-slot window [t, t+width-1], one
     per check of `code.recovery` with every window position received, on
     every diagonal touching the window.  They read the window observation
@@ -249,14 +233,13 @@ def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, _P
     received packets [t, t+width-1] (n symbols each).  A check is its
     nonzero terms (index into Y, products by its coefficient)."""
     n, k, f = code.n, code.k, code.field
-    products: dict[int, _Products] = {}
     out = []
     for o, given, positions in _window_diagonals(code, width):
         checks, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
         index = [(o + i + n - 1) * k + i for i in range(given)]
         index += [(n - 1) * k + (o + j) * n + j for j in positions]
         for c in checks:
-            out.append(tuple((at, products.setdefault(a, _Products(f, a))) for at, a in zip(index, c) if a))
+            out.append(tuple((at, f.times(a)) for at, a in zip(index, c) if a))
     return out
 
 
@@ -279,7 +262,6 @@ def _candidate_rows(
     phi . R_d.  A candidate's checks, and each of its pin rows minus the
     received u_i(t), are such rows."""
     k, f = code.k, code.field
-    products: dict[int, _Products] = {}
     rows = {offs: [0, [], [None] * k] for offs in candidates}
     start = 0
     for o, given, positions in _window_diagonals(code, width):
@@ -294,10 +276,11 @@ def _candidate_rows(
             lam = [0] * r
             for row, col in zip(reduced, pivots):
                 if phi[col]:
-                    lam = [f.add(a, f.mul(phi[col], e)) for a, e in zip(lam, row[m:])]
+                    times = f.times(phi[col])
+                    lam = [f.add(a, times[e]) for a, e in zip(lam, row[m:])]
             if [dot(f, lam, column) for column in columns] != phi:
                 raise RuntimeError(f"a candidate row on diagonal offset {o} is no combination of its window checks")
-            return tuple((start + at, products.setdefault(a, _Products(f, a))) for at, a in enumerate(lam) if a)
+            return tuple((start + at, f.times(a)) for at, a in enumerate(lam) if a)
 
         def rows_without(kept: list[int]) -> tuple[tuple, tuple | None]:
             """The check rows and the u_i(t) correction row, i = -o, of
@@ -499,7 +482,10 @@ def decode_errors(
             messages_out.append(None)
             halted = True
         else:
-            value = tuple(f.add(r, g) for r, g in zip(received[t], verdict))
+            if binary:
+                value = tuple(r ^ g for r, g in zip(received[t], verdict))
+            else:
+                value = tuple((r + g) % q for r, g in zip(received[t], verdict))
             known_flat += value
             messages_out.append(value)
             per_packet.append(PacketStatus(t, True, wend, deadline))
@@ -541,12 +527,18 @@ def apply_erasures(stream: PacketStream, pattern: ErasurePattern) -> list[tuple[
 
 
 def apply_errors(stream: PacketStream, pattern: ErrorPattern) -> list[tuple[int, ...]]:
-    f = stream.code.field
+    """The received packets: each packet plus its error packet, and the
+    packet itself where the error packet is zero."""
+    p = stream.code.field.p
     out = []
-    for t in range(stream.packet_horizon):
+    for t, pkt in enumerate(stream.packets):
         err = pattern.packet(t)
-        pkt = stream.packets[t]
-        out.append(tuple(f.add(a, b) for a, b in zip(pkt, err)))
+        if not any(err):
+            out.append(pkt)
+        elif p == 2:
+            out.append(tuple(a ^ b for a, b in zip(pkt, err)))
+        else:
+            out.append(tuple((a + b) % p for a, b in zip(pkt, err)))
     return out
 
 

@@ -117,6 +117,18 @@ def test_multi_burst_preconditions():
 # -- causal to systematic ---------------------------------------------------
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 8])
+def test_encode_matches_generator_product(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for n, k in ((2, 1), (5, 3), (7, 4), (9, 5)):
+        for _ in range(5):
+            code = SystematicCode(f, n, k, FieldMatrix(f, [[rng.randrange(q) for _ in range(n - k)] for _ in range(k)]))
+            for _ in range(20):
+                u = [rng.randrange(q) for _ in range(k)]
+                assert code.encode(u) == code.generator.vector_mul(u)
+
+
 def test_causal_to_systematic_identity_on_systematic_input():
     code = build_mds(5, 3, F8)
     causal = CausalCode(field=F8, n=5, k=3, G=code.generator)
@@ -342,7 +354,7 @@ def _dot(field, row, y):
     return acc
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3)])
 def test_recovery_matches_codebook(n, k, q):
     """Every (prefix known, avail) query of a random, typically non-MDS
@@ -377,6 +389,67 @@ def test_recovery_matches_codebook(n, k, q):
             for _ in range(20):
                 y = tuple(rng.randrange(q) for _ in range(g + len(positions)))
                 assert all(_dot(f, row, y) == 0 for row in checks) == (y in observed)
+
+
+def _column_rref(field, rows, limit):
+    """Column-by-column elimination with first-nonzero pivoting and row
+    swaps, on `Field` methods only."""
+    r, pivots = 0, []
+    for c in range(limit):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _recover_by_full_elimination(code, known, avail):
+    """`SystematicCode._recover` as a whole-matrix elimination after every
+    received position: the observations are generator columns with an
+    identity record, and a pin is read off the first reduced form whose
+    row for u_i has no later coordinate."""
+    k = code.k
+    columns = list(zip(*code.generator.data))
+    given = [i for i in range(k) if known >> i & 1]
+    positions = [j for j in range(code.n) if avail >> j & 1]
+    obs = given + positions
+    aug = [list(columns[j]) + [int(l == c) for c in range(len(obs))] for l, j in enumerate(obs)]
+    rows, pivots = _column_rref(code.field, aug[: len(given)], k)
+    pins = {}
+    for row_in, j in zip(aug[len(given) :], positions):
+        rows, pivots = _column_rref(code.field, rows + [row_in], k)
+        for row, c in zip(rows, pivots):
+            if c not in pins and not known >> c & 1 and not any(row[c + 1 : k]):
+                pins[c] = (j, tuple(row[k:]))
+    return [tuple(row[k:]) for row in rows[len(pivots) :]], pins
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_incremental_recovery_matches_full_elimination(q):
+    """Each observation eliminated once gives the pins, rows included, and
+    the checks of re-eliminating the whole matrix per received position,
+    for every (known prefix, avail) query of random codes with n <= 6."""
+    f = GF(q)
+    rng = random.Random(q)
+    for n in range(2, 7):
+        for k in range(1, n):
+            for _ in range(2):
+                p = FieldMatrix(f, [[rng.randrange(q) for _ in range(n - k)] for _ in range(k)])
+                code = SystematicCode(f, n, k, p)
+                for avail in range(1 << n):
+                    for g in range(k + 1):
+                        checks, pins = code._recover((1 << g) - 1, avail)
+                        want_checks, want_pins = _recover_by_full_elimination(code, (1 << g) - 1, avail)
+                        assert pins == want_pins
+                        assert sorted(checks) == sorted(want_checks)
 
 
 # -- descriptors -------------------------------------------------------------

@@ -183,6 +183,7 @@ def test_bad_model_spec_is_operational_error(tmp_path, capsys):
 # one error boundary and the library validated its inputs.
 BAD_INPUT = {
     "construct-unsupported-field": "construct --mds 5 3 --gf 6",
+    "construct-negative-modulus": "construct --mds 5 3 --gf 8 --modulus -11",
     "bounds-non-numeric-grid": "bounds --grid z=a..3",
     "bounds-reversed-range": "bounds --grid z=1..0",
     "verify-tau-below-k": "verify-code --descriptor {dir}/code53.json --tau 2 --bursts 1 2",
@@ -228,6 +229,16 @@ BAD_INPUT = {
         "--horizon 2"
     ),
     "verify-descriptor-true-in-P": "verify-code --descriptor {dir}/true_P.json --tau 4 --bursts 1 2",
+    "verify-descriptor-m-string": "verify-code --descriptor {dir}/m_string.json --tau 4 --bursts 1 2",
+    "verify-descriptor-n-string": "verify-code --descriptor {dir}/n_string.json --tau 4 --bursts 1 2",
+    "verify-descriptor-P-number": "verify-code --descriptor {dir}/P_number.json --tau 4 --bursts 1 2",
+    "simulate-descriptor-null-row-in-P": (
+        "simulate --descriptor {dir}/P_null_row.json --tau 4 --pattern {dir}/ok.csv --horizon 2"
+    ),
+    "simulate-descriptor-field-list": (
+        "simulate --descriptor {dir}/field_list.json --tau 4 --pattern {dir}/ok.csv --horizon 2"
+    ),
+    "verify-descriptor-top-level-list": "verify-code --descriptor {dir}/top_list.json --tau 4 --bursts 1 2",
 }
 
 
@@ -246,9 +257,20 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv):
     for name, horizon, t in (("true_t", 6, True), ("true_horizon", True, 0)):
         errors = [{"t": t, "packet": [1, 0, 0, 0, 0]}]
         (tmp_path / f"{name}.json").write_text(json.dumps({"horizon": horizon, "packet_size": 5, "errors": errors}))
-    descriptor = json.loads((tmp_path / "code53.json").read_text())
-    descriptor["P"][0][0] = True
-    (tmp_path / "true_P.json").write_text(json.dumps(descriptor))
+    # Descriptors with a field of the wrong JSON type
+    base = json.loads((tmp_path / "code53.json").read_text())
+    p_rows = base["P"]
+    bad_descriptors = {
+        "true_P": {**base, "P": [[True] + p_rows[0][1:]] + p_rows[1:]},
+        "m_string": {**base, "field": {**base["field"], "m": "3"}},
+        "n_string": {**base, "n": "5"},
+        "P_number": {**base, "P": 5},
+        "P_null_row": {**base, "P": [p_rows[0], None] + p_rows[2:]},
+        "field_list": {**base, "field": [2, 3]},
+        "top_list": [base],
+    }
+    for name, descriptor in bad_descriptors.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(descriptor))
     with pytest.raises(SystemExit) as exc:
         main(argv.format(dir=tmp_path).split())
     message = exc.value.code

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,27 @@ def test_unsupported_orders_rejected():
         Field(257)
     with pytest.raises(ValueError):
         Field(2, 4, modulus=0b10101)  # x^4 + x^2 + 1 = (x^2+x+1)^2
+    with pytest.raises(ValueError):
+        Field(2, 3, modulus=-11)  # bit length 4, but no polynomial
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256])
+def test_product_tables_match_mul_exhaustively(q):
+    f = GF(q)
+    for c in range(q):
+        table = f.times(c)
+        assert [table[v] for v in range(q)] == [f.mul(c, v) for v in range(q)]
+        assert f.times(c) is table
+
+
+def test_product_tables_match_mul_sampled_gf65536():
+    f = Field(2, 16)
+    rng = random.Random(16)
+    for _ in range(3000):
+        c, v = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.times(c)[v] == f.mul(c, v)
+    # a large field's table holds only the values it was asked for
+    assert len(f.times(3)) <= 3000
 
 
 def test_descriptor_roundtrip():

@@ -118,6 +118,20 @@ def test_punctured_parity_annihilates_punctured_codewords():
             assert all(dot(F8, row, cw[:width]) == 0 for row in hi.data)
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 256, 1 << 16])
+def test_dot_matches_naive_sum(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for length in range(7):
+        for _ in range(40):
+            a = [rng.choice((0, rng.randrange(q))) for _ in range(length)]
+            b = [rng.randrange(q) for _ in range(length)]
+            want = 0
+            for x, y in zip(a, b):
+                want = f.add(want, f.mul(x, y))
+            assert dot(f, a, b) == want
+
+
 def test_matrix_json_literals_roundtrip():
     m = FieldMatrix(F8, [[0, 1, 2], [3, 4, 5]])
     assert FieldMatrix(F8, m.to_lists()) == m
