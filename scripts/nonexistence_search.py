@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Exhaust small systematic code spaces against multi-burst erasures.
+"""Exhaust systematic code spaces against multi-burst erasures.
 
-Reproduces the desk-scale divisibility evidence: at the minimum delay
+Reproduces the divisibility evidence: at the minimum delay
 tau* = k + (z-1)b, an [k+zb, k] code surviving every (z,b)-burst exists
 only when b divides k.  The [9,5] space at delay 7 (2^20 candidates) and
-the [7,3] space at delay 5 (over GF(2) and GF(3)) come up empty, while
-the divisible [8,4] case has an explicit construction.
+the [7,3] space at delay 5 (over GF(2) and GF(3)) come up empty, and so
+do the binary b∤k spaces up to [13,7] with z=2, b=3 (2^42 candidates),
+which the prefix-pruned search refutes in the first coefficient rows.
+The divisible [8,4] case has an explicit construction.
+
+Two binary rows have b | k and still no code: [12,6] and [14,8] with
+z=3, b=2.  They are field-size data, not counterexamples: the
+construction needs a field of size q >= k/b + z.
 """
 
 import json
@@ -13,21 +19,31 @@ import time
 
 from streamfec import GF, build_multi_burst, burst_supports, search_nonexistence, verify_delay_decodable
 
+# n, k, z, b, tau, q, and the label of what an empty space shows
 TASKS = [
-    (9, 5, 2, 2, 7, 2),
-    (7, 3, 2, 2, 5, 2),
-    (7, 3, 2, 2, 5, 3),
+    (9, 5, 2, 2, 7, 2, "b does not divide k"),
+    (7, 3, 2, 2, 5, 2, "b does not divide k"),
+    (7, 3, 2, 2, 5, 3, "b does not divide k"),
+    (10, 4, 2, 3, 7, 2, "b does not divide k"),
+    (11, 5, 2, 3, 8, 2, "b does not divide k"),
+    (13, 7, 2, 3, 10, 2, "b does not divide k"),
+    (11, 7, 2, 2, 9, 2, "b does not divide k"),
+    (13, 9, 2, 2, 11, 2, "b does not divide k"),
+    (12, 6, 3, 2, 10, 2, "field-size data, b divides k"),
+    (14, 8, 3, 2, 12, 2, "field-size data, b divides k"),
 ]
 
 
 def main() -> None:
-    for n, k, z, b, tau, q in TASKS:
+    for n, k, z, b, tau, q, label in TASKS:
         t0 = time.time()
-        res = search_nonexistence(n, k, z, b, tau, GF(q))
+        # the guard is the whole space: each target is meant to be exhausted
+        res = search_nonexistence(n, k, z, b, tau, GF(q), guard=q ** (k * (n - k)))
         print(
             json.dumps(
                 {
                     "n": n, "k": k, "z": z, "b": b, "tau": tau, "gf": q,
+                    "evidence": label,
                     "found": res["found"],
                     "candidates_checked": res["candidates_checked"],
                     "seconds": round(time.time() - t0, 2),

@@ -2,15 +2,15 @@
 and an independent codeword-consistency decodability check used to
 cross-validate the analytic verifier.
 
-The search enumerates every k x (n-k) coefficient matrix over the field
-in row-major lexicographic order and tests each candidate against the
-full (z, b)-burst family.  A tight per-field kernel evaluates the
-recoverability criterion directly on projected coefficient rows; any
-candidate that survives the kernel is re-checked with the reference
-verifier before being reported as a witness.  Check order adapts as the
-scan runs (a killing check bubbles toward the front), which changes
-nothing about the outcome: a candidate is a witness iff it passes every
-check.
+The search covers every k x (n-k) coefficient matrix over the field in
+row-major lexicographic order, depth-first over the k rows, against the
+full (z, b)-burst family distilled into span checks.  Each check is
+evaluated at the deepest row it reads, with `matrix._insert` on the rows
+projected onto its coordinates, and a check that fails on a prefix of
+rows fails for every completion of it, so the integer cursor skips the
+prefix's whole subtree.  Every candidate the cursor passes is covered;
+the first survivor is the lexicographically first witness, and it is
+re-checked with the reference verifier before it is reported.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .block_code import SystematicCode, VerifyResult, _as_support, _check_range, verify_delay_decodable
 from .channel import burst_supports
 from .galois import Field
-from .matrix import FieldMatrix
+from .matrix import FieldMatrix, _insert
 
 _CODEBOOK_GUARD = 1 << 20
 _SEARCH_GUARD = 1 << 24
@@ -118,156 +118,84 @@ def _build_checks(n: int, k: int, tau: int, supports: Sequence[tuple[int, ...]])
             if key not in seen:
                 seen.add(key)
                 checks.append(key)
-    # Most-constrained first: small projections with few helper columns
-    # reject random candidates fastest; the scan adapts from there.
+    # Most-constrained first: small projections with many helper rows
+    # reject random candidates fastest.  The scan keeps this order among
+    # the checks it evaluates at each depth.
     checks.sort(key=lambda c: (len(c[1]) - len(c[2]), len(c[1]), c[0]))
     return checks
 
 
-def _row_space(field: Field, r: int) -> list[tuple[int, ...]]:
-    return list(product(range(field.q), repeat=r))
-
-
-def _scan_gf2(checks, rows, r, k, start, stop, digits, progress=None):
-    """Kernel over GF(2): projected rows are bitmasks, span tests are
-    xor eliminations.  Returns (survivor_index | None, next_index)."""
-    tables = []
-    for i, coords, msg_js in checks:
-        tbl = [sum(vec[c] << pos for pos, c in enumerate(coords)) for vec in rows]
-        tables.append([tbl, i, tuple(msg_js)])
-    idx = start
-    while idx < stop:
-        killed = False
-        for ci, (tbl, tj, ojs) in enumerate(tables):
-            t = tbl[digits[tj]]
-            if t:
-                piv = {}
-                for j in ojs:
-                    v = tbl[digits[j]]
-                    while v:
-                        h = v.bit_length()
-                        pv = piv.get(h)
-                        if pv is None:
-                            piv[h] = v
-                            break
-                        v ^= pv
-                while t:
-                    pv = piv.get(t.bit_length())
-                    if pv is None:
-                        break
-                    t ^= pv
-            if not t:
-                killed = True
-                if ci:
-                    tables[ci - 1], tables[ci] = tables[ci], tables[ci - 1]
-                break
-        if not killed:
-            return idx, idx + 1
-        idx += 1
-        if progress is not None and not idx % 65536:
-            progress(idx)
-        for pos in range(k - 1, -1, -1):
-            d = digits[pos] + 1
-            if d == len(rows):
-                digits[pos] = 0
-            else:
-                digits[pos] = d
-                break
-    return None, stop
-
-
-def _scan_generic(field, checks, rows, r, k, start, stop, digits, progress=None):
-    """Kernel over any small field: projected rows are tuples, span tests
-    are Gaussian eliminations using precomputed op tables."""
-    q = field.q
-    mul = [[field.mul(a, b) for b in range(q)] for a in range(q)]
-    sub = [[field.sub(a, b) for b in range(q)] for a in range(q)]
-    inv = [0] + [field.inv(a) for a in range(1, q)]
-    tables = []
-    for i, coords, msg_js in checks:
-        tbl = [tuple(vec[c] for c in coords) for vec in rows]
-        tables.append([tbl, i, tuple(msg_js), len(coords)])
-    idx = start
-    while idx < stop:
-        killed = False
-        for ci, (tbl, tj, ojs, nc) in enumerate(tables):
-            t = tbl[digits[tj]]
-            if any(t):
-                piv: list[tuple[int, ...] | None] = [None] * nc
-                for j in ojs:
-                    v = tbl[digits[j]]
-                    for h in range(nc):
-                        vh = v[h]
-                        if vh:
-                            pv = piv[h]
-                            if pv is None:
-                                iv = inv[vh]
-                                piv[h] = tuple(mul[iv][x] for x in v)
-                                break
-                            mrow = mul[vh]
-                            v = tuple(sub[a][mrow[b]] for a, b in zip(v, pv))
-                inspan = True
-                for h in range(nc):
-                    th = t[h]
-                    if th:
-                        pv = piv[h]
-                        if pv is None:
-                            inspan = False
-                            break
-                        mrow = mul[th]
-                        t = tuple(sub[a][mrow[b]] for a, b in zip(t, pv))
-                if not inspan:
-                    continue
-            killed = True
-            if ci:
-                tables[ci - 1], tables[ci] = tables[ci], tables[ci - 1]
-            break
-        if not killed:
-            return idx, idx + 1
-        idx += 1
-        if progress is not None and not idx % 65536:
-            progress(idx)
-        for pos in range(k - 1, -1, -1):
-            d = digits[pos] + 1
-            if d == len(rows):
-                digits[pos] = 0
-            else:
-                digits[pos] = d
-                break
-    return None, stop
-
-
-def _digits_of(index: int, base: int, k: int) -> list[int]:
-    digits = [0] * k
-    for pos in range(k - 1, -1, -1):
+def _digits_of(index: int, base: int, width: int) -> list[int]:
+    """The `width` base-`base` digits of index, most significant first."""
+    digits = [0] * width
+    for pos in range(width - 1, -1, -1):
         index, digits[pos] = divmod(index, base)
     return digits
 
 
-def _code_from_digits(field: Field, n: int, k: int, rows, digits) -> SystematicCode:
-    p = FieldMatrix(field, [rows[d] for d in digits])
-    return SystematicCode(field=field, n=n, k=k, P=p)
+def _fails(field: Field, rows: list, check) -> bool:
+    """True iff the candidate rows fail the check: row i, projected onto
+    the check's coords, lies in the span of the projected msg_js rows."""
+    i, coords, msg_js = check
+    width = len(coords)
+    target = [rows[i][c] for c in coords]
+    if not any(target):
+        return True
+    basis: dict[int, list[int]] = {}
+    for j in msg_js:
+        _insert(field, basis, [rows[j][c] for c in coords], width)
+    return _insert(field, basis, target, width) is None
 
 
-def _scan_range(
-    field: Field, n: int, k: int, tau: int, checks, start: int, stop: int, progress=None
-) -> int | None:
-    """First surviving candidate index in [start, stop), or None."""
+def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=None) -> int | None:
+    """First surviving candidate index in [start, stop), or None.
+
+    Depth-first over the k coefficient rows, in row-major lexicographic
+    order: the node at depth d fixes rows 0..d, and each check is
+    evaluated at the deepest row it reads.  A check that fails there
+    fails for every completion of the prefix, so the cursor moves past
+    the node's whole subtree, clipped to stop.  `progress` receives every
+    multiple of 2^16 the cursor reaches, in order."""
+    q, base = field.q, field.q**r
+    at_depth: list[list] = [[] for _ in range(k)]
+    for check in checks:
+        at_depth[max((check[0], *check[2]))].append(check)
+    sizes = [base ** (k - 1 - d) for d in range(k)]
+    rows: list = [None] * k
+    digits = _digits_of(start, base, k)
+    idx, depth = start, 0
+    # Invariant: every check at a depth below `depth` passes on rows[:depth].
+    while idx < stop:
+        for d in range(depth, k):
+            rows[d] = _digits_of(digits[d], q, r)
+            if any(_fails(field, rows, check) for check in at_depth[d]):
+                break
+        else:
+            return idx
+        nxt = min(idx - idx % sizes[d] + sizes[d], stop)
+        if progress is not None:
+            for cursor in range(idx - idx % 65536 + 65536, nxt + 1, 65536):
+                progress(cursor)
+        idx = nxt
+        if idx < stop:
+            moved = _digits_of(idx, base, k)
+            depth = next(d for d in range(k) if moved[d] != digits[d])
+            digits = moved
+    return None
+
+
+def _code_at(field: Field, n: int, k: int, index: int) -> SystematicCode:
     r = n - k
-    rows = _row_space(field, r)
-    digits = _digits_of(start, len(rows), k)
-    if field.q == 2:
-        survivor, _ = _scan_gf2(checks, rows, r, k, start, stop, digits, progress)
-    else:
-        survivor, _ = _scan_generic(field, checks, rows, r, k, start, stop, digits, progress)
-    return survivor
+    digits = _digits_of(index, field.q**r, k)
+    p = FieldMatrix(field, [_digits_of(d, field.q, r) for d in digits])
+    return SystematicCode(field=field, n=n, k=k, P=p)
 
 
 def _scan_task(args) -> int | None:
     field_dict, n, k, tau, z, b, start, stop = args
     field = Field.from_dict(field_dict)
     checks = _build_checks(n, k, tau, burst_supports(n, z, b))
-    return _scan_range(field, n, k, tau, checks, start, stop)
+    return _scan(field, k, n - k, checks, start, stop)
 
 
 def search_nonexistence(
@@ -292,6 +220,8 @@ def search_nonexistence(
     candidates_checked; when none exists, candidates_checked == total.
     `start` is a resume cursor into the same enumeration.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if n != k + z * b:
         raise ValueError(f"expected n = k + z*b, got n={n}, k={k}, z={z}, b={b}")
     if not k <= tau <= n - 1:
@@ -306,11 +236,10 @@ def search_nonexistence(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     supports = burst_supports(n, z, b)
     checks = _build_checks(n, k, tau, supports)
-    rows = _row_space(field, r)
 
     survivor: int | None = None
     if jobs == 1:
-        survivor = _scan_range(field, n, k, tau, checks, start, total, progress)
+        survivor = _scan(field, k, r, checks, start, total, progress)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -327,7 +256,7 @@ def search_nonexistence(
 
     if survivor is None:
         return {"found": False, "witness": None, "candidates_checked": total - start, "total": total}
-    code = _code_from_digits(field, n, k, rows, _digits_of(survivor, len(rows), k))
+    code = _code_at(field, n, k, survivor)
     confirmed: VerifyResult = verify_delay_decodable(code, tau, supports)
     if not confirmed.ok:
         raise RuntimeError(f"kernel survivor {survivor} fails the reference verifier at {confirmed.counterexample}")

@@ -214,6 +214,8 @@ BAD_INPUT = {
     "search-cursor-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from -5",
     "search-jobs-zero": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs 0",
     "search-jobs-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs -2",
+    "search-k-zero": "search-nonexistence --n 4 --k 0 --z 2 --b 2 --tau 2 --gf 2",
+    "search-k-negative": "search-nonexistence --n 3 --k -1 --z 2 --b 2 --tau 1 --gf 2",
     "simulate-missing-pattern-file": (
         "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/missing.csv --horizon 2"
     ),

@@ -8,7 +8,7 @@ from streamfec import search
 from streamfec.block_code import SystematicCode, VerifyResult, build_mds, build_multi_burst, verify_delay_decodable
 from streamfec.channel import burst_supports
 from streamfec.galois import GF
-from streamfec.matrix import FieldMatrix
+from streamfec.matrix import FieldMatrix, rank
 from streamfec.search import (
     brute_force_decodable,
     cross_validate,
@@ -17,6 +17,35 @@ from streamfec.search import (
 )
 
 F2, F3, F8 = GF(2), GF(3), GF(8)
+
+
+def _flat_scan(field, n, k, checks, start, stop):
+    """Independent oracle for the search kernel: every candidate in
+    [start, stop), in index order, against every check by rank, with no
+    pruning.  Returns (first survivor or None, the multiples of 2^16 the
+    cursor reaches)."""
+
+    def fails(p, check):
+        i, coords, msg_js = check
+        others = [[p[j][c] for c in coords] for j in msg_js]
+        target = [p[i][c] for c in coords]
+        return rank(FieldMatrix(field, others + [target])) == rank(FieldMatrix(field, others))
+
+    rows = list(product(range(field.q), repeat=n - k))
+    ticks = []
+    for idx in range(start, stop):
+        if idx > start and idx % 65536 == 0:
+            ticks.append(idx)
+        digits, rest = [], idx
+        for _ in range(k):
+            rest, d = divmod(rest, len(rows))
+            digits.insert(0, d)
+        p = [rows[d] for d in digits]
+        if not any(fails(p, check) for check in checks):
+            return idx, ticks
+    if stop > start and stop % 65536 == 0:
+        ticks.append(stop)
+    return None, ticks
 
 
 def test_brute_force_trivial_cases():
@@ -101,6 +130,62 @@ def test_search_determinism():
     assert not r1["found"] and r1["candidates_checked"] == 3**12
 
 
+def test_kernel_matches_flat_scan_on_random_spaces():
+    # seeded random (q, z, b, k, tau) spaces of at most 2^16 candidates,
+    # each over a random [start, stop): the same survivor and the same
+    # progress cursors as the flat scan
+    rng = random.Random(9)
+    shapes = [
+        (q, z, b, k)
+        for q in (2, 3, 4, 5)
+        for z in (1, 2)
+        for b in (1, 2, 3)
+        for k in (1, 2, 3)
+        if q ** (k * z * b) <= 1 << 16
+    ]
+    survivors = ticked = 0
+    for _ in range(300):
+        q, z, b, k = rng.choice(shapes)
+        n = k + z * b
+        tau = rng.randrange(k, n)
+        total = q ** (k * z * b)
+        start = rng.randrange(total + 1)
+        # a quarter of the ranges run to the end of the space, where a
+        # 2^16-candidate space reports its one progress cursor
+        stop = total if rng.randrange(4) == 0 else rng.randrange(start, total + 1)
+        field = GF(q)
+        checks = search._build_checks(n, k, tau, burst_supports(n, z, b))
+        ticks = []
+        got = search._scan(field, k, n - k, checks, start, stop, ticks.append)
+        want = _flat_scan(field, n, k, checks, start, stop)
+        assert (got, ticks) == want, (n, k, z, b, tau, q, start, stop)
+        survivors += got is not None
+        ticked += bool(ticks)
+    assert survivors >= 100 and ticked >= 1
+
+
+def test_search_progress_reports_every_multiple_of_2_16():
+    # pruning skips whole subtrees, but the cursor still reports each
+    # multiple of 2^16 it passes, in order, as the flat scan did
+    ticks = []
+    res = search_nonexistence(9, 5, 2, 2, 7, F2, progress=ticks.append)
+    assert not res["found"] and res["candidates_checked"] == 1 << 20
+    assert ticks == [65536 * m for m in range(1, 17)]
+    ticks = []
+    res = search_nonexistence(9, 3, 2, 3, 6, F2, start=70000, progress=ticks.append)
+    assert res["candidates_checked"] == 148618 - 70000
+    assert ticks == [131072]
+
+
+def test_search_refutes_non_divisible_targets_past_the_default_guard():
+    # b does not divide k at tau* = k + (z-1)b: no binary code, in spaces
+    # of 2^24 and 2^42 candidates that pruning refutes in the first rows
+    for n, k, z, b, tau in ((10, 4, 2, 3, 7), (13, 7, 2, 3, 10)):
+        total = 1 << (k * z * b)
+        res = search_nonexistence(n, k, z, b, tau, F2, guard=total)
+        assert res == {"found": False, "witness": None, "candidates_checked": total, "total": total}
+
+
 def test_search_resume_cursor():
     full = search_nonexistence(4, 2, 1, 2, 2, F2)
     resumed = search_nonexistence(4, 2, 1, 2, 2, F2, start=full["candidates_checked"])
@@ -115,6 +200,9 @@ def test_search_guard_rejects_huge_spaces():
 
 
 def test_search_validates_shape():
+    for n, k, tau in ((4, 0, 2), (3, -1, 1), (1, -3, -3)):
+        with pytest.raises(ValueError, match="k >= 1"):
+            search_nonexistence(n, k, 2, 2, tau, F2)
     with pytest.raises(ValueError):
         search_nonexistence(8, 5, 2, 2, 6, F2)  # n != k + z*b
     with pytest.raises(ValueError):
