@@ -11,6 +11,15 @@ rows fails for every completion of it, so the integer cursor skips the
 prefix's whole subtree.  Every candidate the cursor passes is covered;
 the first survivor is the lexicographically first witness, and it is
 re-checked with the reference verifier before it is reported.
+
+Over q > 2 the scan also skips a node whose new row is not
+column-normalized where that is exact.  Scaling a parity column by a
+nonzero constant applies an invertible diagonal map to every projected
+row, so it keeps each check's verdict and the reference verifier's.  A
+skipped candidate therefore has a scaled twin that is judged alike and
+lies earlier in the order, but never before the resume cursor: a
+resumed scan returns the first witness at or after its start, exactly
+as the unscaled scan does, with the same cursors.
 """
 
 from __future__ import annotations
@@ -155,19 +164,42 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     evaluated at the deepest row it reads.  A check that fails there
     fails for every completion of the prefix, so the cursor moves past
     the node's whole subtree, clipped to stop.  `progress` receives every
-    multiple of 2^16 the cursor reaches, in order."""
+    multiple of 2^16 the cursor reaches, in order.
+
+    For q > 2 the cursor also moves past a node whose row is not
+    column-normalized.  The fresh columns at depth d are those zero in
+    rows 0..d-1; v' is the node's row with every fresh digit above 1 set
+    to 1.  Scaling those columns maps each candidate W below the node to
+    one below its earlier sibling v' that every check, and the reference
+    verifier, judge alike.  So when v''s subtree starts at or after
+    `start`, W' lies in [start, W), W is not the first survivor, and the
+    subtree is skipped; otherwise (a resumed scan whose cursor passed v')
+    the node is scanned.  The first survivor, and with it every cursor,
+    is the one the unscaled scan finds."""
     q, base = field.q, field.q**r
     at_depth: list[list] = [[] for _ in range(k)]
     for check in checks:
         at_depth[max((check[0], *check[2]))].append(check)
     sizes = [base ** (k - 1 - d) for d in range(k)]
+    weights = [q ** (r - 1 - c) for c in range(r)]
     rows: list = [None] * k
+    # fresh[d]: the columns zero in rows[:d]; GF(2) has nothing to scale.
+    fresh: list = [None] * (k + 1)
+    fresh[0] = range(r) if q > 2 else ()
     digits = _digits_of(start, base, k)
     idx, depth = start, 0
-    # Invariant: every check at a depth below `depth` passes on rows[:depth].
+    # Invariant: every check at a depth below `depth` passes on rows[:depth],
+    # and fresh[:depth + 1] belongs to rows[:depth].
     while idx < stop:
         for d in range(depth, k):
-            rows[d] = _digits_of(digits[d], q, r)
+            row = rows[d] = _digits_of(digits[d], q, r)
+            cols = fresh[d]
+            if cols:
+                excess = sum((row[c] - 1) * weights[c] for c in cols if row[c] > 1)
+                if excess and idx - idx % sizes[d] - excess * sizes[d] >= start:
+                    break
+                cols = [c for c in cols if not row[c]]
+            fresh[d + 1] = cols
             if any(_fails(field, rows, check) for check in at_depth[d]):
                 break
         else:
@@ -218,7 +250,8 @@ def search_nonexistence(
     code exists, the witness is the candidate whose coefficient matrix
     is row-major lexicographically first, its index determining
     candidates_checked; when none exists, candidates_checked == total.
-    `start` is a resume cursor into the same enumeration.
+    `start` is a resume cursor into the same enumeration: the result is
+    the first witness at or after it.  `progress` needs jobs=1.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -234,6 +267,8 @@ def search_nonexistence(
         raise ValueError(f"resume cursor {start} outside the candidate space [0, {total}]")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if progress is not None and jobs > 1:
+        raise ValueError(f"progress needs jobs=1: the {jobs} worker processes report no cursors")
     supports = burst_supports(n, z, b)
     checks = _build_checks(n, k, tau, supports)
 

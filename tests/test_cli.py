@@ -216,6 +216,7 @@ BAD_INPUT = {
     "search-jobs-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs -2",
     "search-k-zero": "search-nonexistence --n 4 --k 0 --z 2 --b 2 --tau 2 --gf 2",
     "search-k-negative": "search-nonexistence --n 3 --k -1 --z 2 --b 2 --tau 1 --gf 2",
+    "search-progress-with-jobs": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs 2 --progress",
     "simulate-missing-pattern-file": (
         "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/missing.csv --horizon 2"
     ),

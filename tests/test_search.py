@@ -186,6 +186,116 @@ def test_search_refutes_non_divisible_targets_past_the_default_guard():
         assert res == {"found": False, "witness": None, "candidates_checked": total, "total": total}
 
 
+def test_search_refutes_non_divisible_targets_over_larger_fields():
+    # [7,3] with z=2, b=2 at tau* = 5 over GF(4) and GF(5): 4^12 and 5^12
+    # candidates, exhausted in under a second because column scaling
+    # leaves only the 2^4 first rows with digits 0 and 1 to scan
+    for q in (4, 5):
+        total = q**12
+        res = search_nonexistence(7, 3, 2, 2, 5, GF(q), guard=total)
+        assert res == {"found": False, "witness": None, "candidates_checked": total, "total": total}
+
+
+def _matrix_at(q, k, r, index):
+    return [search._digits_of(d, q, r) for d in search._digits_of(index, q**r, k)]
+
+
+def _column_normalized(p):
+    """True iff every parity column's first nonzero entry is 1."""
+    return all(next((row[c] for row in p if row[c]), 1) == 1 for c in range(len(p[0])))
+
+
+def _flat_witnesses(field, n, k, checks):
+    """Every surviving index of the space, by chaining the flat oracle
+    from each survivor + 1."""
+    total, start, out = field.q ** (k * (n - k)), 0, []
+    while True:
+        found, _ = _flat_scan(field, n, k, checks, start, total)
+        if found is None:
+            return out
+        out.append(found)
+        start = found + 1
+
+
+# q, n, k, z, b, tau: spaces of at most 4^6 candidates whose witnesses
+# include column-scaled twins, so most witnesses are not normalized
+SCALED_SPACES = [
+    (3, 5, 3, 1, 2, 3),
+    (3, 5, 2, 1, 3, 3),
+    (3, 4, 2, 2, 1, 3),
+    (4, 5, 3, 1, 2, 3),
+    (4, 4, 2, 2, 1, 3),
+    (5, 4, 2, 1, 2, 2),
+    (5, 4, 2, 2, 1, 3),
+]
+
+
+@pytest.mark.parametrize("q, n, k, z, b, tau", SCALED_SPACES)
+def test_scaling_keeps_every_resumed_answer(q, n, k, z, b, tau):
+    # The kernel skips subtrees of non-normalized rows only where a scaled
+    # twin lies at or after `start`, so a scan resumed from each survivor
+    # + 1 still walks every witness of the flat oracle in order, twins and
+    # all, and a scan from any start returns the first witness at or
+    # after it.
+    field, r = GF(q), n - k
+    total = q ** (k * r)
+    checks = search._build_checks(n, k, tau, burst_supports(n, z, b))
+    witnesses = _flat_witnesses(field, n, k, checks)
+    assert any(not _column_normalized(_matrix_at(q, k, r, w)) for w in witnesses)
+    chained, start = [], 0
+    while (found := search._scan(field, k, r, checks, start, total)) is not None:
+        chained.append(found)
+        start = found + 1
+    assert chained == witnesses
+    # Every start, classified by the row-0 node it lands in: a normalized
+    # row (digits 0 or 1) or a non-normalized one whose twin the cursor
+    # has passed.  Both kinds are exercised strictly inside the subtree.
+    inside = {True: 0, False: 0}
+    size = q ** ((k - 1) * r)
+    for start in range(total + 1):
+        want = next((w for w in witnesses if w >= start), None)
+        assert search._scan(field, k, r, checks, start, total) == want, start
+        if start < total and start % size:
+            inside[max(_matrix_at(q, k, r, start)[0]) <= 1] += 1
+    assert inside[True] and inside[False]
+
+
+def test_scaled_progress_cursors_unchanged():
+    # [7,3] over GF(3) has no witness, so the cursor must report every
+    # multiple of 2^16 in (start, 3^12], also from a start inside a
+    # non-normalized row-0 subtree (row 0 = 2: digits 0, 0, 0, 2)
+    total = 3**12
+    for start in (0, 2 * 3**8 + 5, 300000):
+        ticks = []
+        res = search_nonexistence(7, 3, 2, 2, 5, F3, start=start, progress=ticks.append)
+        assert res["candidates_checked"] == total - start
+        assert ticks == [m for m in range(65536, total + 1, 65536) if m > start]
+
+
+def test_first_witness_is_column_normalized():
+    # property: scaling a parity column keeps every verdict, so the first
+    # witness from start 0 has each parity column's first nonzero entry 1
+    rng = random.Random(41)
+    shapes = [
+        (q, z, b, k)
+        for q in (3, 4, 5, 7, 8)
+        for z in (1, 2)
+        for b in (1, 2, 3)
+        for k in (1, 2, 3)
+        if q ** (k * z * b) <= 1 << 24
+    ]
+    witnesses = 0
+    for _ in range(60):
+        q, z, b, k = rng.choice(shapes)
+        n = k + z * b
+        tau = rng.randrange(k, n)
+        res = search_nonexistence(n, k, z, b, tau, GF(q))
+        if res["found"]:
+            witnesses += 1
+            assert _column_normalized(res["witness"].P.to_lists()), (q, n, k, z, b, tau)
+    assert witnesses >= 20
+
+
 def test_search_resume_cursor():
     full = search_nonexistence(4, 2, 1, 2, 2, F2)
     resumed = search_nonexistence(4, 2, 1, 2, 2, F2, start=full["candidates_checked"])
@@ -242,6 +352,9 @@ def test_search_jobs_validated_and_workers_capped(monkeypatch):
     for jobs in (0, -2):
         with pytest.raises(ValueError):
             search_nonexistence(4, 2, 1, 2, 2, F2, jobs=jobs)
+    # the workers report no cursors, so progress with a pool is refused
+    with pytest.raises(ValueError, match="progress needs jobs=1"):
+        search_nonexistence(4, 2, 1, 2, 2, F2, jobs=2, progress=print)
     sizes = []
 
     class InlinePool:
