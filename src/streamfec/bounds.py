@@ -116,18 +116,21 @@ def delay_tau_star(k: int, z: int, b: int) -> int:
 
 
 def causal_code_exists(k: int, z: int, b: int, tau: int) -> bool:
-    """Existence of an [k+zb, k] causal code that is delay-tau decodable
-    for every (z, b)-burst, in the regime k >= b.
+    """Existence of an [k+zb, k] causal code, over some field, that is
+    delay-tau decodable for every (z, b)-burst, in the regime k >= b.
 
-    At the minimum delay tau* = k + (z-1)b this requires b | tau*
-    (equivalently b | k); below tau* no code exists; above tau* one
-    always does.
+    Below tau* = k + (z-1)b no code exists.  For multiple bursts (z > 1)
+    the minimum delay tau* requires b | tau* (equivalently b | k); a
+    single burst (z = 1) needs no divisibility, and binary codes exist at
+    tau* = k whether or not b | k.  Above tau* a code always exists, but
+    the field matters: no binary [9,5] code survives every (2, 2)-burst
+    at tau = 8, while a ternary one does.
     """
     tau_star = delay_tau_star(k, z, b)
     if k < b:
         raise ValueError(f"regime k >= b required, got k={k}, b={b}")
     if tau < tau_star:
         return False
-    if tau == tau_star:
+    if tau == tau_star and z > 1:
         return tau_star % b == 0
     return True

@@ -43,12 +43,13 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
-# The model spec kinds, parsed as "kind:a,w" or "kind:z,b,w".
+# The model spec kinds, parsed as "kind:a,w" or "kind:z,b,w", with the
+# fields each takes.
 _MODEL_SPECS = {
-    "sw": ChannelModel.sw,
-    "mbsw": ChannelModel.mbsw,
-    "sw_err": ChannelModel.sw_err,
-    "mbsw_err": ChannelModel.mbsw_err,
+    "sw": (ChannelModel.sw, "a,w"),
+    "mbsw": (ChannelModel.mbsw, "z,b,w"),
+    "sw_err": (ChannelModel.sw_err, "a,w"),
+    "mbsw_err": (ChannelModel.mbsw_err, "z,b,w"),
 }
 
 
@@ -56,9 +57,13 @@ def _parse_model(spec: str) -> ChannelModel:
     kind, _, rest = spec.partition(":")
     if kind not in _MODEL_SPECS:
         raise SystemExit(f"bad model spec {spec!r}: unknown kind")
+    make, fields = _MODEL_SPECS[kind]
+    values = rest.split(",")
+    if len(values) != len(fields.split(",")):
+        raise SystemExit(f"bad model spec {spec!r}: {kind} takes {fields}")
     try:
-        return _MODEL_SPECS[kind](*(int(x) for x in rest.split(",")))
-    except (ValueError, TypeError) as exc:
+        return make(*(int(x) for x in values))
+    except ValueError as exc:
         raise SystemExit(f"bad model spec {spec!r}: {exc}")
 
 
@@ -89,6 +94,8 @@ def _cmd_verify_code(args) -> int:
         patterns = burst_supports(code.n, z, b)
     else:
         model = _parse_model(args.model)
+        if model.errors:
+            raise ValueError(f"erasure patterns need an erasure-channel model, got {model.kind}")
         patterns = [p.support for p in enumerate_admissible(model, code.n)]
     result = verify_delay_decodable(code, args.tau, patterns)
     obj = {

@@ -24,30 +24,27 @@ recovered earlier carry no extra information for later ones beyond what
 the received symbols already determine, so per-diagonal solving realizes
 sequential (peeling) recovery exactly.
 
-The error decoder is the reference exhaustive one: to decode u(t) it
-assumes all earlier messages are known (sequential recovery), enumerates
-every candidate set S of error times inside [t, t+tau] that is jointly
-admissible with the already-inferred past errors, and asks the question
-of every diagonal touching [t, t+tau] with S erased.  A candidate is
-consistent when every diagonal's checks vanish, and it fixes u(t) when
-each coordinate is pinned.  All consistent candidates must agree on
-u(t); disagreement (or an underdetermined u(t)) is reported as an
-ambiguity, never silently resolved.  Once u(t) is decided, diagonal
-t-k+1 has all its message symbols and is encoded, once; packet t was in
-error iff it differs from u(t) followed by parity symbol j of diagonal
-t-j for each j >= k.
+The error decoder is the reference exhaustive one, and it is syndrome
+decoding.  To decode u(t) it assumes all earlier messages are known
+(sequential recovery) and asks the question of every diagonal d touching
+the window [t, t+tau] once, with every window position received: the
+answer's checks H_d give d's slice s_d = H_d y of the window syndrome.
+It then enumerates every candidate set S of error times inside the
+window that is jointly admissible with the already-inferred past errors.
+S is consistent when, on every diagonal, s_d lies in the column span of
+H_d[:, E], E being the positions S erases, and it fixes u(t) when s_d
+also determines the error on each coordinate of u(t).  All consistent
+candidates must agree on u(t); disagreement (or an underdetermined u(t))
+is reported as an ambiguity, never silently resolved.  Once u(t) is
+decided, diagonal t-k+1 has all its message symbols and is encoded,
+once; packet t was in error iff it differs from u(t) followed by parity
+symbol j of diagonal t-j for each j >= k.
 
-That decision is memoised under (window width, near-past error
-offsets, window syndrome); the syndrome applies the full-window checks
-H_d of every diagonal d touching the window, those with all window
-positions received, to the window.  A new key is decided from the key
-alone.  A candidate's checks, and each of its pin rows minus the
-received u_i(t), are rows phi that vanish on every valid observation of
-d, so phi = lambda . H_d with lambda = phi . R_d for a right inverse R_d
-of H_d, and phi's value on the window is lambda . s_d, with s_d the
-syndrome's slice for d.  So each candidate of the key's (width,
-near-past offsets) context is tested on the syndrome digits, through
-rows built once per (width, candidate), and no received packet is read.
+So the decision depends on the window only through its syndrome, and it
+is memoised under (window width, near-past error offsets, window
+syndrome).  A new key is decided from the key alone: each candidate of
+its (width, near-past offsets) context is a set of rows over the
+syndrome digits, built once per width, and no received packet is read.
 """
 
 from __future__ import annotations
@@ -216,119 +213,85 @@ _NO_CANDIDATE = "no consistent candidate"
 _AMBIGUOUS = "ambiguous"
 
 
-def _window_diagonals(code: SystematicCode, width: int):
-    """(o, given, positions) for each diagonal t+o touching the window
-    [t, t+width-1]: it knows its first `given` coordinates (those before
-    time t) and reads its symbols at `positions` in the window."""
-    n, k = code.n, code.k
-    for o in range(1 - n, width):
-        yield o, min(max(-o, 0), k), range(max(-o, 0), min(n, width - o))
+def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> tuple[list, dict]:
+    """The syndrome checks of a width-slot window [t, t+width-1], and each
+    candidate error support (offsets in the window) as rows over the
+    digits of the window syndrome.
 
+    The checks are those of `code.recovery` with every window position
+    received, on every diagonal d touching the window: d's full-window
+    checks H_d.  They read the window observation Y: the messages of
+    times [t-n+1, t-1] (k symbols each), then the received packets
+    [t, t+width-1] (n symbols each).  A check is its nonzero terms (index
+    into Y, products by its coefficient), and the syndrome digits are the
+    checks in order, so diagonal d's slice is s_d = H_d y for its own
+    observation y.
 
-def _window_checks(code: SystematicCode, width: int) -> list[tuple[tuple[int, Sequence[int]], ...]]:
-    """The full-window checks of a width-slot window [t, t+width-1], one
-    per check of `code.recovery` with every window position received, on
-    every diagonal touching the window.  They read the window observation
-    Y: the messages of times [t-n+1, t-1] (k symbols each), then the
-    received packets [t, t+width-1] (n symbols each).  A check is its
-    nonzero terms (index into Y, products by its coefficient)."""
+    A candidate is (untouched, checks, corrections).  `untouched` is the
+    bitmask of the digits of the diagonals the candidate leaves
+    untouched, which must all be zero; each check is terms (digit index,
+    products) whose sum must be zero; corrections[i] is the terms giving
+    coordinate i of the correction to u(t), or None when the candidate
+    leaves u_i(t) unpinned.
+
+    Each diagonal is decoded by its syndrome: the candidate explains d
+    iff s_d = H_d[:, E] e for some error e on the positions E it erases.
+    Reducing [H_d[:, E] | I] once per E gives the candidate's checks, the
+    records lambda of the rows that vanish on E (lambda . s_d = 0).  When
+    offset 0 is erased, u_i(t) is E's first column on diagonal t-i; its
+    error is determined, as mu . s_d, iff the pivot row of that column
+    is (1, 0, ..., 0) on E, with record mu, and the correction is then
+    -mu . s_d."""
     n, k, f = code.n, code.k, code.field
-    out = []
-    for o, given, positions in _window_diagonals(code, width):
-        checks, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
+    checks = []
+    rows = {offs: [0, [], [()] * k] for offs in candidates}
+    start = 0
+    for o in range(1 - n, width):
+        # Diagonal t+o knows its first `given` coordinates (those before
+        # time t) and reads its symbols at `positions` in the window.
+        first = max(-o, 0)
+        given = min(first, k)
+        positions = range(first, min(n, width - o))
+        full, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
         index = [(o + i + n - 1) * k + i for i in range(given)]
         index += [(n - 1) * k + (o + j) * n + j for j in positions]
-        for c in checks:
-            out.append(tuple((at, f.times(a)) for at, a in zip(index, c) if a))
-    return out
+        checks += [tuple((at, f.times(a)) for at, a in zip(index, c) if a) for c in full]
+        r = len(full)
 
-
-def _candidate_rows(
-    code: SystematicCode, width: int, candidates: list[tuple[int, ...]]
-) -> dict[tuple[int, ...], tuple[int, list, list]]:
-    """Each candidate support (offsets in the width-slot window) as rows
-    over the digits of the window syndrome, which are the checks of
-    `_window_checks(code, width)` in order: (untouched, checks,
-    corrections).  `untouched` is the bitmask of the digits of the
-    diagonals the candidate leaves untouched, which must all be zero; each
-    check is terms (digit index, products) whose sum must be zero;
-    corrections[i] is the terms giving coordinate i of the correction to
-    u(t), or None when the candidate leaves u_i(t) unpinned.
-
-    On diagonal d, a row phi over its full-window observation y that
-    vanishes on every valid y is lambda . H_d, with H_d its full-window
-    checks, so phi . y = lambda . s_d for its syndrome slice s_d = H_d y.
-    Reducing [H_d | I] gives a right inverse R_d of H_d, and lambda =
-    phi . R_d.  A candidate's checks, and each of its pin rows minus the
-    received u_i(t), are such rows."""
-    k, f = code.k, code.field
-    rows = {offs: [0, [], [None] * k] for offs in candidates}
-    start = 0
-    for o, given, positions in _window_diagonals(code, width):
-        known = (1 << given) - 1
-        full_checks, _ = code.recovery(known, sum(1 << j for j in positions))
-        r, m = len(full_checks), given + len(positions)
-        aug = [list(c) + [int(l == i) for i in range(r)] for l, c in enumerate(full_checks)]
-        reduced, pivots = _rref(f, aug, m)
-        columns = list(zip(*full_checks)) or [()] * m
-
-        def over_syndrome(phi: list[int]) -> tuple:
-            lam = [0] * r
-            for row, col in zip(reduced, pivots):
-                if phi[col]:
-                    times = f.times(phi[col])
-                    lam = [f.add(a, times[e]) for a, e in zip(lam, row[m:])]
-            if [dot(f, lam, column) for column in columns] != phi:
-                raise RuntimeError(f"a candidate row on diagonal offset {o} is no combination of its window checks")
+        def terms(lam: list[int]) -> tuple:
             return tuple((start + at, f.times(a)) for at, a in enumerate(lam) if a)
-
-        def rows_without(kept: list[int]) -> tuple[tuple, tuple | None]:
-            """The check rows and the u_i(t) correction row, i = -o, of
-            this diagonal observed at the kept positions only."""
-            checks, pins = code.recovery(known, sum(1 << j for j in kept))
-            # That observation is the given coordinates and the kept
-            # positions, a sub-vector of the full one.
-            index = list(range(given)) + [given + j - positions.start for j in kept]
-
-            def embed(row: tuple[int, ...]) -> list[int]:
-                phi = [0] * m
-                for at, a in zip(index, row):
-                    phi[at] = a
-                return phi
-
-            correction = None
-            i = -o
-            if 0 <= i < k and i in pins:
-                # u_i(t) is received at position i of diagonal t-i, which
-                # is index i of its observation.
-                phi = embed(pins[i][1])
-                phi[i] = f.sub(phi[i], 1)
-                correction = over_syndrome(phi)
-            return tuple(over_syndrome(embed(c)) for c in checks), correction
 
         # Candidates that erase the same positions of this diagonal share
         # its rows.
         by_erased: dict[tuple[int, ...], tuple[tuple, tuple | None]] = {}
-        for offs, (_, cand_checks, corrections) in rows.items():
-            erased = tuple(j for j in positions if o + j in offs)
+        for offs, entry in rows.items():
+            # The erased positions, as indices into the observation.
+            erased = tuple(given + j - first for j in positions if o + j in offs)
+            if not erased:
+                entry[0] |= ((1 << r) - 1) << start
+                continue
             if erased not in by_erased:
-                by_erased[erased] = rows_without([j for j in positions if j not in erased])
-            checks, correction = by_erased[erased]
-            if erased:
-                cand_checks.extend(checks)
-            else:
-                rows[offs][0] |= ((1 << r) - 1) << start
-            if 0 <= -o < k:
-                corrections[-o] = correction
+                e = len(erased)
+                aug = [[c[at] for at in erased] + [int(l == m) for m in range(r)] for l, c in enumerate(full)]
+                reduced, pivots = _rref(f, aug, e)
+                pin = reduced[0] if pivots[:1] == [0] and not any(reduced[0][1:e]) else None
+                correction = None if pin is None else terms([f.neg(a) for a in pin[e:]])
+                by_erased[erased] = tuple(terms(row[e:]) for row in reduced[len(pivots) :]), correction
+            cand_checks, correction = by_erased[erased]
+            entry[1].extend(cand_checks)
+            # u_i(t), i = -o, is position i of this diagonal, erased
+            # exactly when offset 0 is.
+            if 0 <= -o < k and 0 in offs:
+                entry[2][-o] = correction
         start += r
-    return {offs: tuple(entry) for offs, entry in rows.items()}
+    return checks, {offs: tuple(entry) for offs, entry in rows.items()}
 
 
 def _decide(
     candidates: list[tuple[int, list, list]], q: int, binary: bool, digits: int, syndrome: int
 ) -> str | tuple[int, ...]:
     """The verdict on a window syndrome of `digits` base-q digits, given
-    the rows of its context's candidates (see `_candidate_rows`):
+    the rows of its context's candidates (see `_window`):
     _NO_CANDIDATE, _AMBIGUOUS, or the correction g with u(t) equal to
     received u(t) + g."""
     s = [0] * digits
@@ -378,16 +341,14 @@ def decode_errors(
 
     The decision is memoised per (code, tau, model) under (window width,
     near-past error offsets, window syndrome), and a miss is decided from
-    the key alone.  On each diagonal d, a candidate's checks and its pin
-    rows minus the received u(t) are rows phi that vanish on every valid
-    observation, so phi = lambda . H_d for the full-window checks H_d,
-    with lambda = phi . R_d for a right inverse R_d of H_d; phi's value
-    on the window is lambda . s_d, which reads only d's slice s_d of the
-    syndrome.  The width and near-past offsets fix the admissible
-    candidates, so the key fixes the verdict and the correction to u(t)
-    exactly.  The memo holds at most `_DECISION_CAP` = 2^15 verdicts,
-    about 2.5 MiB with the burst sweep's 94-bit keys, and is cleared when
-    full.
+    the key alone by syndrome decoding: on each diagonal d, a candidate is
+    consistent iff d's syndrome slice lies in the span of d's full-window
+    checks on the positions it erases, and its correction to u_i(t) is
+    minus the error that the slice then determines.  The width and
+    near-past offsets fix the admissible candidates, so the key fixes the
+    verdict and the correction to u(t) exactly.  The memo holds at most
+    `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB with the burst sweep's
+    94-bit keys, and is cleared when full.
     """
     if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
@@ -402,8 +363,8 @@ def decode_errors(
 
     memo = code._error_decisions.get((tau, model))
     if memo is None:
-        memo = code._error_decisions[tau, model] = ({}, {}, {}, {}, {})
-    window_checks, window_rows, verdicts, shared, contexts = memo
+        memo = code._error_decisions[tau, model] = ({}, {}, {}, {})
+    windows, contexts, verdicts, shared = memo
     # Width and near-past offsets fill the key's low bits.
     low_bits = w + (tau + 1).bit_length()
 
@@ -435,9 +396,10 @@ def decode_errors(
             continue
         wend = min(deadline, last)
         width = wend - t + 1
-        checks_of_width = window_checks.get(width)
-        if checks_of_width is None:
-            checks_of_width = window_checks[width] = _window_checks(code, width)
+        if width not in windows:
+            subsets = [p.support for p in enumerate_admissible(model, width)]
+            windows[width] = _window(code, width, subsets)
+        checks_of_width, rows = windows[width]
         window = known_flat[t * k : (t + n - 1) * k] + received_flat[t * n : (wend + 1) * n]
         syndrome = 0
         for terms in checks_of_width:
@@ -457,10 +419,6 @@ def decode_errors(
             # (width, near-past offsets) context, tested on its syndrome.
             candidates = contexts.get((width, near_past))
             if candidates is None:
-                rows = window_rows.get(width)
-                if rows is None:
-                    subsets = [p.support for p in enumerate_admissible(model, width)]
-                    rows = window_rows[width] = _candidate_rows(code, width, subsets)
                 near = [-r for r in range(w - 1, 0, -1) if near_past >> r & 1]
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
@@ -566,6 +524,8 @@ def simulate(
             f"pattern support {pattern.support} reaches past the last packet time {stream.packet_horizon - 1}"
         )
     if isinstance(pattern, ErasurePattern):
+        if model is not None and model.errors:
+            raise ValueError(f"erasure patterns need an erasure-channel model, got {model.kind}")
         received = apply_erasures(stream, pattern)
         report = decode_erasures(code, tau, received, t_msgs, pattern, model)
     else:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,8 @@ from streamfec.bounds import (
     rate_sw_erasure,
     rate_sw_error,
 )
+from streamfec.galois import GF
+from streamfec.search import search_nonexistence
 
 
 def test_sw_erasure_examples():
@@ -92,5 +95,35 @@ def test_causal_code_exists_examples():
     assert causal_code_exists(4, 2, 2, 6)
     assert not causal_code_exists(5, 2, 2, 6)  # below tau*
     assert causal_code_exists(5, 2, 2, 8)  # above tau*
+    # a single burst needs no divisibility: binary codes exist at tau* = k
+    assert causal_code_exists(3, 1, 2, 3)  # [5,3] with P = [[1,0],[0,1],[1,1]]
+    assert causal_code_exists(4, 1, 3, 4)
+    assert causal_code_exists(5, 1, 2, 5)
+    assert not causal_code_exists(3, 1, 2, 2)  # below tau* = k
     with pytest.raises(ValueError):
         causal_code_exists(1, 2, 2, 5)  # outside the k >= b regime
+
+
+def test_causal_code_exists_matches_search():
+    # Every space with k <= 5 and z in {1, 2} that the search exhausts over
+    # some GF(q), q <= 5, within 2^16 candidates: a False verdict must have
+    # no code over any of those fields, and a z = 1 verdict must be whether
+    # a binary code exists.  A True verdict for z = 2 may need a larger
+    # field ([6,4] with b = 1 at tau = 5 has no code over GF(2), GF(3) or
+    # GF(4)), so it is not asserted.
+    fields = [GF(q) for q in (2, 3, 4, 5)]
+    spaces = refuted = 0
+    for k in range(1, 6):
+        for z, b in product((1, 2), range(1, k + 1)):
+            n = k + z * b
+            searched = [f for f in fields if f.q ** (k * (n - k)) <= 1 << 16]
+            for tau in range(k, n) if searched else ():
+                found = [search_nonexistence(n, k, z, b, tau, f)["found"] for f in searched]
+                verdict = causal_code_exists(k, z, b, tau)
+                if z == 1:
+                    assert verdict == found[0], (n, k, b, tau)
+                if not verdict:
+                    assert not any(found), (n, k, z, b, tau)
+                    refuted += 1
+                spaces += 1
+    assert (spaces, refuted) == (48, 12)

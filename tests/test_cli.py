@@ -177,6 +177,9 @@ def test_bad_model_spec_is_operational_error(tmp_path, capsys):
     run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(desc))
     with pytest.raises(SystemExit):
         main(["verify-code", "--descriptor", str(desc), "--tau", "4", "--model", "nope:1"])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-code", "--descriptor", str(desc), "--tau", "4", "--model", "mbsw:1,2"])
+    assert exc.value.code == "bad model spec 'mbsw:1,2': mbsw takes z,b,w"
 
 
 # Each of these printed a traceback, a wrong count or a silent accept before the CLI had
@@ -242,6 +245,11 @@ BAD_INPUT = {
         "simulate --descriptor {dir}/field_list.json --tau 4 --pattern {dir}/ok.csv --horizon 2"
     ),
     "verify-descriptor-top-level-list": "verify-code --descriptor {dir}/top_list.json --tau 4 --bursts 1 2",
+    "verify-error-model": "verify-code --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5",
+    "simulate-csv-with-error-model": (
+        "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/ok.csv --horizon 2"
+    ),
+    "model-spec-value-missing": "verify-code --descriptor {dir}/code53.json --tau 4 --model sw:1",
 }
 
 

@@ -393,6 +393,49 @@ def test_syndrome_verdicts_match_window_candidate_loop(field):
     assert any(r.failures and not r.ambiguities for r in reports)
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"q{f.q}")
+def test_window_rows_decode_the_syndrome(field):
+    # `_window` against the recovery core, for every support in the window
+    # on random codes: corrections[i] is None exactly when erasing the
+    # support on diagonal t-i leaves u_i(t) unpinned, and a valid window
+    # observation plus a random error on the support has a syndrome on
+    # which the support's untouched digits and checks vanish and whose
+    # correction is minus the error on u(t).
+    rng = random.Random(field.q)
+
+    def value(terms, digits):
+        v = 0
+        for at, mul in terms:
+            v = field.add(v, mul[digits[at]])
+        return v
+
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 3)):
+        p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
+        code = SystematicCode(field=field, n=n, k=k, P=p)
+        for width in range(1, n + 3):
+            supports = [offs for size in range(width + 1) for offs in combinations(range(width), size)]
+            checks, rows = streaming._window(code, width, supports)
+            assert list(rows) == supports
+            t = n - 1
+            streams = [de_encode(code, _messages(field, t + width + n, k, rng.randrange(1 << 30))) for _ in range(3)]
+            for offs, (untouched, cand_checks, corrections) in rows.items():
+                for i in range(k):
+                    kept = [j for j in range(i, min(n, width + i)) if j - i not in offs]
+                    _, pins = code.recovery((1 << i) - 1, sum(1 << j for j in kept))
+                    assert (corrections[i] is None) == (i not in pins)
+                for stream in streams:
+                    errors = {o: [rng.randrange(field.q) for _ in range(n)] for o in offs}
+                    window = [v for u in stream.messages[t - n + 1 : t] for v in u]
+                    for o, packet in enumerate(stream.packets[t : t + width]):
+                        window += [field.add(v, e) for v, e in zip(packet, errors.get(o, [0] * n))]
+                    digits = [value(c, window) for c in checks]
+                    assert not any(digits[at] for at in range(len(digits)) if untouched >> at & 1)
+                    assert not any(value(c, digits) for c in cand_checks)
+                    for i, terms in enumerate(corrections):
+                        if terms is not None:
+                            assert value(terms, digits) == field.neg(errors.get(0, [0] * k)[i])
+
+
 def test_error_decision_memo_cap_keeps_reports(monkeypatch):
     # A full memo is cleared, so a memo of one or two entries churns on
     # every step, and the reports must stay those of the uncapped memo.
