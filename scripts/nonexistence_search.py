@@ -3,13 +3,17 @@
 
 Reproduces the divisibility evidence: at the minimum delay
 tau* = k + (z-1)b, an [k+zb, k] code surviving every (z,b)-burst exists
-only when b divides k.  The [9,5] space at delay 7 (over GF(2), and over
-GF(3) with 3^20 candidates) and the [7,3] space at delay 5 (over GF(2)
-to GF(5), up to 5^12 candidates) come up empty, and so do the binary b∤k
-spaces up to [13,7] with z=2, b=3 (2^42 candidates), which the
-prefix-pruned search refutes in the first coefficient rows.  Over q > 2
-the search also skips candidates whose parity columns are not
-normalized.  The divisible [8,4] case has an explicit construction.
+only when b divides k.  The [9,5] space at delay 7 (over GF(2) to GF(4),
+up to 4^20 candidates), the [7,3] space at delay 5 (over GF(2) to GF(7),
+up to 7^12) and the [10,4] space with b=3 at delay 7 (over GF(2) and
+GF(3), up to 3^24) come up empty, and so do the z=3 [9,3] space with
+b=2 at delay 7 over GF(2) and GF(3) and the binary b∤k spaces up to
+[13,7] with z=2, b=3 (2^42 candidates), which the prefix-pruned search
+refutes in the first coefficient rows.  Over q > 2 the search also
+skips candidates that scaling a parity column or a coefficient row maps
+to an earlier candidate judged alike: one whose column's first nonzero
+entry, or whose row's leading nonzero digit, is above 1.  The divisible
+[8,4] case has an explicit construction.
 
 Two binary rows have b | k and still no code: [12,6] and [14,8] with
 z=3, b=2.  They are field-size data, not counterexamples: the
@@ -34,8 +38,13 @@ TASKS = [
     (7, 3, 2, 2, 5, 3, NON_DIVISIBLE),
     (7, 3, 2, 2, 5, 4, NON_DIVISIBLE),
     (7, 3, 2, 2, 5, 5, NON_DIVISIBLE),
+    (7, 3, 2, 2, 5, 7, NON_DIVISIBLE),
     (9, 5, 2, 2, 7, 3, NON_DIVISIBLE),
+    (9, 5, 2, 2, 7, 4, NON_DIVISIBLE),
+    (9, 3, 3, 2, 7, 2, NON_DIVISIBLE),
+    (9, 3, 3, 2, 7, 3, NON_DIVISIBLE),
     (10, 4, 2, 3, 7, 2, NON_DIVISIBLE),
+    (10, 4, 2, 3, 7, 3, NON_DIVISIBLE),
     (11, 5, 2, 3, 8, 2, NON_DIVISIBLE),
     (13, 7, 2, 3, 10, 2, NON_DIVISIBLE),
     (11, 7, 2, 2, 9, 2, NON_DIVISIBLE),

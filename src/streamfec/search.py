@@ -12,12 +12,17 @@ prefix's whole subtree.  Every candidate the cursor passes is covered;
 the first survivor is the lexicographically first witness, and it is
 re-checked with the reference verifier before it is reported.
 
-Over q > 2 the scan also skips a node whose new row is not
-column-normalized where that is exact.  Scaling a parity column by a
+Over q > 2 the scan also skips nodes by the diagonal symmetry
+P -> D_r P D_c, where that is exact.  Scaling a parity column by a
 nonzero constant applies an invertible diagonal map to every projected
-row, so it keeps each check's verdict and the reference verifier's.  A
-skipped candidate therefore has a scaled twin that is judged alike and
-lies earlier in the order, but never before the resume cursor: a
+row; scaling a coefficient row multiplies one projected row by a
+nonzero constant, and [I | D_r P] is [I | P] with systematic
+coordinates scaled.  Neither changes a span test, so each keeps every
+check's verdict and the reference verifier's.  A node is skipped when
+its new row is not column-normalized or not row-normalized, and only
+when the scaled twin's subtree starts at or after the resume cursor.
+Each skip thus maps a candidate W to one judged alike in [start, W),
+so the two rules compose: the first survivor is never skipped, and a
 resumed scan returns the first witness at or after its start, exactly
 as the unscaled scan does, with the same cursors.
 """
@@ -166,16 +171,19 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     the node's whole subtree, clipped to stop.  `progress` receives every
     multiple of 2^16 the cursor reaches, in order.
 
-    For q > 2 the cursor also moves past a node whose row is not
-    column-normalized.  The fresh columns at depth d are those zero in
-    rows 0..d-1; v' is the node's row with every fresh digit above 1 set
-    to 1.  Scaling those columns maps each candidate W below the node to
-    one below its earlier sibling v' that every check, and the reference
-    verifier, judge alike.  So when v''s subtree starts at or after
-    `start`, W' lies in [start, W), W is not the first survivor, and the
-    subtree is skipped; otherwise (a resumed scan whose cursor passed v')
-    the node is scanned.  The first survivor, and with it every cursor,
-    is the one the unscaled scan finds."""
+    For q > 2 the cursor also moves past a node that a scaling maps into
+    an earlier sibling v', by two rules.  Columns: the fresh columns at
+    depth d are those zero in rows 0..d-1, and v' is the node's row with
+    every fresh digit above 1 set to 1; scaling those columns maps each
+    candidate W below the node to one below v'.  Rows: when the row's
+    leading nonzero digit a is above 1, v' = a^-1 * row; scaling row d
+    maps W to one below v'.  Either way every check, and the reference
+    verifier, judge W and its image alike.  So when v''s subtree starts
+    at or after `start`, the image lies in [start, W) and the subtree is
+    skipped; otherwise (a resumed scan whose cursor passed v') the node
+    is scanned.  A skipped W thus always has an image judged alike in
+    [start, W), so the first survivor, and with it every cursor, is the
+    one the unscaled scan finds."""
     q, base = field.q, field.q**r
     at_depth: list[list] = [[] for _ in range(k)]
     for check in checks:
@@ -185,7 +193,8 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     rows: list = [None] * k
     # fresh[d]: the columns zero in rows[:d]; GF(2) has nothing to scale.
     fresh: list = [None] * (k + 1)
-    fresh[0] = range(r) if q > 2 else ()
+    scaled = q > 2
+    fresh[0] = range(r) if scaled else ()
     digits = _digits_of(start, base, k)
     idx, depth = start, 0
     # Invariant: every check at a depth below `depth` passes on rows[:depth],
@@ -200,6 +209,13 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
                     break
                 cols = [c for c in cols if not row[c]]
             fresh[d + 1] = cols
+            if scaled:
+                a = next(filter(None, row), 0)
+                if a > 1:
+                    inverse = field.times(field.inv(a))
+                    twin = sum(inverse[x] * w for x, w in zip(row, weights))
+                    if idx - idx % sizes[d] - (digits[d] - twin) * sizes[d] >= start:
+                        break
             if any(_fails(field, rows, check) for check in at_depth[d]):
                 break
         else:

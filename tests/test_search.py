@@ -187,10 +187,11 @@ def test_search_refutes_non_divisible_targets_past_the_default_guard():
 
 
 def test_search_refutes_non_divisible_targets_over_larger_fields():
-    # [7,3] with z=2, b=2 at tau* = 5 over GF(4) and GF(5): 4^12 and 5^12
-    # candidates, exhausted in under a second because column scaling
-    # leaves only the 2^4 first rows with digits 0 and 1 to scan
-    for q in (4, 5):
+    # [7,3] with z=2, b=2 at tau* = 5 over GF(4), GF(5) and GF(7): up to
+    # 7^12 candidates, exhausted in under a second because column scaling
+    # leaves only the 2^4 first rows with digits 0 and 1 to scan, and row
+    # scaling only the later rows whose leading nonzero digit is 1
+    for q in (4, 5, 7):
         total = q**12
         res = search_nonexistence(7, 3, 2, 2, 5, GF(q), guard=total)
         assert res == {"found": False, "witness": None, "candidates_checked": total, "total": total}
@@ -260,6 +261,74 @@ def test_scaling_keeps_every_resumed_answer(q, n, k, z, b, tau):
     assert inside[True] and inside[False]
 
 
+def _leading(row):
+    return next((x for x in row if x), 0)
+
+
+def _row_twin_before(field, k, r, start, d):
+    """Among start's depth-d node and its later siblings, the first whose
+    row has a leading digit a above 1: True iff its row twin a^-1 * row
+    has its subtree start before `start` (the scan must enter the node),
+    False if not (the scan skips it), None if there is no such node."""
+    q, base = field.q, field.q**r
+    sizes = [base ** (k - 1 - e) for e in range(k)]
+    parent = start - start % sizes[d - 1]
+    for value in range((start // sizes[d]) % base, base):
+        row = search._digits_of(value, q, r)
+        a = _leading(row)
+        if a > 1:
+            inverse = next(c for c in range(1, q) if field.mul(a, c) == 1)
+            twin = [field.mul(inverse, x) for x in row]
+            twin_value = sum(x * q ** (r - 1 - c) for c, x in enumerate(twin))
+            return parent + twin_value * sizes[d] < start
+    return None
+
+
+# q, n, k, z, b, tau: spaces over fields with a^-1 != a for some a, whose
+# witnesses include rows below row 0 with a leading digit above 1, so a
+# twin taken as a * row instead of a^-1 * row loses some of them
+ROW_SCALED_SPACES = [
+    (4, 5, 3, 2, 1, 4),
+    (5, 4, 2, 1, 2, 3),
+    (5, 4, 3, 1, 1, 3),
+    (7, 4, 2, 2, 1, 3),
+    (7, 4, 3, 1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("q, n, k, z, b, tau", ROW_SCALED_SPACES)
+def test_row_scaling_keeps_every_resumed_answer(q, n, k, z, b, tau):
+    # The kernel skips a node whose row has a leading digit a above 1 only
+    # where its twin a^-1 * row starts at or after `start`, so chained
+    # scans walk every witness of the flat oracle, and a scan from any
+    # start returns the first witness at or after it.
+    field, r = GF(q), n - k
+    total = q ** (k * r)
+    checks = search._build_checks(n, k, tau, burst_supports(n, z, b))
+    witnesses = _flat_witnesses(field, n, k, checks)
+    assert any(_leading(row) > 1 for w in witnesses for row in _matrix_at(q, k, r, w)[1:])
+    chained, start = [], 0
+    while (found := search._scan(field, k, r, checks, start, total)) is not None:
+        chained.append(found)
+        start = found + 1
+    assert chained == witnesses
+    # Every start; one strictly inside a depth-(d-1) subtree, d >= 1,
+    # resumes among the depth-d siblings, and is counted by whether the
+    # first non-row-normalized one it meets has its twin before the start
+    # (scanned) or not (skipped).  Both kinds are exercised.
+    twin_before = {True: 0, False: 0}
+    size = q**r
+    for start in range(total + 1):
+        want = next((w for w in witnesses if w >= start), None)
+        assert search._scan(field, k, r, checks, start, total) == want, start
+        for d in range(1, k):
+            if start < total and start % size ** (k - d):
+                kind = _row_twin_before(field, k, r, start, d)
+                if kind is not None:
+                    twin_before[kind] += 1
+    assert twin_before[True] and twin_before[False]
+
+
 def test_scaled_progress_cursors_unchanged():
     # [7,3] over GF(3) has no witness, so the cursor must report every
     # multiple of 2^16 in (start, 3^12], also from a start inside a
@@ -293,6 +362,31 @@ def test_first_witness_is_column_normalized():
         if res["found"]:
             witnesses += 1
             assert _column_normalized(res["witness"].P.to_lists()), (q, n, k, z, b, tau)
+    assert witnesses >= 20
+
+
+def test_first_witness_is_row_normalized():
+    # property: scaling a coefficient row keeps every verdict, so every
+    # nonzero row of the first witness from start 0 has leading digit 1
+    # (for k = 1 that is column normalization)
+    rng = random.Random(43)
+    shapes = [
+        (q, z, b, k)
+        for q in (3, 4, 5, 7, 8)
+        for z in (1, 2)
+        for b in (1, 2, 3)
+        for k in (2, 3)
+        if q ** (k * z * b) <= 1 << 24
+    ]
+    witnesses = 0
+    for _ in range(60):
+        q, z, b, k = rng.choice(shapes)
+        n = k + z * b
+        tau = rng.randrange(k, n)
+        res = search_nonexistence(n, k, z, b, tau, GF(q))
+        if res["found"]:
+            witnesses += 1
+            assert all(_leading(row) <= 1 for row in res["witness"].P.to_lists()), (q, n, k, z, b, tau)
     assert witnesses >= 20
 
 
