@@ -15,13 +15,13 @@ is recoverable iff that pin position exists and is within its deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bounds import delay_tau_star  # noqa: F401  (callers import it from here too)
 from .galois import Field
-from .matrix import FieldMatrix, _insert, _rref, rank
+from .matrix import FieldMatrix, Form, _insert, _rref, evaluate, form, rank
 
 # Nothing here calls these two any more; the benchmark's tracer installs
 # spans at `block_code.in_span` and `block_code.punctured_parity` and
@@ -131,28 +131,14 @@ class SystematicCode:
         return tuple(list(col) for col in zip(*self.generator.data))
 
     @cached_property
-    def _parity_terms(self) -> tuple[tuple[tuple[int, Sequence[int]], ...], ...]:
-        """Per parity column j: (i, the product table of P[i][j]) for each
-        nonzero P[i][j]."""
-        f = self.field
-        return tuple(tuple((i, f.times(a)) for i, a in enumerate(col) if a) for col in zip(*self.P.data))
+    def _parity_forms(self) -> tuple[Form, ...]:
+        """Parity symbol j as a form in the message: column j of P."""
+        return tuple(form(self.field, col) for col in zip(*self.P.data))
 
     def encode(self, u: Sequence[int]) -> tuple[int, ...]:
         if len(u) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
-        p = self.field.p
-        parity = []
-        for terms in self._parity_terms:
-            s = 0
-            if p == 2:
-                for i, t in terms:
-                    s ^= t[u[i]]
-            else:
-                for i, t in terms:
-                    s += t[u[i]]
-                s %= p
-            parity.append(s)
-        return tuple(u) + tuple(parity)
+        return tuple(u) + tuple(evaluate(self.field, self._parity_forms, u))
 
     def to_descriptor(self) -> dict:
         return {
@@ -225,7 +211,8 @@ def causal_to_systematic(code: CausalCode) -> SystematicCode:
 def build_mds(n: int, k: int, field: Field) -> SystematicCode:
     """[n, k] systematic MDS code from a Vandermonde matrix on the first
     n field elements; requires q >= n so the evaluation points are
-    distinct.  Every k columns of the generator are independent.
+    distinct.  Every k columns of the generator are independent, so
+    `_systematize` always finds its leading block invertible.
 
     The degenerate MDS codes, repetition (k = 1) and single parity
     (k = n-1), exist over every field and are emitted directly when the
@@ -240,15 +227,8 @@ def build_mds(n: int, k: int, field: Field) -> SystematicCode:
             p = FieldMatrix(field, [[1]] * k)
             return SystematicCode(field=field, n=n, k=k, P=p, construction={"kind": "mds", "n": n, "k": k})
         raise ValueError(f"field of order {field.q} too small for length {n} (need q >= n)")
-    points = list(range(n))
-    vand = FieldMatrix(field, [[field.pow(x, i) for x in points] for i in range(k)])
-    # Row-reduce [V] so the first k columns become the identity.
-    rows = [list(r) for r in vand.data]
-    rows, pivots = _rref(field, rows, k)
-    if pivots != list(range(k)):
-        raise RuntimeError(f"Vandermonde systematization failed for [{n},{k}] over {field!r}")
-    p = FieldMatrix(field, [r[k:] for r in rows])
-    return SystematicCode(field=field, n=n, k=k, P=p, construction={"kind": "mds", "n": n, "k": k})
+    vand = FieldMatrix(field, [[field.pow(x, i) for x in range(n)] for i in range(k)])
+    return replace(_systematize(vand), construction={"kind": "mds", "n": n, "k": k})
 
 
 def build_multi_burst(k: int, z: int, b: int, field: Field) -> SystematicCode:

@@ -1,9 +1,11 @@
 """Exact arithmetic in small finite fields.
 
 Two families are supported: binary extension fields GF(2^m) for
-1 <= m <= 16, represented in the polynomial basis with log/antilog
-tables, and prime fields GF(p) for p < 256.  Values are plain ints in
-[0, q-1]; :meth:`Field.check` validates one at API boundaries.
+1 <= m <= 16, represented in the polynomial basis, and prime fields
+GF(p) for p < 256.  Both multiply and invert through log/antilog tables
+of their least primitive element, built with the field, so `mul` and
+`inv` are one path for every field.  Values are plain ints in [0, q-1];
+:meth:`Field.check` validates one at API boundaries.
 
 Hot loops multiply by a constant through :meth:`Field.times`, a product
 table per constant that the field builds on first use and caches, so a
@@ -21,6 +23,7 @@ x^i), so that descriptors are reproducible across machines.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 _MAX_EXTENSION_DEGREE = 16
 _MAX_PRIME = 256
@@ -91,6 +94,25 @@ def default_modulus(m: int) -> int:
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 
 
+def _log_tables(q: int, mul: Callable[[int, int], int]) -> tuple[list[int], list[int]]:
+    """Antilog and log tables of the field of order q with product `mul`:
+    exp[i] = g^i for the least primitive element g, and log[exp[i]] = i.
+    The search starts at g = 1, the generator of GF(2)'s one-element
+    group."""
+    for g in range(1, q):
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = mul(x, g)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for i, v in enumerate(exp):
+                log[v] = i
+            return exp, log
+    raise AssertionError("unreachable: the multiplicative group of a field is cyclic")
+
+
 class _Products(dict):
     """v -> c * v over the field for one constant c, filled on first use:
     `Field.times`' table above q = 256."""
@@ -141,34 +163,9 @@ class Field:
         self.m = m
         self.q = p**m
         self.modulus = modulus
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        mul = (lambda a, b: a * b % p) if m == 1 else (lambda a, b: _poly_mulmod(a, b, modulus))
+        self._exp, self._log = _log_tables(self.q, mul)
         self._times: dict[int, list[int] | _Products] = {}
-        if m > 1:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
-        """Find a primitive element and fill the log/antilog tables."""
-        q, mod = self.q, self.modulus
-        assert mod is not None
-        for g in range(2, q):
-            exp = [0] * (q - 1)
-            x = 1
-            ok = True
-            for i in range(q - 1):
-                exp[i] = x
-                x = _poly_mulmod(x, g, mod)
-                if x == 1 and i + 1 < q - 1:
-                    ok = False
-                    break
-            if ok and x == 1:
-                log = [0] * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp = exp
-                self._log = log
-                return
-        raise AssertionError("unreachable: the multiplicative group of a field is cyclic")
 
     # -- arithmetic on raw int values ------------------------------------
 
@@ -194,19 +191,13 @@ class Field:
         return (a - b) % self.p
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        assert self._exp is not None and self._log is not None
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        assert self._exp is not None and self._log is not None
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def times(self, c: int) -> list[int] | _Products:

@@ -1,7 +1,11 @@
-"""Dense matrices and vectors over a finite field.
+"""Dense matrices, vectors and sparse linear forms over a finite field.
 
 Entries are plain int values interpreted in the owning field; every
 product is a lookup in the field's product table for its constant.
+This module and `galois` are the only ones that add field values: the
+rest of the package computes its linear maps (encoders, syndromes,
+corrections) as `form`s read by `evaluate`, adds vectors with `add`,
+and takes dense dot products with `dot`.
 Elimination is exact, one row at a time (`_insert`), pivoting on the
 first nonzero column, so there is no tolerance anywhere.  Matrices are
 immutable; operations return new objects and are safe to call
@@ -94,6 +98,47 @@ def dot(field: Field, a: Sequence[int], b: Sequence[int]) -> int:
         if x and y:
             acc += times(x)[y]
     return acc % field.p
+
+
+# A sparse linear form: its nonzero terms, each (position, the product
+# table of its coefficient).
+Form = tuple[tuple[int, Sequence[int]], ...]
+
+
+def form(field: Field, coeffs: Sequence[int], positions: Iterable[int] | None = None) -> Form:
+    """The linear form v -> sum of coeffs[l] * v[positions[l]] (positions
+    default to 0, 1, ...), for `evaluate`."""
+    if positions is None:
+        positions = range(len(coeffs))
+    times = field.times
+    return tuple((at, times(c)) for at, c in zip(positions, coeffs) if c)
+
+
+def evaluate(field: Field, forms: Iterable[Form], vec: Sequence[int]) -> list[int]:
+    """The value of each `form` on vec over the field, in order."""
+    out = []
+    if field.p == 2:
+        for terms in forms:
+            acc = 0
+            for at, t in terms:
+                acc ^= t[vec[at]]
+            out.append(acc)
+        return out
+    p = field.p
+    for terms in forms:
+        acc = 0
+        for at, t in terms:
+            acc += t[vec[at]]
+        out.append(acc % p)
+    return out
+
+
+def add(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a + b over the field, entrywise, for sequences of equal length."""
+    if field.p == 2:
+        return [x ^ y for x, y in zip(a, b)]
+    p = field.p
+    return [(x + y) % p for x, y in zip(a, b)]
 
 
 def _axpy(field: Field, y: list[int], a: int, x: Sequence[int]) -> list[int]:

@@ -52,12 +52,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
-from .matrix import _rref, dot
+from .galois import Field
+from .matrix import _rref, add, dot, evaluate, form
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,20 @@ class DecodeReport:
 
     params: dict
     per_packet: tuple[PacketStatus, ...]
-    success: bool
-    failures: tuple[int, ...]
     pattern_admissible: bool
     ambiguities: tuple[int, ...]
     messages: tuple[tuple[int, ...] | None, ...] = dc_field(compare=False, default=())
+
+    @cached_property
+    def failures(self) -> tuple[int, ...]:
+        """The message times not recovered by their deadlines."""
+        return tuple(
+            s.t for s in self.per_packet if not (s.recovered and s.time is not None and s.time <= s.deadline)
+        )
+
+    @property
+    def success(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> str:
         obj = {
@@ -166,7 +177,6 @@ def decode_erasures(
         diagonals[d] = (pins, y)
 
     per_packet = []
-    failures = []
     messages_out: list[tuple[int, ...] | None] = []
     for t in range(t_msgs):
         deadline = t + tau
@@ -185,8 +195,6 @@ def decode_erasures(
         else:
             status = PacketStatus(t, False, None, deadline)
             messages_out.append(None)
-        if not (status.recovered and status.time is not None and status.time <= deadline):
-            failures.append(t)
         per_packet.append(status)
 
     admissible = model.admits(pattern) if model is not None else True
@@ -194,8 +202,6 @@ def decode_erasures(
     return DecodeReport(
         params=params,
         per_packet=tuple(per_packet),
-        success=not failures,
-        failures=tuple(failures),
         pattern_admissible=admissible,
         ambiguities=(),
         messages=tuple(messages_out),
@@ -222,17 +228,16 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     received, on every diagonal d touching the window: d's full-window
     checks H_d.  They read the window observation Y: the messages of
     times [t-n+1, t-1] (k symbols each), then the received packets
-    [t, t+width-1] (n symbols each).  A check is its nonzero terms (index
-    into Y, products by its coefficient), and the syndrome digits are the
-    checks in order, so diagonal d's slice is s_d = H_d y for its own
-    observation y.
+    [t, t+width-1] (n symbols each).  A check is a `matrix.form` over Y,
+    and the syndrome digits are the checks' values in order, so diagonal
+    d's slice is s_d = H_d y for its own observation y.
 
     A candidate is (untouched, checks, corrections).  `untouched` is the
     bitmask of the digits of the diagonals the candidate leaves
-    untouched, which must all be zero; each check is terms (digit index,
-    products) whose sum must be zero; corrections[i] is the terms giving
-    coordinate i of the correction to u(t), or None when the candidate
-    leaves u_i(t) unpinned.
+    untouched, which must all be zero; each check is a form over the
+    digits that must vanish; corrections[i] is the form giving coordinate
+    i of the correction to u(t), or None when the candidate leaves u_i(t)
+    unpinned.
 
     Each diagonal is decoded by its syndrome: the candidate explains d
     iff s_d = H_d[:, E] e for some error e on the positions E it erases.
@@ -255,11 +260,10 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
         full, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
         index = [(o + i + n - 1) * k + i for i in range(given)]
         index += [(n - 1) * k + (o + j) * n + j for j in positions]
-        checks += [tuple((at, f.times(a)) for at, a in zip(index, c) if a) for c in full]
+        checks += [form(f, c, index) for c in full]
         r = len(full)
-
-        def terms(lam: list[int]) -> tuple:
-            return tuple((start + at, f.times(a)) for at, a in enumerate(lam) if a)
+        # The digits of this diagonal's syndrome slice.
+        digits = range(start, start + r)
 
         # Candidates that erase the same positions of this diagonal share
         # its rows.
@@ -275,8 +279,8 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
                 aug = [[c[at] for at in erased] + [int(l == m) for m in range(r)] for l, c in enumerate(full)]
                 reduced, pivots = _rref(f, aug, e)
                 pin = reduced[0] if pivots[:1] == [0] and not any(reduced[0][1:e]) else None
-                correction = None if pin is None else terms([f.neg(a) for a in pin[e:]])
-                by_erased[erased] = tuple(terms(row[e:]) for row in reduced[len(pivots) :]), correction
+                correction = None if pin is None else form(f, [f.neg(a) for a in pin[e:]], digits)
+                by_erased[erased] = tuple(form(f, row[e:], digits) for row in reduced[len(pivots) :]), correction
             cand_checks, correction = by_erased[erased]
             entry[1].extend(cand_checks)
             # u_i(t), i = -o, is position i of this diagonal, erased
@@ -287,33 +291,18 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     return checks, {offs: tuple(entry) for offs, entry in rows.items()}
 
 
-def _decide(
-    candidates: list[tuple[int, list, list]], q: int, binary: bool, digits: int, syndrome: int
-) -> str | tuple[int, ...]:
-    """The verdict on a window syndrome of `digits` base-q digits, given
-    the rows of its context's candidates (see `_window`):
-    _NO_CANDIDATE, _AMBIGUOUS, or the correction g with u(t) equal to
-    received u(t) + g."""
-    s = [0] * digits
-    nonzero = 0
-    for at in range(digits - 1, -1, -1):
-        syndrome, s[at] = divmod(syndrome, q)
-        if s[at]:
-            nonzero |= 1 << at
-
-    def value(terms: tuple) -> int:
-        v = 0
-        for at, mul in terms:
-            v = v ^ mul[s[at]] if binary else v + mul[s[at]]
-        return v % q
-
+def _decide(field: Field, candidates: list[tuple[int, list, list]], s: list[int]) -> str | tuple[int, ...]:
+    """The verdict on the window syndrome with digits s, given the rows of
+    its context's candidates (see `_window`): _NO_CANDIDATE, _AMBIGUOUS,
+    or the correction g with u(t) equal to received u(t) + g."""
+    nonzero = sum(1 << at for at, v in enumerate(s) if v)
     agreed = None
     for untouched, checks, corrections in candidates:
-        if nonzero & untouched or any(value(c) for c in checks):
+        if nonzero & untouched or any(evaluate(field, checks, s)):
             continue
         if None in corrections:
             return _AMBIGUOUS
-        g = tuple(value(c) for c in corrections)
+        g = tuple(evaluate(field, corrections, s))
         if agreed is None:
             agreed = g
         elif g != agreed:
@@ -354,8 +343,6 @@ def decode_errors(
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
     q, w = f.q, model.w
-    # Field addition: XOR in characteristic 2, else integer addition mod q.
-    binary = f.p == 2
     t_msgs = message_horizon
     if len(received) != t_msgs + n - 1:
         raise ValueError(f"received stream must cover {t_msgs + n - 1} packet times")
@@ -379,7 +366,6 @@ def decode_errors(
     zero = (0,) * n
     past_support: list[int] = []
     per_packet: list[PacketStatus] = []
-    failures: list[int] = []
     ambiguities: list[int] = []
     messages_out: list[tuple[int, ...] | None] = []
     halted = False
@@ -391,7 +377,6 @@ def decode_errors(
         deadline = t + tau
         if halted:
             per_packet.append(PacketStatus(t, False, None, deadline))
-            failures.append(t)
             messages_out.append(None)
             continue
         wend = min(deadline, last)
@@ -401,12 +386,10 @@ def decode_errors(
             windows[width] = _window(code, width, subsets)
         checks_of_width, rows = windows[width]
         window = known_flat[t * k : (t + n - 1) * k] + received_flat[t * n : (wend + 1) * n]
+        digits = evaluate(f, checks_of_width, window)
         syndrome = 0
-        for terms in checks_of_width:
-            s = 0
-            for at, mul in terms:
-                s = s ^ mul[window[at]] if binary else s + mul[window[at]]
-            syndrome = syndrome * q + s % q
+        for s in digits:
+            syndrome = syndrome * q + s
         near_past = 0
         for p in reversed(past_support):
             if p <= t - w:
@@ -423,7 +406,7 @@ def decode_errors(
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
                 ]
-            verdict = _decide(candidates, q, binary, len(checks_of_width), syndrome)
+            verdict = _decide(f, candidates, digits)
             if len(verdicts) >= _DECISION_CAP:
                 verdicts.clear()
                 shared.clear()
@@ -436,14 +419,10 @@ def decode_errors(
             if verdict is _AMBIGUOUS:
                 ambiguities.append(t)
             per_packet.append(PacketStatus(t, False, None, deadline))
-            failures.append(t)
             messages_out.append(None)
             halted = True
         else:
-            if binary:
-                value = tuple(r ^ g for r, g in zip(received[t], verdict))
-            else:
-                value = tuple((r + g) % q for r, g in zip(received[t], verdict))
+            value = tuple(add(f, received[t][:k], verdict))
             known_flat += value
             messages_out.append(value)
             per_packet.append(PacketStatus(t, True, wend, deadline))
@@ -461,8 +440,6 @@ def decode_errors(
     return DecodeReport(
         params=params,
         per_packet=tuple(per_packet),
-        success=not failures,
-        failures=tuple(failures),
         pattern_admissible=admissible,
         ambiguities=tuple(ambiguities),
         messages=tuple(messages_out),
@@ -487,16 +464,11 @@ def apply_erasures(stream: PacketStream, pattern: ErasurePattern) -> list[tuple[
 def apply_errors(stream: PacketStream, pattern: ErrorPattern) -> list[tuple[int, ...]]:
     """The received packets: each packet plus its error packet, and the
     packet itself where the error packet is zero."""
-    p = stream.code.field.p
+    f = stream.code.field
     out = []
     for t, pkt in enumerate(stream.packets):
         err = pattern.packet(t)
-        if not any(err):
-            out.append(pkt)
-        elif p == 2:
-            out.append(tuple(a ^ b for a, b in zip(pkt, err)))
-        else:
-            out.append(tuple((a + b) % p for a, b in zip(pkt, err)))
+        out.append(tuple(add(f, pkt, err)) if any(err) else pkt)
     return out
 
 

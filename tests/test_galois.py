@@ -160,3 +160,28 @@ def test_subtraction_inverts_addition(field, data):
     a = data.draw(st.integers(0, field.q - 1))
     b = data.draw(st.integers(0, field.q - 1))
     assert field.sub(field.add(a, b), b) == a
+
+
+PRIMES = [p for p in range(2, 256) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES if p < 32])
+def test_prime_field_tables_exhaustive(p):
+    f = GF(p)
+    for a in range(p):
+        table = f.times(a)
+        for b in range(p):
+            assert f.mul(a, b) == table[b] == a * b % p
+        if a:
+            assert f.inv(a) == pow(a, p - 2, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_field_tables_sampled(p):
+    f = GF(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        a, b = rng.randrange(p), rng.randrange(p)
+        assert f.mul(a, b) == f.times(a)[b] == a * b % p
+        if a:
+            assert f.inv(a) == pow(a, p - 2, p)

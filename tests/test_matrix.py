@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from streamfec.galois import GF
 from streamfec.matrix import (
     FieldMatrix,
+    add,
     dot,
+    evaluate,
+    form,
     in_span,
     punctured_parity,
     rank,
@@ -130,6 +133,29 @@ def test_dot_matches_naive_sum(q):
             for x, y in zip(a, b):
                 want = f.add(want, f.mul(x, y))
             assert dot(f, a, b) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256, 1 << 16])
+def test_evaluate_and_add_match_dot_and_field_add(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        vec = [rng.randrange(q) for _ in range(rng.randrange(8))]
+        coeffs, positions = [], []
+        for _ in range(rng.randrange(6) if vec else 0):
+            coeffs.append(rng.choice((0, rng.randrange(q))))
+            positions.append(rng.randrange(len(vec)))
+        # a dense row over vec with the same value as the sparse form
+        row = [0] * len(vec)
+        for c, at in zip(coeffs, positions):
+            row[at] = f.add(row[at], c)
+        whole = [rng.choice((0, rng.randrange(q))) for _ in vec]
+        forms = [form(f, coeffs, positions), form(f, whole), form(f, [])]
+        assert evaluate(f, forms, vec) == [dot(f, row, vec), dot(f, whole, vec), 0]
+        assert evaluate(f, [], vec) == []
+        other = [rng.randrange(q) for _ in vec]
+        assert add(f, vec, other) == [f.add(x, y) for x, y in zip(vec, other)]
+    assert form(f, [0, 0, 0]) == ()
 
 
 def test_matrix_json_literals_roundtrip():

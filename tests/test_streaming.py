@@ -10,6 +10,7 @@ from streamfec.channel import ChannelModel, ErasurePattern, ErrorPattern, enumer
 from streamfec.galois import GF
 from streamfec.matrix import FieldMatrix, dot
 from streamfec.streaming import (
+    DecodeReport,
     PacketStatus,
     apply_errors,
     de_encode,
@@ -174,6 +175,22 @@ def test_report_json_shape_and_determinism():
     ]
     assert list(obj["per_packet"][0]) == ["t", "recovered", "time", "deadline"]
     assert obj["params"]["model"] == {"kind": "sw", "w": 5, "a": 2}
+
+
+def test_report_failures_follow_deadlines():
+    # t fails unless it was recovered by its deadline: late, lost and
+    # on-time packets, and reports that differ only in messages are equal.
+    per_packet = (
+        PacketStatus(0, True, 0, 2),
+        PacketStatus(1, True, 4, 3),
+        PacketStatus(2, False, None, 4),
+        PacketStatus(3, True, 5, 5),
+    )
+    report = DecodeReport(params={}, per_packet=per_packet, pattern_admissible=True, ambiguities=())
+    assert report.failures == (1, 2)
+    assert not report.success
+    assert DecodeReport({}, per_packet[::3], True, (), messages=((1,), None)).success
+    assert report == DecodeReport({}, per_packet, True, (), messages=((0,),) * 4)
 
 
 # -- error decoding ---------------------------------------------------------------
