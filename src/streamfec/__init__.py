@@ -17,10 +17,7 @@ from .bounds import (
     RateBound,
     causal_code_exists,
     de_achievable,
-    rate_mbsw_bound,
-    rate_mbsw_error_bound,
-    rate_sw_erasure,
-    rate_sw_error,
+    rate_bound,
 )
 from .channel import (
     ChannelModel,

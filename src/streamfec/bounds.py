@@ -1,16 +1,19 @@
 """Closed-form rate bounds and feasibility predicates, as exact
-rationals.  Out-of-regime queries raise rather than extrapolate: every
-formula is gated by its channel model's standing assumptions."""
+rationals.  Out-of-regime queries raise rather than extrapolate: the
+rate bound takes a `ChannelModel`, whose construction already enforces
+the model's standing assumptions, and the predicates check theirs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+
+from .channel import ChannelModel
 
 
 @dataclass(frozen=True, eq=False)
 class RateBound:
-    """An exact rational rate with the parameters it came from.
+    """An exact rational rate.
 
     Comparisons are exact rational comparisons; 3/6 == 1/2 regardless of
     normalization.
@@ -18,7 +21,6 @@ class RateBound:
 
     numerator: int
     denominator: int
-    context: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.denominator <= 0:
@@ -52,42 +54,13 @@ class RateBound:
         return f"{self.numerator}/{self.denominator}"
 
 
-def rate_sw_erasure(a: int, w: int) -> RateBound:
-    """Optimal rate (w-a)/w of a stream code over the (a, w) sliding-window
-    erasure channel."""
-    if not 0 < a < w:
-        raise ValueError(f"need 0 < a < w, got a={a}, w={w}")
-    return RateBound(w - a, w, {"model": "sw", "a": a, "w": w})
-
-
-def rate_sw_error(a: int, w: int) -> RateBound:
-    """Optimal rate (w-2a)/w over the (a, w) sliding-window error channel,
-    equal to the erasure-optimal rate at budget 2a."""
-    if not 0 < 2 * a < w:
-        raise ValueError(f"need 0 < 2a < w, got a={a}, w={w}")
-    return RateBound(w - 2 * a, w, {"model": "sw_err", "a": a, "w": w})
-
-
-def rate_mbsw_bound(z: int, b: int, w: int) -> RateBound:
-    """Rate upper bound (w-1-(z-1)b) / (w-1+b) for the (z, b, w)
-    multi-burst erasure channel."""
-    if z < 1 or b < 1:
-        raise ValueError("need z >= 1 and b >= 1")
-    if w <= z * b:
-        raise ValueError(f"need w > z*b, got w={w}, z*b={z * b}")
-    return RateBound(w - 1 - (z - 1) * b, w - 1 + b, {"model": "mbsw", "z": z, "b": b, "w": w})
-
-
-def rate_mbsw_error_bound(z: int, b: int, w: int) -> RateBound:
-    """Rate upper bound (w-1-(2z-1)b) / (w-1+b) for the (z, b, w)
-    multi-burst error channel, equal to the erasure bound at 2z bursts."""
-    if z < 1 or b < 1:
-        raise ValueError("need z >= 1 and b >= 1")
-    if w <= 2 * z * b:
-        raise ValueError(f"need w > 2*z*b, got w={w}, 2*z*b={2 * z * b}")
-    return RateBound(
-        w - 1 - (2 * z - 1) * b, w - 1 + b, {"model": "mbsw_err", "z": z, "b": b, "w": w}
-    )
+def rate_bound(model: ChannelModel) -> RateBound:
+    """Rate upper bound (w-1-(z-1)b) / (w-1+b) of the (z, b, w) erasure
+    channel, or of an error channel's erasure twin at 2z bursts.  At
+    b = 1 it is the optimal sliding-window rate: (w-a)/w for erasures and
+    (w-2a)/w for errors."""
+    z, b, w = model.erasure_equivalent.z, model.b, model.w
+    return RateBound(w - 1 - (z - 1) * b, w - 1 + b)
 
 
 def de_achievable(z: int, b: int, w: int) -> bool:

@@ -11,7 +11,8 @@ applies to erasure times, or for the *_err kinds to the times of nonzero
 packet errors.  The random model (a, w)-SW, at most a points per window,
 is exactly (a, 1, w)-MBSW, because a length-1 burst covers one point.
 So the four kinds (sw, mbsw, sw_err, mbsw_err) are two flags, b == 1 and
-errors, and one window predicate, `windows_ok`, decides all of them.
+errors, and one window predicate, `windows_ok`, decides all of them;
+one support walk, `_supports`, enumerates them.
 
 The burst-cover decision uses greedy left-anchored intervals, which is
 optimal for covering points on a line.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -176,9 +176,9 @@ class ChannelModel:
         reduces to; erasure models return themselves."""
         return ChannelModel(2 * self.z, self.b, self.w) if self.errors else self
 
-    def admits(self, pattern: ErasurePattern) -> bool:
-        """Admissibility of an erasure pattern (or of the support pattern
-        of an error pattern, for *_err kinds)."""
+    def admits(self, pattern: ErasurePattern | ErrorPattern) -> bool:
+        """Admissibility of a pattern's support: erasure times, or for
+        *_err kinds the times of nonzero error packets."""
         return is_admissible_mbsw(pattern, self.z, self.b, self.w)
 
     def to_dict(self) -> dict:
@@ -233,41 +233,56 @@ def is_admissible_mbsw(pattern: ErasurePattern, z: int, b: int, w: int) -> bool:
     return windows_ok(pattern.support, z, b, w)
 
 
+def _supports(z: int, b: int, w: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Every subset of [0, top] whose points in every length-w window are
+    coverable by <= z disjoint intervals of length <= b, in lexicographic
+    order of their flag sequences (0 before 1).
+
+    The walk steps from one support to the next without recursion: from
+    the top slot down, it drops each point it meets (a 1 flag) until it
+    finds a slot it can add (a 0 flag), which gives the next support, and
+    then starts again at the top.  A slot is added only if the window that
+    ends at it passes, because later points only add to later windows.
+    """
+    points: list[int] = []
+    yield ()
+    t = top
+    while t >= 0:
+        if points and points[-1] == t:
+            points.pop()
+            t -= 1
+            continue
+        window = points[bisect_left(points, t - w + 1):]
+        window.append(t)
+        # z bursts cover any z points
+        if len(window) <= z or min_burst_cover(window, b) <= z:
+            points.append(t)
+            yield tuple(points)
+            t = top
+        else:
+            t -= 1
+
+
 def enumerate_admissible(
     model: ChannelModel, horizon: int, support_bound: int | None = None
 ) -> Iterator[ErasurePattern]:
     """All admissible patterns of the given horizon, each exactly once,
     in lexicographic order of their flag sequences (0 before 1).
-
-    Depth-first with window pruning: a prefix whose trailing window
-    already violates the model cannot be extended into an admissible
-    pattern, because later flags only add erasures.  `support_bound`
-    restricts the support to [0, support_bound].
+    `support_bound` restricts the support to [0, support_bound].
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if support_bound is not None and support_bound < 0:
         raise ValueError(f"support bound must be nonnegative, got {support_bound}")
-    w = model.w
-    flags: list[int] = []
-    points: list[int] = []  # the erased slots of the prefix
+    top = horizon - 1 if support_bound is None else min(support_bound, horizon - 1)
 
-    def rec() -> Iterator[ErasurePattern]:
-        t = len(flags)
-        if t == horizon:
-            yield ErasurePattern(horizon, tuple(flags))
-            return
-        flags.append(0)
-        yield from rec()
-        if support_bound is None or t <= support_bound:
-            flags[-1] = 1
-            points.append(t)
-            if min_burst_cover(points[bisect_left(points, t - w + 1):], model.b) <= model.z:
-                yield from rec()
-            points.pop()
-        flags.pop()
+    def pattern(support: tuple[int, ...]) -> ErasurePattern:
+        flags = [0] * horizon
+        for t in support:
+            flags[t] = 1
+        return ErasurePattern(horizon, tuple(flags))
 
-    return rec()
+    return map(pattern, _supports(model.z, model.b, model.w, top))
 
 
 def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:
@@ -275,12 +290,10 @@ def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:
     length <= b, as sorted tuples in lexicographic order.  This is the
     per-codeword erasure family for a length-n code facing (z,b)-bursts:
     the (z, b, n) window constraint, whose first window spans the code.
-    No subset of more than z*b points qualifies.
     """
     if z < 1 or b < 1:
         raise ValueError(f"burst family needs z >= 1 and b >= 1, got z={z}, b={b}")
-    sizes = range(min(n, z * b) + 1)
-    return sorted(s for r in sizes for s in combinations(range(n), r) if windows_ok(s, z, b, n))
+    return sorted(_supports(z, b, n, n - 1))
 
 
 def error_to_erasure(e: ErrorPattern, e_tilde: ErrorPattern) -> ErasurePattern:

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Sequence
 
 from .block_code import SystematicCode, build_mds, build_multi_burst, verify_delay_decodable
-from .bounds import de_achievable, rate_mbsw_bound, rate_mbsw_error_bound
+from .bounds import de_achievable, rate_bound
 from .channel import (
     ChannelModel,
     ErasurePattern,
@@ -156,8 +156,8 @@ def _cmd_bounds(args) -> int:
     for z, b, w in product(ranges["z"], ranges["b"], ranges["w"]):
         if w <= z * b:
             continue
-        erasure = rate_mbsw_bound(z, b, w)
-        error = rate_mbsw_error_bound(z, b, w) if w > 2 * z * b else ""
+        erasure = rate_bound(ChannelModel.mbsw(z, b, w))
+        error = rate_bound(ChannelModel.mbsw_err(z, b, w)) if w > 2 * z * b else ""
         writer.writerow([z, b, w, str(erasure), str(error), de_achievable(z, b, w)])
     _emit(args, buf.getvalue())
     return 0

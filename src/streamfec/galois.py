@@ -139,18 +139,19 @@ class Field:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_times")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        if m == 1:
-            if p >= _MAX_PRIME:
-                raise ValueError(f"prime fields limited to p < {_MAX_PRIME}, got {p}")
-            if modulus is not None:
-                raise ValueError("prime fields take no modulus polynomial")
-        else:
-            if p != 2:
-                raise ValueError("extension fields are supported for characteristic 2 only")
+        # The order bounds come before trial division, which takes minutes
+        # on a large prime.
+        if m == 1 and p >= _MAX_PRIME:
+            raise ValueError(f"prime fields limited to p < {_MAX_PRIME}, got {p}")
+        if m > 1 and p != 2:
+            raise ValueError("extension fields are supported for characteristic 2 only")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
+        if m == 1 and modulus is not None:
+            raise ValueError("prime fields take no modulus polynomial")
+        if m > 1:
             if m > _MAX_EXTENSION_DEGREE:
                 raise ValueError(f"extension degree limited to {_MAX_EXTENSION_DEGREE}, got {m}")
             if modulus is None:
@@ -270,9 +271,8 @@ def GF(q: int, modulus: int | None = None) -> Field:
     """Field of order q: q = 2^m gives the binary extension field, prime q
     the prime field.  Other orders are unsupported."""
     if q >= 2 and q & (q - 1) == 0:  # power of two
-        m = q.bit_length() - 1
-        return _cached_field(2, m, modulus if m > 1 else None)
-    if _is_prime(q):
+        return _cached_field(2, q.bit_length() - 1, modulus)
+    if q < _MAX_PRIME and _is_prime(q):
         if modulus is not None:
             raise ValueError("prime fields take no modulus polynomial")
         return _cached_field(q, 1, None)

@@ -339,6 +339,8 @@ def decode_errors(
     `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB with the burst sweep's
     94-bit keys, and is cleared when full.
     """
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
     if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
@@ -430,12 +432,7 @@ def decode_errors(
             if tuple(received[t]) != value + tuple(codewords.get(t - j, zero)[j] for j in range(k, n)):
                 past_support.append(t)
 
-    admissible = True
-    if pattern is not None:
-        support_flags = ErasurePattern(
-            pattern.horizon, tuple(1 if any(p) else 0 for p in pattern.packets)
-        )
-        admissible = model.admits(support_flags)
+    admissible = model.admits(pattern) if pattern is not None else True
     params = _report_params(code, tau, model, t_msgs)
     return DecodeReport(
         params=params,
@@ -526,10 +523,10 @@ def equivalence_sweep(
     """Decode every error pattern of the error model whose support lies in
     [0, message_horizon - 1], with each error packet one of the unit
     error values (a single nonzero symbol).  The supports are those the
-    same-budget erasure model (z, b, w) admits.  Messages are drawn from
-    `seed`.  Returns {"patterns", "exact", "ambiguities"}; the paper's
-    equivalence holds on the sweep when every pattern decodes exactly.
-    The messages are encoded once and every pattern decodes that stream.
+    error model admits.  Messages are drawn from `seed`.  Returns
+    {"patterns", "exact", "ambiguities"}; the paper's equivalence holds on
+    the sweep when every pattern decodes exactly.  The messages are
+    encoded once and every pattern decodes that stream.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -542,7 +539,7 @@ def equivalence_sweep(
     values = [tuple(s if j == pos else 0 for j in range(n)) for pos in range(n) for s in range(1, f.q)]
     horizon = message_horizon + n - 1
     patterns = exact = ambiguities = 0
-    for p in enumerate_admissible(ChannelModel.mbsw(model.z, model.b, model.w), message_horizon):
+    for p in enumerate_admissible(model, message_horizon):
         for combo in product(values, repeat=len(p.support)):
             pattern = ErrorPattern.from_entries(horizon, n, dict(zip(p.support, combo)))
             report = decode_errors(code, tau, apply_errors(stream, pattern), message_horizon, model)

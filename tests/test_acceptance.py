@@ -17,7 +17,7 @@ from streamfec.block_code import (
     check_window_rank_properties,
     verify_delay_decodable,
 )
-from streamfec.bounds import rate_mbsw_bound, rate_sw_erasure, rate_sw_error
+from streamfec.bounds import rate_bound
 from streamfec.channel import (
     ChannelModel,
     ErasurePattern,
@@ -55,9 +55,9 @@ def test_criterion_1_optimal_rate_formulas():
     checked = 0
     for a in (1, 2, 3):
         for w in range(2 * a + 1, 13):
-            err = rate_sw_error(a, w)
+            err = rate_bound(ChannelModel.sw_err(a, w))
             assert err.fraction == Fraction(w - 2 * a, w)
-            assert err == rate_sw_erasure(2 * a, w)
+            assert err == rate_bound(ChannelModel.sw(2 * a, w))
             checked += 1
     _passed(1, f"{checked} (a, w) points, exact rational equality")
 
@@ -91,7 +91,7 @@ def test_criterion_4_multi_burst_construction():
     # its diagonal embedding must survive every admissible pattern
     code62 = build_multi_burst(2, 2, 2, F8)
     assert (code62.n, code62.k) == (6, 2)
-    assert Fraction(code62.k, code62.n) == rate_mbsw_bound(2, 2, 5).fraction
+    assert Fraction(code62.k, code62.n) == rate_bound(ChannelModel.mbsw(2, 2, 5)).fraction
     model = ChannelModel.mbsw(2, 2, 5)
     msgs = _messages(F8, 15, 2, seed=2027)
     patterns = list(enumerate_admissible(model, 15))
@@ -190,7 +190,7 @@ def test_criterion_9_bound_pressure():
     # any diagonally embedded code above rate 4/8 must miss a deadline;
     # even the strongest erasure structure, [8,5] MDS, fails
     code = build_mds(8, 5, F8)
-    assert Fraction(code.k, code.n) > rate_mbsw_bound(2, 2, 7).fraction
+    assert Fraction(code.k, code.n) > rate_bound(ChannelModel.mbsw(2, 2, 7)).fraction
     msgs = _messages(F8, 24, 5, seed=2028)
     report = simulate(code, 6, ChannelModel.mbsw(2, 2, 7), pattern, msgs)
     assert not report.success

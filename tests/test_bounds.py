@@ -7,70 +7,91 @@ from streamfec.bounds import (
     RateBound,
     causal_code_exists,
     de_achievable,
-    rate_mbsw_bound,
-    rate_mbsw_error_bound,
-    rate_sw_erasure,
-    rate_sw_error,
+    rate_bound,
 )
+from streamfec.channel import ChannelModel
 from streamfec.galois import GF
 from streamfec.search import search_nonexistence
 
 
 def test_sw_erasure_examples():
-    assert rate_sw_erasure(1, 4) == Fraction(3, 4)
-    assert rate_sw_erasure(2, 5) == Fraction(3, 5)
-    assert rate_sw_erasure(6, 7) == Fraction(1, 7)
+    assert rate_bound(ChannelModel.sw(1, 4)) == Fraction(3, 4)
+    assert rate_bound(ChannelModel.sw(2, 5)) == Fraction(3, 5)
+    assert rate_bound(ChannelModel.sw(6, 7)) == Fraction(1, 7)
     with pytest.raises(ValueError):
-        rate_sw_erasure(4, 4)
+        rate_bound(ChannelModel.sw(4, 4))
 
 
 def test_sw_error_examples():
-    assert rate_sw_error(1, 5) == Fraction(3, 5)
-    assert rate_sw_error(1, 3) == Fraction(1, 3)
+    assert rate_bound(ChannelModel.sw_err(1, 5)) == Fraction(3, 5)
+    assert rate_bound(ChannelModel.sw_err(1, 3)) == Fraction(1, 3)
     with pytest.raises(ValueError):
-        rate_sw_error(2, 4)
+        rate_bound(ChannelModel.sw_err(2, 4))
 
 
 def test_error_rate_equals_doubled_erasure_budget():
     for a in range(1, 4):
         for w in range(2 * a + 1, 13):
-            assert rate_sw_error(a, w) == rate_sw_erasure(2 * a, w)
+            assert rate_bound(ChannelModel.sw_err(a, w)) == rate_bound(ChannelModel.sw(2 * a, w))
 
 
 def test_mbsw_bound_examples():
-    assert rate_mbsw_bound(2, 2, 7) == RateBound(4, 8)
-    assert rate_mbsw_bound(1, 3, 7) == Fraction(6, 9)  # single burst: (w-1)/(w-1+b)
+    assert rate_bound(ChannelModel.mbsw(2, 2, 7)) == RateBound(4, 8)
+    assert rate_bound(ChannelModel.mbsw(1, 3, 7)) == Fraction(6, 9)  # single burst: (w-1)/(w-1+b)
     with pytest.raises(ValueError):
-        rate_mbsw_bound(2, 2, 4)
+        rate_bound(ChannelModel.mbsw(2, 2, 4))
 
 
 def test_mbsw_error_bound_examples():
-    assert rate_mbsw_error_bound(1, 2, 7) == RateBound(4, 8)
-    assert rate_mbsw_error_bound(1, 2, 5) == Fraction(2, 6)  # w = 2zb+1 degenerate
+    assert rate_bound(ChannelModel.mbsw_err(1, 2, 7)) == RateBound(4, 8)
+    assert rate_bound(ChannelModel.mbsw_err(1, 2, 5)) == Fraction(2, 6)  # w = 2zb+1 degenerate
     with pytest.raises(ValueError):
-        rate_mbsw_error_bound(1, 2, 4)
+        rate_bound(ChannelModel.mbsw_err(1, 2, 4))
 
 
 def test_mbsw_error_equals_doubled_bursts():
     for z in (1, 2):
         for b in (2, 3):
             for w in range(2 * z * b + 1, 16):
-                assert rate_mbsw_error_bound(z, b, w) == rate_mbsw_bound(2 * z, b, w)
+                assert rate_bound(ChannelModel.mbsw_err(z, b, w)) == rate_bound(ChannelModel.mbsw(2 * z, b, w))
 
 
 def test_mbsw_b1_matches_sw():
     for z in (1, 2, 3):
         for w in range(z + 2, 12):
-            assert rate_mbsw_bound(z, 1, w) == rate_sw_erasure(z, w)
+            assert rate_bound(ChannelModel.mbsw(z, 1, w)) == rate_bound(ChannelModel.sw(z, w))
 
 
 def test_bounds_are_exact_rationals():
-    b = rate_mbsw_bound(2, 2, 7)
+    b = rate_bound(ChannelModel.mbsw(2, 2, 7))
     assert isinstance(b.numerator, int) and isinstance(b.denominator, int)
     assert b == RateBound(1, 2)  # compares as rationals despite normalization
     assert b.fraction == Fraction(1, 2)
     assert RateBound(2, 4) == RateBound(3, 6)
     assert RateBound(1, 3) < RateBound(1, 2) <= RateBound(2, 4)
+
+
+def test_rate_bound_matches_closed_forms():
+    # The four closed forms, written out: (w-a)/w and (w-2a)/w for the
+    # sliding-window kinds, (w-1-(z-1)b)/(w-1+b) and (w-1-(2z-1)b)/(w-1+b)
+    # for the multi-burst kinds, unreduced as the bounds CSV prints them.
+    checked = 0
+    for z, b, w in product(range(1, 6), range(1, 6), range(2, 40)):
+        want = []
+        if b == 1:
+            a = z
+            if a < w:
+                want.append((ChannelModel.sw(a, w), f"{w - a}/{w}"))
+            if 2 * a < w:
+                want.append((ChannelModel.sw_err(a, w), f"{w - 2 * a}/{w}"))
+        if z * b < w:
+            want.append((ChannelModel.mbsw(z, b, w), f"{w - 1 - (z - 1) * b}/{w - 1 + b}"))
+        if 2 * z * b < w:
+            want.append((ChannelModel.mbsw_err(z, b, w), f"{w - 1 - (2 * z - 1) * b}/{w - 1 + b}"))
+        for model, text in want:
+            assert str(rate_bound(model)) == text, model
+            checked += 1
+    assert checked == 1633
 
 
 def test_rate_bound_validation():

@@ -16,8 +16,9 @@ from streamfec.channel import (
     is_admissible_sw,
     min_burst_cover,
     periodic_mbsw_pattern,
+    windows_ok,
 )
-from streamfec.bounds import rate_mbsw_bound
+from streamfec.bounds import rate_bound
 
 
 def _pat(*flags):
@@ -147,6 +148,29 @@ def test_enumerate_matches_naive_filter(model, t_max):
     assert got == want  # same patterns, same lexicographic order
 
 
+@pytest.mark.parametrize("z,b,w", [(1, 1, 2), (1, 1, 4), (2, 1, 5), (1, 2, 3), (1, 3, 5), (2, 2, 5), (2, 2, 7)])
+@pytest.mark.parametrize("support_bound", [None, 0, 3])
+def test_enumerate_matches_brute_force_grid(z, b, w, support_bound):
+    model = ChannelModel(z, b, w)
+    for horizon in range(11):
+        got = [p.flags for p in enumerate_admissible(model, horizon, support_bound)]
+        want = [
+            flags
+            for flags in product((0, 1), repeat=horizon)
+            if (support_bound is None or not any(flags[support_bound + 1 :]))
+            and windows_ok([t for t, f in enumerate(flags) if f], z, b, w)
+        ]
+        assert got == want, horizon  # same patterns, same lexicographic order
+
+
+def test_enumerate_needs_no_frame_per_slot():
+    # a generator frame per slot would pass the default recursion limit
+    model = ChannelModel.sw(1, 5)
+    pats = list(enumerate_admissible(model, 1500, support_bound=0))
+    assert [p.support for p in pats] == [(), (0,)]
+    assert pats[0].horizon == 1500
+
+
 def test_enumerate_support_bound():
     pats = list(enumerate_admissible(ChannelModel.sw(1, 3), 8, support_bound=2))
     assert all(max(p.support, default=0) <= 2 for p in pats)
@@ -161,6 +185,14 @@ def test_burst_supports_counts():
     assert len(fam) == 64
     assert fam[0] == ()
     assert all(min_burst_cover(s, 2) <= 2 for s in fam)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_burst_supports_match_combinations_filter(n):
+    for z, b in product(range(1, 5), range(1, 5)):
+        sizes = range(min(n, z * b) + 1)
+        want = sorted(s for r in sizes for s in combinations(range(n), r) if windows_ok(s, z, b, n))
+        assert burst_supports(n, z, b) == want, (z, b)
 
 
 def test_pattern_spaces_reject_bad_parameters():
@@ -262,7 +294,7 @@ def test_periodic_pattern_erased_fraction_complements_rate_bound(z, b, w):
     p = periodic_mbsw_pattern(z, b, w, periods=4)
     assert is_admissible_mbsw(p, z, b, w)
     erased = sum(p.flags)
-    bound = rate_mbsw_bound(z, b, w)
+    bound = rate_bound(ChannelModel.mbsw(z, b, w))
     assert Fraction(erased, p.horizon) == 1 - bound.fraction
 
 

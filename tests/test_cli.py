@@ -187,6 +187,7 @@ def test_bad_model_spec_is_operational_error(tmp_path, capsys):
 BAD_INPUT = {
     "construct-unsupported-field": "construct --mds 5 3 --gf 6",
     "construct-negative-modulus": "construct --mds 5 3 --gf 8 --modulus -11",
+    "construct-gf2-modulus": "construct --mds 3 1 --gf 2 --modulus 5",
     "bounds-non-numeric-grid": "bounds --grid z=a..3",
     "bounds-reversed-range": "bounds --grid z=1..0",
     "verify-tau-below-k": "verify-code --descriptor {dir}/code53.json --tau 2 --bursts 1 2",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamfec import galois
 from streamfec.galois import GF, Field, default_modulus
 
 SMALL_FIELDS = [GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(11), GF(13), GF(16)]
@@ -118,6 +119,32 @@ def test_unsupported_orders_rejected():
         Field(2, 4, modulus=0b10101)  # x^4 + x^2 + 1 = (x^2+x+1)^2
     with pytest.raises(ValueError):
         Field(2, 3, modulus=-11)  # bit length 4, but no polynomial
+
+
+def test_gf2_rejects_a_modulus():
+    # GF(2) is a prime field, and prime fields take no modulus
+    with pytest.raises(ValueError, match="no modulus"):
+        GF(2, modulus=5)
+    with pytest.raises(ValueError, match="no modulus"):
+        GF(3, modulus=5)
+
+
+def test_order_bounds_precede_primality_test(monkeypatch):
+    # Trial division of a large prime takes seconds (p = 100000000000031)
+    # or minutes (2^61 - 1), so an order past the bounds must be rejected
+    # without it.
+    calls = []
+    is_prime = galois._is_prime
+    monkeypatch.setattr(galois, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    for p in (100000000000031, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="limited to p < 256"):
+            Field(p)
+        with pytest.raises(ValueError, match="characteristic 2 only"):
+            Field(p, 2)
+        with pytest.raises(ValueError, match="unsupported field order"):
+            GF(p)
+    assert calls == []
+    assert Field(251).q == 251 and calls == [251]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256])

@@ -287,6 +287,17 @@ def test_error_decoder_requires_error_model():
         decode_errors(code, 4, stream.packets, 3, ChannelModel.sw(2, 5))
 
 
+@pytest.mark.parametrize("tau", [-1, -3])
+def test_error_decoder_rejects_negative_delay(tau):
+    # At tau = -1 the decoder would trust packet t before it arrives and
+    # report every message recovered at t - 1.
+    code = build_mds(5, 3, F8)
+    stream = de_encode(code, _messages(F8, 4, 3, seed=11))
+    received = apply_errors(stream, ErrorPattern.from_entries(stream.packet_horizon, 5, {}))
+    with pytest.raises(ValueError, match=f"tau must be nonnegative, got {tau}"):
+        decode_errors(code, tau, received, 4, ChannelModel.sw_err(1, 5))
+
+
 def _random_error_decodes(field, seed):
     """`decode_errors` arguments (code, tau, received, message_horizon,
     model, pattern) on random, typically non-MDS codes over the field,
