@@ -63,6 +63,12 @@ class SystematicCode:
         return {}
 
     @cached_property
+    def _erasure_readers(self) -> dict:
+        """`streaming.decode_erasures`' `_recover` answers as forms, per
+        (given, received) mask pair."""
+        return {}
+
+    @cached_property
     def _error_decisions(self) -> dict:
         """`streaming.decode_errors`' decision memo, per (tau, model)."""
         return {}
@@ -91,7 +97,8 @@ class SystematicCode:
         self, known: int, avail: int
     ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, tuple[int, ...]]]]:
         """`recovery` without the memo, for callers that ask each
-        question once (the verifier asks once per erasure support).
+        question once (the verifier asks once per erasure support) or
+        keep the answer in a form of their own (the erasure decoder).
 
         Each observation is eliminated once: `matrix._insert` adds it to a
         reduced row echelon basis keyed by pivot coordinate, the given

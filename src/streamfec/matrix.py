@@ -4,8 +4,10 @@ Entries are plain int values interpreted in the owning field; every
 product is a lookup in the field's product table for its constant.
 This module and `galois` are the only ones that add field values: the
 rest of the package computes its linear maps (encoders, syndromes,
-corrections) as `form`s read by `evaluate`, adds vectors with `add`,
-and takes dense dot products with `dot`.
+corrections) as `form`s read by `evaluate`, one vector at a time, or by
+`evaluate_columns`, on every row of a matrix given by its columns at
+once; it adds vectors with `add` and takes dense dot products with
+`dot`.
 Elimination is exact, one row at a time (`_insert`), pivoting on the
 first nonzero column, so there is no tolerance anywhere.  Matrices are
 immutable; operations return new objects and are safe to call
@@ -130,6 +132,28 @@ def evaluate(field: Field, forms: Iterable[Form], vec: Sequence[int]) -> list[in
         for at, t in terms:
             acc += t[vec[at]]
         out.append(acc % p)
+    return out
+
+
+def evaluate_columns(field: Field, forms: Iterable[Form], columns: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The value of each `form` on every row of the matrix with the given
+    columns, all of one length: out[l][r] is `evaluate` of forms[l] on
+    row r.  Each term of a form reads its whole column at once."""
+    length = len(columns[0]) if columns else 0
+    out = []
+    if field.p == 2:
+        for terms in forms:
+            acc = [0] * length
+            for at, t in terms:
+                acc = [a ^ t[v] for a, v in zip(acc, columns[at])]
+            out.append(acc)
+        return out
+    p = field.p
+    for terms in forms:
+        acc = [0] * length
+        for at, t in terms:
+            acc = [a + t[v] for a, v in zip(acc, columns[at])]
+        out.append([a % p for a in acc])
     return out
 
 

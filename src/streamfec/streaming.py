@@ -7,22 +7,27 @@ out on diagonals: the codeword of diagonal d encodes the message symbols
 packet d + j, so each packet erasure costs every affected codeword
 exactly one symbol.  Message packets outside [0, T) are zero, so the
 encoder is causal and the n-1 trailing packets complete the last
-diagonals.
+diagonals.  The encoder works a column at a time: parity j of every
+diagonal is one `matrix.evaluate_columns` pass over the message
+columns, each shifted to its place on the diagonals.
 
 Both decoders ask one question of one diagonal codeword at a time:
 given some of its message coordinates and the symbols received by a
 deadline, are those symbols consistent with a codeword, and which
 coordinates do they fix, from which position on?  `SystematicCode.recovery`
 answers it once per (given, received) mask pair and caches the answer
-as parity checks and recovery rows, so decoding is lookups and dot
-products.
+as parity checks and recovery rows.
 
 The erasure decoder asks it of each diagonal with the coordinates before
 time 0 given as zero and every unerased symbol received; a coordinate is
-recovered at the diagonal's start plus its pin position.  Packets
-recovered earlier carry no extra information for later ones beyond what
-the received symbols already determine, so per-diagonal solving realizes
-sequential (peeling) recovery exactly.
+recovered at the diagonal's start plus its pin position.  A diagonal's
+received positions are a shift and a mask of the stream's arrival
+bitmask, and the answer for each mask pair is kept per code as
+`matrix.form`s over the received symbols, so a diagonal costs one
+lookup, its consistency checks and, for an erased message, its pin.
+Packets recovered earlier carry no extra information for later ones
+beyond what the received symbols already determine, so per-diagonal
+solving realizes sequential (peeling) recovery exactly.
 
 The error decoder is the reference exhaustive one, and it is syndrome
 decoding.  To decode u(t) it assumes all earlier messages are known
@@ -59,7 +64,7 @@ from typing import Sequence
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from .galois import Field
-from .matrix import _rref, add, dot, evaluate, form
+from .matrix import Form, _rref, add, evaluate, evaluate_columns, form
 
 
 @dataclass(frozen=True)
@@ -123,23 +128,35 @@ class DecodeReport:
 
 
 def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> PacketStream:
-    """Diagonal embedding: each diagonal d is encoded once, as the
-    codeword of (u_0(d), u_1(d+1), ..., u_{k-1}(d+k-1)) with message
-    packets outside [0, T) zero, and its symbol j goes into packet d + j.
-    Diagonals before 1-k or from T on are all zero."""
+    """Diagonal embedding: diagonal d carries the codeword of (u_0(d),
+    u_1(d+1), ..., u_{k-1}(d+k-1)), with message packets outside [0, T)
+    zero, and its symbol j goes into packet d + j.  Diagonals before 1-k
+    or from T on are all zero.
+
+    The stream is computed column by column: parity j of diagonal d is
+    sum_i P[i][j] u_i(d+i), so each term of parity j's form reads message
+    column i shifted by i, and `matrix.evaluate_columns` gives parity j
+    of every diagonal at once; packet t's symbol j is entry t - j of
+    column j."""
     f = code.field
     n, k = code.n, code.k
-    msgs = tuple(tuple(f.check(v) for v in u) for u in messages)
-    for u in msgs:
-        if len(u) != k:
-            raise ValueError(f"every message packet must have {k} symbols")
-    t_msgs = len(msgs)
-    packets = [[0] * n for _ in range(t_msgs + n - 1)]
-    for d in range(1 - k, t_msgs):
-        codeword = code.encode([msgs[d + i][i] if 0 <= d + i < t_msgs else 0 for i in range(k)])
-        for j in range(max(-d, 0), n):
-            packets[d + j][j] = codeword[j]
-    return PacketStream(code=code, message_horizon=t_msgs, messages=msgs, packets=tuple(map(tuple, packets)))
+    msgs = tuple(map(tuple, messages))
+    # All symbols at once, not a method call each (a bool's type is not
+    # int); on a bad one, `Field.check` raises for the first in order.
+    flat = [v for u in msgs for v in u]
+    if flat and (set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= f.q):
+        for v in flat:
+            f.check(v)
+    if any(len(u) != k for u in msgs):
+        raise ValueError(f"every message packet must have {k} symbols")
+    columns = list(zip(*msgs)) or [()] * k
+    # Entry d + k - 1 of shifted column i is u_i(d+i), for d in [1-k, T).
+    shifted = [[0] * (k - 1 - i) + list(c) + [0] * i for i, c in enumerate(columns)]
+    tail = [0] * (n - 1)
+    symbols = [list(c) + tail for c in columns]
+    for s, parity in enumerate(evaluate_columns(f, code._parity_forms, shifted)):
+        symbols.append([0] * (s + 1) + parity + tail[k + s :])
+    return PacketStream(code=code, message_horizon=len(msgs), messages=msgs, packets=tuple(zip(*symbols)))
 
 
 def decode_erasures(
@@ -157,22 +174,47 @@ def decode_erasures(
     own diagonal codeword from symbols received by the deadline; the
     report records the earliest packet time at which each message packet
     became fully determined.
+
+    Diagonal d's (given, received) mask pair is read off the arrival
+    bitmask by a shift; its checks and pins are built as forms once per
+    pair and code, and every diagonal's checks must vanish on its
+    received symbols, or the stream is not a valid one and this raises
+    RuntimeError.
     """
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
     n, k, f = code.n, code.k, code.field
     t_msgs = message_horizon
     if len(received) != t_msgs + n - 1:
         raise ValueError(f"received stream must cover {t_msgs + n - 1} packet times")
-    last = len(received) - 1
 
-    # Per diagonal d: its pins and the observation vector they read.
-    diagonals: dict[int, tuple[dict, list[int]]] = {}
-    for d in range(-(k - 1), t_msgs):
+    # Bit t is set iff packet t arrived, so diagonal d's received
+    # positions are a shift and a mask of it.
+    arrived = int("".join("0" if pkt is None else "1" for pkt in reversed(received)) or "0", 2)
+    full = (1 << n) - 1
+    # Per (given, avail) key, memoised per code in place of the dense
+    # `recovery` answer: the received positions, and the checks and pins
+    # as forms over the symbols received there (the given coordinates
+    # are zero).
+    readers = code._erasure_readers
+    # Per diagonal d: its pins and the received symbols they read.
+    diagonals: dict[int, tuple[dict[int, tuple[int, Form]], list[int]]] = {}
+    for d in range(1 - k, t_msgs):
         # Coordinates i with d + i < 0 are given as zero.
         given = max(-d, 0)
-        recv = [j for j in range(given, min(n, last - d + 1)) if received[d + j] is not None]
-        checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
-        y = [0] * given + [received[d + j][j] for j in recv]
-        if any(dot(f, c, y) for c in checks):
+        avail = (arrived >> d if d >= 0 else arrived << given) & full
+        key = avail << k | given
+        reader = readers.get(key)
+        if reader is None:
+            checks, pins = code._recover((1 << given) - 1, avail)
+            reader = readers[key] = (
+                [j for j in range(n) if avail >> j & 1],
+                [form(f, c[given:]) for c in checks],
+                {i: (position, form(f, row[given:])) for i, (position, row) in pins.items()},
+            )
+        positions, checks, pins = reader
+        y = [received[d + j][j] for j in positions]
+        if any(evaluate(f, checks, y)):
             raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
         diagonals[d] = (pins, y)
 
@@ -187,9 +229,9 @@ def decode_erasures(
             times, vals = [], []
             for i in range(k):
                 pins, y = diagonals[t - i]
-                position, row = pins[i]
+                position, terms = pins[i]
                 times.append(t - i + position)
-                vals.append(dot(f, row, y))
+                vals += evaluate(f, (terms,), y)
             status = PacketStatus(t, True, max(times), deadline)
             messages_out.append(tuple(vals))
         else:

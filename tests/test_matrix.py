@@ -11,6 +11,7 @@ from streamfec.matrix import (
     add,
     dot,
     evaluate,
+    evaluate_columns,
     form,
     in_span,
     punctured_parity,
@@ -156,6 +157,24 @@ def test_evaluate_and_add_match_dot_and_field_add(q):
         other = [rng.randrange(q) for _ in vec]
         assert add(f, vec, other) == [f.add(x, y) for x, y in zip(vec, other)]
     assert form(f, [0, 0, 0]) == ()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256, 1 << 16])
+def test_evaluate_columns_matches_evaluate_row_by_row(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        rows, cols = rng.randrange(6), rng.randrange(1, 6)
+        matrix = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        forms = [
+            form(f, [rng.choice((0, rng.randrange(q))) for _ in range(cols)], rng.sample(range(cols), cols))
+            for _ in range(rng.randrange(4))
+        ]
+        forms.append(form(f, []))
+        want = [evaluate(f, forms, row) for row in matrix]
+        columns = [[row[c] for row in matrix] for c in range(cols)]
+        assert evaluate_columns(f, forms, columns) == [[values[l] for values in want] for l in range(len(forms))]
+    assert evaluate_columns(f, [], [[1, 0]]) == []
 
 
 def test_matrix_json_literals_roundtrip():

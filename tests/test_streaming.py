@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -12,14 +13,16 @@ from streamfec.matrix import FieldMatrix, dot
 from streamfec.streaming import (
     DecodeReport,
     PacketStatus,
+    apply_erasures,
     apply_errors,
     de_encode,
+    decode_erasures,
     decode_errors,
     equivalence_sweep,
     simulate,
 )
 
-F2, F3, F4, F8 = GF(2), GF(3), GF(4), GF(8)
+F2, F3, F4, F5, F7, F8, F16 = GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(16)
 
 
 def _messages(field, t_max, k, seed):
@@ -68,7 +71,7 @@ def _generator_column_stream(code, msgs):
     return tuple(packets)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F8], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F16], ids=lambda f: f"q{f.q}")
 def test_de_encode_matches_generator_column_formula(field):
     # random, typically non-MDS codes plus one multi-burst construction,
     # at horizons 0, 1, n and past n
@@ -99,6 +102,15 @@ def test_encoder_validates_message_shape():
     code = build_mds(5, 3, F8)
     with pytest.raises(ValueError):
         de_encode(code, [[1, 2]])
+
+
+@pytest.mark.parametrize("bad", [True, 8, -1, "1"], ids=repr)
+def test_encoder_validates_message_values(bad):
+    # bool is an int subclass and True == 1, so a range or set test on the
+    # values would let it through; the message names the first bad value.
+    code = build_mds(5, 3, F8)
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a value of GF"):
+        de_encode(code, [[1, 2, 3], [0, bad, 9], [4, 5]])
 
 
 # -- erasure decoding -----------------------------------------------------------
@@ -191,6 +203,98 @@ def test_report_failures_follow_deadlines():
     assert not report.success
     assert DecodeReport({}, per_packet[::3], True, (), messages=((1,), None)).success
     assert report == DecodeReport({}, per_packet, True, (), messages=((0,),) * 4)
+
+
+def _per_diagonal_decode(code, tau, received, message_horizon, pattern, model):
+    """The erasure decoder one diagonal at a time: `code.recovery` on the
+    diagonal's given and received positions, read by dense dot products.
+    An oracle for the mask-keyed decoder."""
+    n, k, f = code.n, code.k, code.field
+    last = len(received) - 1
+    diagonals = {}
+    for d in range(-(k - 1), message_horizon):
+        given = max(-d, 0)
+        recv = [j for j in range(given, min(n, last - d + 1)) if received[d + j] is not None]
+        checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
+        y = [0] * given + [received[d + j][j] for j in recv]
+        assert not any(dot(f, c, y) for c in checks)
+        diagonals[d] = (pins, y)
+    per_packet, messages = [], []
+    for t in range(message_horizon):
+        deadline = t + tau
+        if received[t] is not None:
+            per_packet.append(PacketStatus(t, True, t, deadline))
+            messages.append(tuple(received[t][:k]))
+        elif all(i in diagonals[t - i][0] for i in range(k)):
+            times, vals = [], []
+            for i in range(k):
+                pins, y = diagonals[t - i]
+                position, row = pins[i]
+                times.append(t - i + position)
+                vals.append(dot(f, row, y))
+            per_packet.append(PacketStatus(t, True, max(times), deadline))
+            messages.append(tuple(vals))
+        else:
+            per_packet.append(PacketStatus(t, False, None, deadline))
+            messages.append(None)
+    return DecodeReport(
+        params=streaming._report_params(code, tau, model, message_horizon),
+        per_packet=tuple(per_packet),
+        pattern_admissible=model.admits(pattern) if model is not None else True,
+        ambiguities=(),
+        messages=tuple(messages),
+    )
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F16], ids=lambda f: f"q{f.q}")
+def test_erasure_decoder_matches_per_diagonal_oracle(field):
+    # random codes, zero columns in P included, at horizons 0, 1, n and 30;
+    # random patterns of every density, and bursts longer than n - k
+    rng = random.Random(100 + field.q)
+    for _ in range(8):
+        n = rng.randrange(2, 8)
+        k = rng.randrange(1, n)
+        p = FieldMatrix(field, [[rng.choice((0, rng.randrange(field.q))) for _ in range(n - k)] for _ in range(k)])
+        code = SystematicCode(field=field, n=n, k=k, P=p)
+        model = ChannelModel.sw(n - k, n)
+        for horizon in (0, 1, n, 30):
+            stream = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
+            last = stream.packet_horizon
+            supports = [{t for t in range(last) if rng.random() < density} for density in (0.1, 0.3, 0.6)]
+            start = rng.randrange(last)
+            supports.append(set(range(start, min(start + n - k + 1, last))))
+            for support in supports:
+                pattern = ErasurePattern.from_support(last, support)
+                tau = rng.randrange(n + 1)
+                received = apply_erasures(stream, pattern)
+                got = decode_erasures(code, tau, received, horizon, pattern, model)
+                want = _per_diagonal_decode(code, tau, received, horizon, pattern, model)
+                assert got.to_json() == want.to_json()
+                assert got.messages == want.messages
+
+
+def test_erasure_decoder_rejects_conflicting_diagonal():
+    # One corrupted parity symbol on a fully received diagonal of a [5,3]
+    # MDS code breaks one of its two checks.
+    code = build_mds(5, 3, F8)
+    stream = de_encode(code, _messages(F8, 6, 3, seed=12))
+    received = [list(pkt) for pkt in stream.packets]
+    # packet 5, symbol 4: parity 4 of diagonal 1
+    received[5][4] ^= 1
+    pattern = ErasurePattern.from_support(stream.packet_horizon, ())
+    with pytest.raises(RuntimeError, match="received symbols of diagonal 1 conflict"):
+        decode_erasures(code, 4, [tuple(pkt) for pkt in received], 6, pattern)
+
+
+@pytest.mark.parametrize("tau", [-1, -3])
+def test_erasure_decoder_rejects_negative_delay(tau):
+    # At tau = -1 every message of a clean stream would be reported as a
+    # deadline miss.
+    code = build_mds(5, 3, F8)
+    stream = de_encode(code, _messages(F8, 3, 3, seed=11))
+    pattern = ErasurePattern.from_support(stream.packet_horizon, ())
+    with pytest.raises(ValueError, match=f"tau must be nonnegative, got {tau}"):
+        decode_erasures(code, tau, apply_erasures(stream, pattern), 3, pattern)
 
 
 # -- error decoding ---------------------------------------------------------------
