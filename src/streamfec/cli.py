@@ -112,8 +112,9 @@ def _cmd_verify_code(args) -> int:
 def _read_pattern(path: str):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    # JSON text is an error pattern, whatever its top level holds, and
+    # `ErrorPattern.from_json` says what a list lacks.
+    if text.lstrip().startswith(("{", "[")):
         return ErrorPattern.from_json(text)
     return ErasurePattern.from_csv(text)
 

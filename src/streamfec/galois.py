@@ -5,7 +5,8 @@ Two families are supported: binary extension fields GF(2^m) for
 GF(p) for p < 256.  Both multiply and invert through log/antilog tables
 of their least primitive element, built with the field, so `mul` and
 `inv` are one path for every field.  Values are plain ints in [0, q-1];
-:meth:`Field.check` validates one at API boundaries.
+:meth:`Field.check` validates one at API boundaries, and
+:meth:`Field.check_all` a whole sequence.
 
 Hot loops multiply by a constant through :meth:`Field.times`, a product
 table per constant that the field builds on first use and caches, so a
@@ -23,7 +24,7 @@ x^i), so that descriptors are reproducible across machines.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 _MAX_EXTENSION_DEGREE = 16
 _MAX_PRIME = 256
@@ -175,6 +176,14 @@ class Field:
         if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not a value of {self!r}")
         return a
+
+    def check_all(self, values: Sequence) -> None:
+        """`check` every value: one pass over all of them at once, not a
+        method call each (a bool's type is not int), and on a bad one
+        `check` raises for the first in order."""
+        if values and (set(map(type, values)) != {int} or min(values) < 0 or max(values) >= self.q):
+            for v in values:
+                self.check(v)
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:

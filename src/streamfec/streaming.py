@@ -40,16 +40,19 @@ S is consistent when, on every diagonal, s_d lies in the column span of
 H_d[:, E], E being the positions S erases, and it fixes u(t) when s_d
 also determines the error on each coordinate of u(t).  All consistent
 candidates must agree on u(t); disagreement (or an underdetermined u(t))
-is reported as an ambiguity, never silently resolved.  Once u(t) is
-decided, diagonal t-k+1 has all its message symbols and is encoded,
-once; packet t was in error iff it differs from u(t) followed by parity
-symbol j of diagonal t-j for each j >= k.
+is reported as an ambiguity, never silently resolved.  Packet t was in
+error iff u(t) needed a correction or some symbol j >= k of it differs
+from parity j of diagonal t-j.  That diagonal's messages are all before
+t, so the difference, its unit residual, is a check on its observation:
+a combination of its syndrome slice, and nothing is re-encoded.
 
-So the decision depends on the window only through its syndrome, and it
-is memoised under (window width, near-past error offsets, window
+So the decision, the correction to u(t) and whether packet t was in
+error, depends on the window only through its syndrome, and it is
+memoised under (window width, near-past error offsets, window
 syndrome).  A new key is decided from the key alone: each candidate of
 its (width, near-past offsets) context is a set of rows over the
-syndrome digits, built once per width, and no received packet is read.
+syndrome digits, and each residual a form over them, built once per
+width, and no received packet is read.
 """
 
 from __future__ import annotations
@@ -59,12 +62,12 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from .galois import Field
-from .matrix import Form, _rref, add, evaluate, evaluate_columns, form
+from .matrix import Form, _insert, _rref, add, evaluate, evaluate_columns, form
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,10 @@ class PacketStream:
         return len(self.packets)
 
 
-@dataclass(frozen=True)
-class PacketStatus:
+class PacketStatus(NamedTuple):
+    """Whether message t was recovered, at which packet time, and its
+    deadline: a plain immutable record, one per message and report."""
+
     t: int
     recovered: bool
     time: int | None
@@ -141,12 +146,7 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     f = code.field
     n, k = code.n, code.k
     msgs = tuple(map(tuple, messages))
-    # All symbols at once, not a method call each (a bool's type is not
-    # int); on a bad one, `Field.check` raises for the first in order.
-    flat = [v for u in msgs for v in u]
-    if flat and (set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= f.q):
-        for v in flat:
-            f.check(v)
+    f.check_all([v for u in msgs for v in u])
     if any(len(u) != k for u in msgs):
         raise ValueError(f"every message packet must have {k} symbols")
     columns = list(zip(*msgs)) or [()] * k
@@ -252,19 +252,19 @@ def decode_erasures(
 
 # The error decoder's decision memo keeps at most this many verdicts per
 # (code, tau, model) and is cleared when full.  An entry is its packed key
-# and its dict slot (equal corrections share one tuple): about 80 B for the
-# burst sweep's 94-bit keys, plus 4 B per 30 more key bits, so a full memo
-# of such keys holds about 2.5 MiB.
+# and its dict slot (equal verdicts share one pair through `shared`):
+# about 80 B for the burst sweep's 94-bit keys, plus 4 B per 30 more key
+# bits, so a full memo of such keys holds about 2.5 MiB.
 _DECISION_CAP = 1 << 15
-# Verdicts other than a correction tuple.
+# Verdicts other than a (correction, packet in error) pair.
 _NO_CANDIDATE = "no consistent candidate"
 _AMBIGUOUS = "ambiguous"
 
 
-def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> tuple[list, dict]:
-    """The syndrome checks of a width-slot window [t, t+width-1], and each
+def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> tuple[list, dict, list]:
+    """The syndrome checks of a width-slot window [t, t+width-1], each
     candidate error support (offsets in the window) as rows over the
-    digits of the window syndrome.
+    digits of the window syndrome, and the residuals of packet t.
 
     The checks are those of `code.recovery` with every window position
     received, on every diagonal d touching the window: d's full-window
@@ -288,10 +288,17 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     offset 0 is erased, u_i(t) is E's first column on diagonal t-i; its
     error is determined, as mu . s_d, iff the pivot row of that column
     is (1, 0, ..., 0) on E, with record mu, and the correction is then
-    -mu . s_d."""
+    -mu . s_d.
+
+    residuals has one form over the digits per symbol j >= k of packet
+    t, from j = n-1 down: its received value minus parity j re-encoded
+    from the messages of diagonal t-j, all of them before t.  Every
+    candidate reads it alike, and packet t was in error iff the
+    correction or some residual is nonzero."""
     n, k, f = code.n, code.k, code.field
     checks = []
     rows = {offs: [0, [], [()] * k] for offs in candidates}
+    residuals = []
     start = 0
     for o in range(1 - n, width):
         # Diagonal t+o knows its first `given` coordinates (those before
@@ -306,6 +313,19 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
         r = len(full)
         # The digits of this diagonal's syndrome slice.
         digits = range(start, start + r)
+        if given == k:
+            # Diagonal t+o, o <= -k, has every message coordinate given,
+            # so the unit residual of its position -o (the symbol of
+            # packet t there minus its re-encoded parity) vanishes on
+            # every codeword: it is lambda . H_d, and reducing it against
+            # [H_d | I] leaves -lambda in the record.
+            obs = k + len(positions)
+            aug = [list(c) + [int(l == m) for m in range(r)] for l, c in enumerate(full)]
+            reduced, pivots = _rref(f, aug, obs)
+            residual = [f.neg(v) for v in code._generator_columns[first]] + [1] + [0] * (obs - k - 1 + r)
+            if _insert(f, dict(zip(pivots, reduced)), residual, obs) is not None:
+                raise RuntimeError(f"the residual on diagonal t{o} is no check; the recovery core is inconsistent")
+            residuals.append(form(f, [f.neg(a) for a in residual[obs:]], digits))
 
         # Candidates that erase the same positions of this diagonal share
         # its rows.
@@ -330,13 +350,17 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
             if 0 <= -o < k and 0 in offs:
                 entry[2][-o] = correction
         start += r
-    return checks, {offs: tuple(entry) for offs, entry in rows.items()}
+    return checks, {offs: tuple(entry) for offs, entry in rows.items()}, residuals
 
 
-def _decide(field: Field, candidates: list[tuple[int, list, list]], s: list[int]) -> str | tuple[int, ...]:
+def _decide(
+    field: Field, candidates: list[tuple[int, list, list]], residuals: list[Form], s: list[int]
+) -> str | tuple[tuple[int, ...], bool]:
     """The verdict on the window syndrome with digits s, given the rows of
-    its context's candidates (see `_window`): _NO_CANDIDATE, _AMBIGUOUS,
-    or the correction g with u(t) equal to received u(t) + g."""
+    its context's candidates and the residual forms of its width (see
+    `_window`): _NO_CANDIDATE, _AMBIGUOUS, or (g, in_error), with u(t)
+    equal to received u(t) + g, and in_error telling whether packet t was
+    in error: g is nonzero or some parity residual is."""
     nonzero = sum(1 << at for at, v in enumerate(s) if v)
     agreed = None
     for untouched, checks, corrections in candidates:
@@ -349,7 +373,9 @@ def _decide(field: Field, candidates: list[tuple[int, list, list]], s: list[int]
             agreed = g
         elif g != agreed:
             return _AMBIGUOUS
-    return _NO_CANDIDATE if agreed is None else agreed
+    if agreed is None:
+        return _NO_CANDIDATE
+    return agreed, any(agreed) or any(evaluate(field, residuals, s))
 
 
 def decode_errors(
@@ -377,7 +403,9 @@ def decode_errors(
     checks on the positions it erases, and its correction to u_i(t) is
     minus the error that the slice then determines.  The width and
     near-past offsets fix the admissible candidates, so the key fixes the
-    verdict and the correction to u(t) exactly.  The memo holds at most
+    verdict and the correction to u(t) exactly; it also fixes whether
+    packet t was in error, through the residuals of its parity symbols,
+    which are forms over the syndrome digits.  The memo holds at most
     `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB with the burst sweep's
     94-bit keys, and is cleared when full.
     """
@@ -404,18 +432,11 @@ def decode_errors(
     # slices of them.
     known_flat = [0] * ((n - 1) * k)
     received_flat = [v for packet in received for v in packet]
-    # The codewords of the diagonals whose message symbols are all known;
-    # diagonals before 1-k are zero.
-    codewords: dict[int, tuple[int, ...]] = {}
-    zero = (0,) * n
     past_support: list[int] = []
     per_packet: list[PacketStatus] = []
     ambiguities: list[int] = []
     messages_out: list[tuple[int, ...] | None] = []
     halted = False
-
-    def msg_value(tm: int, i: int) -> int:
-        return known_flat[(tm + n - 1) * k + i]
 
     for t in range(t_msgs):
         deadline = t + tau
@@ -428,7 +449,7 @@ def decode_errors(
         if width not in windows:
             subsets = [p.support for p in enumerate_admissible(model, width)]
             windows[width] = _window(code, width, subsets)
-        checks_of_width, rows = windows[width]
+        checks_of_width, rows, residuals = windows[width]
         window = known_flat[t * k : (t + n - 1) * k] + received_flat[t * n : (wend + 1) * n]
         digits = evaluate(f, checks_of_width, window)
         syndrome = 0
@@ -450,7 +471,7 @@ def decode_errors(
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
                 ]
-            verdict = _decide(f, candidates, digits)
+            verdict = _decide(f, candidates, residuals, digits)
             if len(verdicts) >= _DECISION_CAP:
                 verdicts.clear()
                 shared.clear()
@@ -466,12 +487,12 @@ def decode_errors(
             messages_out.append(None)
             halted = True
         else:
-            value = tuple(add(f, received[t][:k], verdict))
+            correction, in_error = verdict
+            value = tuple(add(f, received[t][:k], correction))
             known_flat += value
             messages_out.append(value)
             per_packet.append(PacketStatus(t, True, wend, deadline))
-            codewords[t - k + 1] = code.encode([msg_value(t - k + 1 + i, i) for i in range(k)])
-            if tuple(received[t]) != value + tuple(codewords.get(t - j, zero)[j] for j in range(k, n)):
+            if in_error:
                 past_support.append(t)
 
     admissible = model.admits(pattern) if pattern is not None else True
@@ -544,9 +565,7 @@ def simulate(
             raise ValueError("error patterns need an error-channel model")
         if pattern.packet_size != code.n:
             raise ValueError("error packet size must equal the code length")
-        for packet in pattern.packets:
-            for v in packet:
-                code.field.check(v)
+        code.field.check_all([v for packet in pattern.packets for v in packet])
         received = apply_errors(stream, pattern)
         report = decode_errors(code, tau, received, t_msgs, model, pattern)
     if report.pattern_admissible:

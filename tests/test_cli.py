@@ -254,6 +254,45 @@ BAD_INPUT = {
 }
 
 
+# Error-pattern files whose JSON is no pattern, or holds a packet value
+# that is no field value, and the one line each prints.
+BAD_PATTERN_JSON = {
+    "value-string": ('{"horizon": 6, "packet_size": 5, "errors": [{"t": 1, "packet": ["1", 0, 0, 0, 0]}]}', "'1'"),
+    "value-float": ('{"horizon": 6, "packet_size": 5, "errors": [{"t": 1, "packet": [1.5, 0, 0, 0, 0]}]}', "1.5"),
+    "value-true": ('{"horizon": 6, "packet_size": 5, "errors": [{"t": 1, "packet": [true, 0, 0, 0, 0]}]}', "True"),
+    "value-past-field": ('{"horizon": 6, "packet_size": 5, "errors": [{"t": 1, "packet": [0, 9, 0, 0, 0]}]}', "9"),
+    "value-null": ('{"horizon": 6, "packet_size": 5, "errors": [{"t": 1, "packet": [0, 0, null, 0, 0]}]}', "None"),
+    "value-list": ('{"horizon": 6, "packet_size": 5, "errors": [{"t": 1, "packet": [0, 0, 0, 0, [1]]}]}', "[1]"),
+    # the first bad value in order is the one named
+    "value-first-of-two": ('{"horizon": 6, "packet_size": 5, "errors": [{"t": 1, "packet": [0, 9, "1", 0, 0]}]}', "9"),
+}
+
+
+@pytest.mark.parametrize("text, value", BAD_PATTERN_JSON.values(), ids=BAD_PATTERN_JSON.keys())
+def test_error_pattern_value_not_in_field_exits_with_its_line(tmp_path, capsys, text, value):
+    run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(tmp_path / "code53.json"))
+    (tmp_path / "p.json").write_text(text)
+    argv = f"simulate --descriptor {tmp_path}/code53.json --tau 4 --model sw_err:1,5 --pattern {tmp_path}/p.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--horizon", "2"])
+    assert exc.value.code == f"streamfec simulate: {value} is not a value of GF(8, modulus=0b1011)"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", ["[1,2]", "  [1, 2]\n", "[]"])
+def test_top_level_json_array_pattern_is_read_as_json(tmp_path, capsys, text):
+    # A pattern file that opens a JSON array is no erasure CSV: it is an
+    # error pattern without its keys.
+    run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(tmp_path / "code53.json"))
+    (tmp_path / "p.json").write_text(text)
+    for model in (["--model", "sw_err:1,5"], []):
+        argv = ["simulate", "--descriptor", str(tmp_path / "code53.json"), "--tau", "4", "--pattern"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(tmp_path / "p.json"), "--horizon", "2"] + model)
+        assert exc.value.code == "streamfec simulate: error pattern JSON lacks horizon, packet_size, errors"
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv):
     run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(tmp_path / "code53.json"))

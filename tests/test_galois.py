@@ -212,3 +212,16 @@ def test_prime_field_tables_sampled(p):
         assert f.mul(a, b) == f.times(a)[b] == a * b % p
         if a:
             assert f.inv(a) == pow(a, p - 2, p)
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(7), GF(8)], ids=lambda f: f"q{f.q}")
+def test_check_all_raises_for_the_first_bad_value_as_check_does(f):
+    f.check_all([])
+    f.check_all(list(range(f.q)) * 2)
+    for values in ([0, f.q, "1"], [1, True, -1], [None, 1.5], [0, [1]], [f.q - 1, -1]):
+        bad = next(v for v in values if type(v) is not int or not 0 <= v < f.q)
+        with pytest.raises(ValueError) as expected:
+            f.check(bad)
+        with pytest.raises(ValueError) as got:
+            f.check_all(values)
+        assert str(got.value) == str(expected.value)

@@ -205,6 +205,18 @@ def test_report_failures_follow_deadlines():
     assert report == DecodeReport({}, per_packet, True, (), messages=((0,),) * 4)
 
 
+def test_packet_status_is_an_immutable_record():
+    # Four fields in this order, read by name or by keyword, and no
+    # attribute can be assigned.
+    status = PacketStatus(3, True, 5, 7)
+    assert PacketStatus._fields == ("t", "recovered", "time", "deadline")
+    assert (status.t, status.recovered, status.time, status.deadline) == (3, True, 5, 7)
+    assert status == PacketStatus(t=3, recovered=True, time=5, deadline=7)
+    for name in PacketStatus._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(status, name, 4)
+
+
 def _per_diagonal_decode(code, tau, received, message_horizon, pattern, model):
     """The erasure decoder one diagonal at a time: `code.recovery` on the
     diagonal's given and received positions, read by dense dot products.
@@ -384,6 +396,20 @@ def test_past_error_rules_out_candidates_in_its_window():
     assert list(report.messages) == [(1,)] * 5
 
 
+def test_past_parity_error_rules_out_candidates_in_its_window():
+    # The twin of the test above with the error at 0 on parity symbol 2
+    # only: u(0) needs no correction, yet packet 0 was in error, and only
+    # that inferred error leaves {3} the one candidate for u(2).
+    code = SystematicCode(field=F2, n=4, k=1, P=FieldMatrix(F2, [[1, 1, 1]]))
+    msgs = [[1]] * 5
+    pattern = ErrorPattern.from_entries(8, 4, {0: (0, 0, 1, 0), 3: (0, 1, 0, 0)})
+    received = apply_errors(de_encode(code, msgs), pattern)
+    report = decode_errors(code, 1, received, 5, ChannelModel.sw_err(1, 3), pattern)
+    assert report.pattern_admissible
+    assert report.success and not report.ambiguities
+    assert list(report.messages) == [(1,)] * 5
+
+
 def test_error_decoder_requires_error_model():
     code = build_mds(5, 3, F8)
     stream = de_encode(code, [[0] * 3] * 3)
@@ -405,24 +431,39 @@ def test_error_decoder_rejects_negative_delay(tau):
 def _random_error_decodes(field, seed):
     """`decode_errors` arguments (code, tau, received, message_horizon,
     model, pattern) on random, typically non-MDS codes over the field,
-    with mostly inadmissible random error patterns and fresh messages
-    per decode.  tau runs past n-1, so windows at the tail are cut short."""
+    with mostly inadmissible random error patterns, the last of them on
+    parity symbols only, and fresh messages per decode.  tau runs past
+    n-1, so windows at the tail are cut short."""
     rng = random.Random(seed)
     cases = []
+    codes = []
+    models = (ChannelModel.sw_err(1, 3), ChannelModel.sw_err(1, 4), ChannelModel.mbsw_err(1, 2, 5))
+
+    def case(code, model, tau, horizon, rate, symbols):
+        n, k = code.n, code.k
+        stream = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
+        entries = {
+            t: tuple(rng.randrange(field.q) if j in symbols else 0 for j in range(n))
+            for t in range(horizon + n - 1)
+            if rng.random() < rate
+        }
+        pattern = ErrorPattern.from_entries(horizon + n - 1, n, entries)
+        return code, tau, apply_errors(stream, pattern), horizon, model, pattern
+
     for n, k in ((2, 1), (3, 2), (4, 2), (5, 4)):
         p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
         code = SystematicCode(field=field, n=n, k=k, P=p)
-        for model in (ChannelModel.sw_err(1, 3), ChannelModel.sw_err(1, 4), ChannelModel.mbsw_err(1, 2, 5)):
+        codes.append(code)
+        for model in models:
             for tau in (0, n - 1, n, n + 2):
                 for horizon, rate in product((1, 3, 6), (0.15, 0.3)):
-                    stream = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
-                    entries = {
-                        t: tuple(rng.randrange(field.q) for _ in range(n))
-                        for t in range(horizon + n - 1)
-                        if rng.random() < rate
-                    }
-                    pattern = ErrorPattern.from_entries(horizon + n - 1, n, entries)
-                    cases.append((code, tau, apply_errors(stream, pattern), horizon, model, pattern))
+                    cases.append(case(code, model, tau, horizon, rate, range(n)))
+    # Parity-only error packets, nonzero only on symbols j >= k: packet t
+    # is in error although u(t) needs no correction.
+    for code, model in product(codes, models):
+        for tau in (code.n - 1, code.n + 2):
+            for horizon in (3, 6):
+                cases.append(case(code, model, tau, horizon, 0.3, range(code.k, code.n)))
     return cases
 
 
@@ -435,7 +476,7 @@ def _fresh(code):
     return SystematicCode(field=code.field, n=code.n, k=code.k, P=code.P)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8], ids=lambda f: f"q{f.q}")
 def test_error_decision_memo_cold_equals_warm(field):
     # Each report must not depend on what the decision memo already
     # holds: every decode with an empty memo equals the same decode
@@ -509,7 +550,7 @@ def _window_candidate_decode(code, tau, received, message_horizon, model):
     return tuple(per_packet), tuple(failures), tuple(ambiguities), tuple(messages)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8], ids=lambda f: f"q{f.q}")
 def test_syndrome_verdicts_match_window_candidate_loop(field):
     # A memo miss decides from the key alone; the window candidate loop
     # above reads the received symbols instead, and every report must
@@ -525,14 +566,15 @@ def test_syndrome_verdicts_match_window_candidate_loop(field):
     assert any(r.failures and not r.ambiguities for r in reports)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8], ids=lambda f: f"q{f.q}")
 def test_window_rows_decode_the_syndrome(field):
     # `_window` against the recovery core, for every support in the window
     # on random codes: corrections[i] is None exactly when erasing the
     # support on diagonal t-i leaves u_i(t) unpinned, and a valid window
     # observation plus a random error on the support has a syndrome on
-    # which the support's untouched digits and checks vanish and whose
-    # correction is minus the error on u(t).
+    # which the support's untouched digits and checks vanish, whose
+    # correction is minus the error on u(t), and whose residuals are the
+    # error on packet t's parity symbols.
     rng = random.Random(field.q)
 
     def value(terms, digits):
@@ -546,7 +588,7 @@ def test_window_rows_decode_the_syndrome(field):
         code = SystematicCode(field=field, n=n, k=k, P=p)
         for width in range(1, n + 3):
             supports = [offs for size in range(width + 1) for offs in combinations(range(width), size)]
-            checks, rows = streaming._window(code, width, supports)
+            checks, rows, residuals = streaming._window(code, width, supports)
             assert list(rows) == supports
             t = n - 1
             streams = [de_encode(code, _messages(field, t + width + n, k, rng.randrange(1 << 30))) for _ in range(3)]
@@ -566,6 +608,9 @@ def test_window_rows_decode_the_syndrome(field):
                     for i, terms in enumerate(corrections):
                         if terms is not None:
                             assert value(terms, digits) == field.neg(errors.get(0, [0] * k)[i])
+                    # packet t's symbols j >= k, from j = n-1 down, minus
+                    # their parities re-encoded from the clean messages
+                    assert [value(r, digits) for r in residuals] == errors.get(0, [0] * n)[k:][::-1]
 
 
 def test_error_decision_memo_cap_keeps_reports(monkeypatch):
