@@ -59,12 +59,8 @@ class SystematicCode:
         return neg_pt.hstack(FieldMatrix.identity(f, self.n - self.k))
 
     @cached_property
-    def _recoveries(self) -> dict:
-        return {}
-
-    @cached_property
     def _erasure_readers(self) -> dict:
-        """`streaming.decode_erasures`' `_recover` answers as forms, per
+        """`streaming.decode_erasures`' `recovery` answers as forms, per
         (given, received) mask pair."""
         return {}
 
@@ -85,20 +81,9 @@ class SystematicCode:
         c . y == 0 for every row c of checks; pins[i] = (position, row)
         for each coordinate i outside `known` that y fixes, with
         u_i == row . y and position the smallest received position whose
-        prefix, together with the given coordinates, fixes u_i.  The
-        order of the checks carries no meaning.  Memoised per code;
-        callers share the result and must not mutate it."""
-        hit = self._recoveries.get((known, avail))
-        if hit is None:
-            hit = self._recoveries[(known, avail)] = self._recover(known, avail)
-        return hit
-
-    def _recover(
-        self, known: int, avail: int
-    ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, tuple[int, ...]]]]:
-        """`recovery` without the memo, for callers that ask each
-        question once (the verifier asks once per erasure support) or
-        keep the answer in a form of their own (the erasure decoder).
+        prefix, together with the given coordinates, fixes u_i.  Nothing
+        is cached here: the verifier asks each question once, and the
+        stream decoders keep the answers in forms of their own.
 
         Each observation is eliminated once: `matrix._insert` adds it to a
         reduced row echelon basis keyed by pivot coordinate, the given
@@ -107,7 +92,8 @@ class SystematicCode:
         basis after a prefix is the reduced form of that prefix, so u_i is
         pinned exactly when its basis row first reads u_i alone.  A row
         that reduces to zero on the coordinates is a check, and no later
-        step touches it."""
+        step touches it, so the checks come in the order of the
+        observations that produce them."""
         # A given coordinate i is the systematic symbol at position i, so
         # every observation is a generator column.  Each row also records
         # which combination of observations it is, so a reduced row reads
@@ -160,6 +146,9 @@ class SystematicCode:
     def from_descriptor(d: dict) -> "SystematicCode":
         if not isinstance(d, dict):
             raise ValueError(f"a code descriptor is an object, got {type(d).__name__}")
+        missing = [key for key in ("field", "n", "k", "P") if key not in d]
+        if missing:
+            raise ValueError(f"code descriptor lacks {', '.join(missing)}")
         fld = Field.from_dict(d["field"])
         n, k, p_rows = d["n"], d["k"], d["P"]
         # Exactly int, as in `Field.check`: "5" and JSON true are no lengths.
@@ -297,7 +286,7 @@ def _first_miss(code: SystematicCode, tau: int, patterns: Iterable) -> VerifyRes
         erased = [i for i in _check_range(support, n) if i < k]
         if not erased:
             continue
-        _, pins = code._recover(0, (1 << n) - 1 - sum(1 << j for j in support))
+        _, pins = code.recovery(0, (1 << n) - 1 - sum(1 << j for j in support))
         for i in erased:
             # no pin position exceeds n-1, so i + tau stands for the deadline
             if i not in pins or pins[i][0] > i + tau:

@@ -71,7 +71,7 @@ def _load_descriptor(path: str) -> SystematicCode:
     try:
         with open(path, encoding="utf-8") as fh:
             return SystematicCode.from_descriptor(json.load(fh))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot load code descriptor {path}: {exc}")
 
 
@@ -179,14 +179,15 @@ def _cmd_enumerate_patterns(args) -> int:
 def _cmd_equivalence_check(args) -> int:
     field = GF(args.gf, args.modulus)
     w = args.w
-    if args.a is not None:
+    bursts = (args.z, args.b)
+    if args.a is not None and bursts == (None, None):
         model = ChannelModel.sw_err(args.a, w)
         code = build_mds(w, w - 2 * args.a, field)
-    elif args.z is not None and args.b is not None:
+    elif args.a is None and None not in bursts:
         model = ChannelModel.mbsw_err(args.z, args.b, w)
         code = build_multi_burst(w - 1 - (2 * args.z - 1) * args.b, 2 * args.z, args.b, field)
     else:
-        raise SystemExit("equivalence-check needs either --a or both --z and --b")
+        raise SystemExit("equivalence-check needs either --a alone or both --z and --b")
     bound = args.support_bound if args.support_bound is not None else 2 * w - 1
     if bound < 0:
         raise ValueError(f"support bound must be nonnegative, got {bound}")

@@ -261,6 +261,12 @@ class Field:
     def from_dict(d: dict) -> "Field":
         if not isinstance(d, dict):
             raise ValueError(f"a field descriptor is an object, got {d!r}")
+        # Only an extension field (m > 1) reads its modulus.
+        m = d.get("m")
+        keys = ("p", "m", "modulus") if type(m) is int and m > 1 else ("p", "m")
+        missing = [key for key in keys if key not in d]
+        if missing:
+            raise ValueError(f"field descriptor lacks {', '.join(missing)}")
         # Exactly int, as in `check`: "3" and JSON true are no parameters.
         p, m = d["p"], d["m"]
         if type(p) is not int or type(m) is not int:

@@ -15,8 +15,9 @@ Both decoders ask one question of one diagonal codeword at a time:
 given some of its message coordinates and the symbols received by a
 deadline, are those symbols consistent with a codeword, and which
 coordinates do they fix, from which position on?  `SystematicCode.recovery`
-answers it once per (given, received) mask pair and caches the answer
-as parity checks and recovery rows.
+answers it for one (given, received) mask pair as parity checks and
+recovery rows; it caches nothing, and each decoder keeps the answers it
+needs in a table of its own.
 
 The erasure decoder asks it of each diagonal with the coordinates before
 time 0 given as zero and every unerased symbol received; a coordinate is
@@ -43,16 +44,17 @@ candidates must agree on u(t); disagreement (or an underdetermined u(t))
 is reported as an ambiguity, never silently resolved.  Packet t was in
 error iff u(t) needed a correction or some symbol j >= k of it differs
 from parity j of diagonal t-j.  That diagonal's messages are all before
-t, so the difference, its unit residual, is a check on its observation:
-a combination of its syndrome slice, and nothing is re-encoded.
+t, so the difference, its residual, is the first check `recovery` gives
+on its observation: a residual is its diagonal's first syndrome digit,
+and nothing is re-encoded.
 
 So the decision, the correction to u(t) and whether packet t was in
 error, depends on the window only through its syndrome, and it is
 memoised under (window width, near-past error offsets, window
 syndrome).  A new key is decided from the key alone: each candidate of
 its (width, near-past offsets) context is a set of rows over the
-syndrome digits, and each residual a form over them, built once per
-width, and no received packet is read.
+syndrome digits, built once per width, the residuals are digits of the
+syndrome, and no received packet is read.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from typing import NamedTuple, Sequence
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from .galois import Field
-from .matrix import Form, _insert, _rref, add, evaluate, evaluate_columns, form
+from .matrix import Form, _rref, add, evaluate, evaluate_columns, form
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ def decode_erasures(
         key = avail << k | given
         reader = readers.get(key)
         if reader is None:
-            checks, pins = code._recover((1 << given) - 1, avail)
+            checks, pins = code.recovery((1 << given) - 1, avail)
             reader = readers[key] = (
                 [j for j in range(n) if avail >> j & 1],
                 [form(f, c[given:]) for c in checks],
@@ -261,7 +263,7 @@ _NO_CANDIDATE = "no consistent candidate"
 _AMBIGUOUS = "ambiguous"
 
 
-def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> tuple[list, dict, list]:
+def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> tuple[list, dict, int]:
     """The syndrome checks of a width-slot window [t, t+width-1], each
     candidate error support (offsets in the window) as rows over the
     digits of the window syndrome, and the residuals of packet t.
@@ -290,15 +292,17 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     is (1, 0, ..., 0) on E, with record mu, and the correction is then
     -mu . s_d.
 
-    residuals has one form over the digits per symbol j >= k of packet
-    t, from j = n-1 down: its received value minus parity j re-encoded
-    from the messages of diagonal t-j, all of them before t.  Every
-    candidate reads it alike, and packet t was in error iff the
-    correction or some residual is nonzero."""
+    residuals is the bitmask of packet t's residuals, one digit per
+    symbol j >= k of packet t: its received value minus parity j
+    re-encoded from the messages of diagonal t-j, all of them before t.
+    That diagonal has every coordinate given and reads its position j
+    first, so the residual is its slice's first digit.  Every candidate
+    reads them alike, and packet t was in error iff the correction or
+    some residual is nonzero."""
     n, k, f = code.n, code.k, code.field
     checks = []
     rows = {offs: [0, [], [()] * k] for offs in candidates}
-    residuals = []
+    residuals = 0
     start = 0
     for o in range(1 - n, width):
         # Diagonal t+o knows its first `given` coordinates (those before
@@ -315,17 +319,10 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
         digits = range(start, start + r)
         if given == k:
             # Diagonal t+o, o <= -k, has every message coordinate given,
-            # so the unit residual of its position -o (the symbol of
-            # packet t there minus its re-encoded parity) vanishes on
-            # every codeword: it is lambda . H_d, and reducing it against
-            # [H_d | I] leaves -lambda in the record.
-            obs = k + len(positions)
-            aug = [list(c) + [int(l == m) for m in range(r)] for l, c in enumerate(full)]
-            reduced, pivots = _rref(f, aug, obs)
-            residual = [f.neg(v) for v in code._generator_columns[first]] + [1] + [0] * (obs - k - 1 + r)
-            if _insert(f, dict(zip(pivots, reduced)), residual, obs) is not None:
-                raise RuntimeError(f"the residual on diagonal t{o} is no check; the recovery core is inconsistent")
-            residuals.append(form(f, [f.neg(a) for a in residual[obs:]], digits))
+            # so `recovery` reduces its first received position -o, a
+            # symbol of packet t, to zero on them at once: its check, the
+            # slice's first, is that symbol minus its re-encoded parity.
+            residuals |= 1 << start
 
         # Candidates that erase the same positions of this diagonal share
         # its rows.
@@ -354,10 +351,10 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
 
 
 def _decide(
-    field: Field, candidates: list[tuple[int, list, list]], residuals: list[Form], s: list[int]
+    field: Field, candidates: list[tuple[int, list, list]], residuals: int, s: list[int]
 ) -> str | tuple[tuple[int, ...], bool]:
     """The verdict on the window syndrome with digits s, given the rows of
-    its context's candidates and the residual forms of its width (see
+    its context's candidates and the residual digits of its width (see
     `_window`): _NO_CANDIDATE, _AMBIGUOUS, or (g, in_error), with u(t)
     equal to received u(t) + g, and in_error telling whether packet t was
     in error: g is nonzero or some parity residual is."""
@@ -375,7 +372,7 @@ def _decide(
             return _AMBIGUOUS
     if agreed is None:
         return _NO_CANDIDATE
-    return agreed, any(agreed) or any(evaluate(field, residuals, s))
+    return agreed, any(agreed) or bool(nonzero & residuals)
 
 
 def decode_errors(
@@ -405,7 +402,7 @@ def decode_errors(
     near-past offsets fix the admissible candidates, so the key fixes the
     verdict and the correction to u(t) exactly; it also fixes whether
     packet t was in error, through the residuals of its parity symbols,
-    which are forms over the syndrome digits.  The memo holds at most
+    which are syndrome digits.  The memo holds at most
     `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB with the burst sweep's
     94-bit keys, and is cleared when full.
     """

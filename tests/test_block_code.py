@@ -412,7 +412,7 @@ def _column_rref(field, rows, limit):
 
 
 def _recover_by_full_elimination(code, known, avail):
-    """`SystematicCode._recover` as a whole-matrix elimination after every
+    """`SystematicCode.recovery` as a whole-matrix elimination after every
     received position: the observations are generator columns with an
     identity record, and a pin is read off the first reduced form whose
     row for u_i has no later coordinate."""
@@ -446,7 +446,7 @@ def test_incremental_recovery_matches_full_elimination(q):
                 code = SystematicCode(f, n, k, p)
                 for avail in range(1 << n):
                     for g in range(k + 1):
-                        checks, pins = code._recover((1 << g) - 1, avail)
+                        checks, pins = code.recovery((1 << g) - 1, avail)
                         want_checks, want_pins = _recover_by_full_elimination(code, (1 << g) - 1, avail)
                         assert pins == want_pins
                         assert sorted(checks) == sorted(want_checks)
@@ -461,6 +461,13 @@ def test_descriptor_roundtrip_bit_exact():
         again = SystematicCode.from_descriptor(json.loads(blob))
         assert again == code
         assert json.dumps(again.to_descriptor(), indent=2) == blob
+
+
+@pytest.mark.parametrize("drop", [("P",), ("field", "k"), ("n", "k", "P")])
+def test_descriptor_missing_keys_named(drop):
+    d = {key: v for key, v in build_mds(5, 3, F8).to_descriptor().items() if key not in drop}
+    with pytest.raises(ValueError, match=f"^code descriptor lacks {', '.join(drop)}$"):
+        SystematicCode.from_descriptor(d)
 
 
 @settings(max_examples=25, deadline=None)

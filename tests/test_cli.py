@@ -212,6 +212,8 @@ BAD_INPUT = {
     ),
     "equivalence-negative-support-bound": "equivalence-check --a 1 --w 5 --gf 8 --support-bound -3",
     "equivalence-support-bound-minus-one": "equivalence-check --a 1 --w 5 --gf 8 --support-bound -1",
+    "equivalence-a-with-bursts": "equivalence-check --a 1 --z 1 --b 2 --w 7 --gf 8",
+    "equivalence-a-with-z": "equivalence-check --a 1 --z 1 --w 7 --gf 8",
     "verify-no-bursts": "verify-code --descriptor {dir}/code53.json --tau 4 --bursts 0 2",
     "verify-zero-burst-length": "verify-code --descriptor {dir}/code53.json --tau 4 --bursts 1 0",
     "search-cursor-past-end": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from 99999",
@@ -246,6 +248,8 @@ BAD_INPUT = {
         "simulate --descriptor {dir}/field_list.json --tau 4 --pattern {dir}/ok.csv --horizon 2"
     ),
     "verify-descriptor-top-level-list": "verify-code --descriptor {dir}/top_list.json --tau 4 --bursts 1 2",
+    "verify-descriptor-no-modulus": "verify-code --descriptor {dir}/no_modulus.json --tau 4 --bursts 1 2",
+    "verify-descriptor-no-P": "verify-code --descriptor {dir}/no_P.json --tau 4 --bursts 1 2",
     "verify-error-model": "verify-code --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5",
     "simulate-csv-with-error-model": (
         "simulate --descriptor {dir}/code53.json --tau 4 --model sw_err:1,5 --pattern {dir}/ok.csv --horizon 2"
@@ -319,6 +323,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv):
         "P_null_row": {**base, "P": [p_rows[0], None] + p_rows[2:]},
         "field_list": {**base, "field": [2, 3]},
         "top_list": [base],
+        "no_modulus": {**base, "field": {"p": 2, "m": 3}},
+        "no_P": {key: v for key, v in base.items() if key != "P"},
     }
     for name, descriptor in bad_descriptors.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(descriptor))

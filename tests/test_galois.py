@@ -171,6 +171,17 @@ def test_descriptor_roundtrip():
         assert Field.from_dict(f.to_dict()) == f
     assert GF(8).to_dict() == {"p": 2, "m": 3, "modulus": 0b1011}
     assert GF(7).to_dict() == {"p": 7, "m": 1, "modulus": 0}
+    # a prime field reads no modulus
+    assert Field.from_dict({"p": 7, "m": 1}) == GF(7)
+
+
+@pytest.mark.parametrize(
+    "d, missing",
+    [({"p": 2, "m": 3}, "modulus"), ({"m": 3, "modulus": 11}, "p"), ({"p": 2}, "m"), ({}, "p, m")],
+)
+def test_descriptor_missing_keys_named(d, missing):
+    with pytest.raises(ValueError, match=f"^field descriptor lacks {missing}$"):
+        Field.from_dict(d)
 
 
 def test_explicit_modulus_respected():

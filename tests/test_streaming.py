@@ -573,8 +573,8 @@ def test_window_rows_decode_the_syndrome(field):
     # support on diagonal t-i leaves u_i(t) unpinned, and a valid window
     # observation plus a random error on the support has a syndrome on
     # which the support's untouched digits and checks vanish, whose
-    # correction is minus the error on u(t), and whose residuals are the
-    # error on packet t's parity symbols.
+    # correction is minus the error on u(t), and whose digits at the
+    # residual mask are the error on packet t's parity symbols.
     rng = random.Random(field.q)
 
     def value(terms, digits):
@@ -610,7 +610,8 @@ def test_window_rows_decode_the_syndrome(field):
                             assert value(terms, digits) == field.neg(errors.get(0, [0] * k)[i])
                     # packet t's symbols j >= k, from j = n-1 down, minus
                     # their parities re-encoded from the clean messages
-                    assert [value(r, digits) for r in residuals] == errors.get(0, [0] * n)[k:][::-1]
+                    marked = [v for at, v in enumerate(digits) if residuals >> at & 1]
+                    assert marked == errors.get(0, [0] * n)[k:][::-1]
 
 
 def test_error_decision_memo_cap_keeps_reports(monkeypatch):
