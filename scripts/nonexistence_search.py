@@ -15,8 +15,9 @@ to an earlier candidate judged alike: one whose column's first nonzero
 entry, or whose row's leading nonzero digit, is above 1.  The divisible
 [8,4] case has an explicit construction.
 
-Two binary rows have b | k and still no code: [12,6] and [14,8] with
-z=3, b=2.  They are field-size data, not counterexamples: the
+Three rows have b | k and still no code: [12,6] and [14,8] with z=3,
+b=2 over GF(2), and [12,8] with z=2, b=2 over GF(4) (4^32 candidates,
+the longest row).  They are field-size data, not counterexamples: the
 construction needs a field of size q >= k/b + z.
 
 Exits 1 if a "b does not divide k" space holds a code or the [8,4]
@@ -51,6 +52,7 @@ TASKS = [
     (13, 9, 2, 2, 11, 2, NON_DIVISIBLE),
     (12, 6, 3, 2, 10, 2, "field-size data, b divides k"),
     (14, 8, 3, 2, 12, 2, "field-size data, b divides k"),
+    (12, 8, 2, 2, 10, 4, "field-size data, b divides k"),
 ]
 
 

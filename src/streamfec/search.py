@@ -12,6 +12,14 @@ prefix's whole subtree.  Every candidate the cursor passes is covered;
 the first survivor is the lexicographically first witness, and it is
 re-checked with the reference verifier before it is reported.
 
+A check's verdict depends only on the projected rows it reads, so each
+check keeps a memo of its verdicts for one scan, keyed by those digits:
+the elimination runs once per distinct projection, not once per node
+(up to `_VERDICT_CAP` verdicts held, then every memo is cleared).  The
+cursor steps as an odometer over the digits of the index: moving past
+a subtree adds 1 to its row's last digit and carries upward, and the
+scan resumes at the shallowest row that changed.
+
 Over q > 2 the scan also skips nodes by the diagonal symmetry
 P -> D_r P D_c, where that is exact.  Scaling a parity column by a
 nonzero constant applies an invertible diagonal map to every projected
@@ -40,6 +48,11 @@ from .matrix import FieldMatrix, _insert
 
 _CODEBOOK_GUARD = 1 << 20
 _SEARCH_GUARD = 1 << 24
+# `_scan`'s verdict memos hold at most this many verdicts together, and
+# are all cleared when full.  An entry is an int key and its dict slot:
+# about 70 B for the 64-bit keys of [12,8] over GF(4), so full memos of
+# such keys hold about 18 MiB.
+_VERDICT_CAP = 1 << 18
 
 
 def enumerate_codebook(code: SystematicCode) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -171,6 +184,20 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     the node's whole subtree, clipped to stop.  `progress` receives every
     multiple of 2^16 the cursor reaches, in order.
 
+    The cursor is an odometer over the k*r base-q digits of the index,
+    kept both as `rows` (each row's digits) and as `packed` (every digit
+    in its own field of `width` bits, so `packed` is the index itself
+    when q is a power of 2).  Moving past the node at depth d zeroes the
+    digits below row d and adds 1 to row d's last digit, carrying upward;
+    the next node is at the shallowest row that changed.
+
+    A check's verdict depends only on the digits it reads: row i and the
+    msg_js rows at its coords.  `packed` masked to those digits is its
+    key in the check's own memo of verdicts, so `_fails` eliminates each
+    distinct projection once per scan.  The memos live for this call
+    only; together they hold at most `_VERDICT_CAP` verdicts, and all are
+    cleared when full.
+
     For q > 2 the cursor also moves past a node that a scaling maps into
     an earlier sibling v', by two rules.  Columns: the fresh columns at
     depth d are those zero in rows 0..d-1, and v' is the node's row with
@@ -185,23 +212,38 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     [start, W), so the first survivor, and with it every cursor, is the
     one the unscaled scan finds."""
     q, base = field.q, field.q**r
+    top = q - 1
+    width = top.bit_length()
+    # bit offset of row d's last digit in `packed`
+    offsets = [width * r * (k - 1 - d) for d in range(k)]
+    digit = (1 << width) - 1
     at_depth: list[list] = [[] for _ in range(k)]
     for check in checks:
-        at_depth[max((check[0], *check[2]))].append(check)
+        i, coords, msg_js = check
+        mask = 0
+        for j in (i, *msg_js):
+            for c in coords:
+                mask |= digit << offsets[j] + width * (r - 1 - c)
+        at_depth[max((i, *msg_js))].append((check, mask, {}))
+    memos = [memo for checks_at in at_depth for _, _, memo in checks_at]
+    held = 0
     sizes = [base ** (k - 1 - d) for d in range(k)]
     weights = [q ** (r - 1 - c) for c in range(r)]
-    rows: list = [None] * k
+    rows = [_digits_of(value, q, r) for value in _digits_of(start, base, k)]
+    packed = 0
+    for row in rows:
+        for x in row:
+            packed = packed << width | x
     # fresh[d]: the columns zero in rows[:d]; GF(2) has nothing to scale.
     fresh: list = [None] * (k + 1)
     scaled = q > 2
     fresh[0] = range(r) if scaled else ()
-    digits = _digits_of(start, base, k)
     idx, depth = start, 0
     # Invariant: every check at a depth below `depth` passes on rows[:depth],
     # and fresh[:depth + 1] belongs to rows[:depth].
     while idx < stop:
         for d in range(depth, k):
-            row = rows[d] = _digits_of(digits[d], q, r)
+            row = rows[d]
             cols = fresh[d]
             if cols:
                 excess = sum((row[c] - 1) * weights[c] for c in cols if row[c] > 1)
@@ -214,10 +256,23 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
                 if a > 1:
                     inverse = field.times(field.inv(a))
                     twin = sum(inverse[x] * w for x, w in zip(row, weights))
-                    if idx - idx % sizes[d] - (digits[d] - twin) * sizes[d] >= start:
+                    if idx - idx % sizes[d] - (idx // sizes[d] % base - twin) * sizes[d] >= start:
                         break
-            if any(_fails(field, rows, check) for check in at_depth[d]):
-                break
+            for check, mask, memo in at_depth[d]:
+                key = packed & mask
+                verdict = memo.get(key)
+                if verdict is None:
+                    if held >= _VERDICT_CAP:
+                        for full in memos:
+                            full.clear()
+                        held = 0
+                    verdict = memo[key] = _fails(field, rows, check)
+                    held += 1
+                if verdict:
+                    break
+            else:
+                continue  # every check passes: go one row deeper
+            break  # a check fails: move past the subtree
         else:
             return idx
         nxt = min(idx - idx % sizes[d] + sizes[d], stop)
@@ -226,9 +281,23 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
                 progress(cursor)
         idx = nxt
         if idx < stop:
-            moved = _digits_of(idx, base, k)
-            depth = next(d for d in range(k) if moved[d] != digits[d])
-            digits = moved
+            below = packed & (1 << offsets[d]) - 1
+            if below:  # only a resumed scan starts inside a subtree
+                packed -= below
+                for e in range(d + 1, k):
+                    rows[e] = [0] * r
+            bit, c = offsets[d], r - 1
+            while rows[d][c] == top:
+                rows[d][c] = 0
+                packed -= top << bit
+                bit += width
+                if c:
+                    c -= 1
+                else:
+                    d, c = d - 1, r - 1
+            rows[d][c] += 1
+            packed += 1 << bit
+            depth = d
     return None
 
 
