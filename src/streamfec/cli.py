@@ -56,15 +56,15 @@ _MODEL_SPECS = {
 def _parse_model(spec: str) -> ChannelModel:
     kind, _, rest = spec.partition(":")
     if kind not in _MODEL_SPECS:
-        raise SystemExit(f"bad model spec {spec!r}: unknown kind")
+        raise ValueError(f"bad model spec {spec!r}: unknown kind")
     make, fields = _MODEL_SPECS[kind]
     values = rest.split(",")
     if len(values) != len(fields.split(",")):
-        raise SystemExit(f"bad model spec {spec!r}: {kind} takes {fields}")
+        raise ValueError(f"bad model spec {spec!r}: {kind} takes {fields}")
     try:
         return make(*(int(x) for x in values))
     except ValueError as exc:
-        raise SystemExit(f"bad model spec {spec!r}: {exc}")
+        raise ValueError(f"bad model spec {spec!r}: {exc}")
 
 
 def _load_descriptor(path: str) -> SystematicCode:
@@ -72,7 +72,7 @@ def _load_descriptor(path: str) -> SystematicCode:
         with open(path, encoding="utf-8") as fh:
             return SystematicCode.from_descriptor(json.load(fh))
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot load code descriptor {path}: {exc}")
+        raise ValueError(f"cannot load code descriptor {path}: {exc}")
 
 
 def _cmd_construct(args) -> int:
@@ -149,7 +149,7 @@ def _cmd_bounds(args) -> int:
     for spec in args.grid:
         name = spec.split("=", 1)[0]
         if name not in ranges:
-            raise SystemExit(f"unknown grid variable {name!r} (use z, b, w)")
+            raise ValueError(f"unknown grid variable {name!r} (use z, b, w)")
         ranges[name] = _parse_range(spec)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -187,7 +187,7 @@ def _cmd_equivalence_check(args) -> int:
         model = ChannelModel.mbsw_err(args.z, args.b, w)
         code = build_multi_burst(w - 1 - (2 * args.z - 1) * args.b, 2 * args.z, args.b, field)
     else:
-        raise SystemExit("equivalence-check needs either --a alone or both --z and --b")
+        raise ValueError("need either --a alone or both --z and --b")
     bound = args.support_bound if args.support_bound is not None else 2 * w - 1
     if bound < 0:
         raise ValueError(f"support bound must be nonnegative, got {bound}")
@@ -207,7 +207,6 @@ def _cmd_search_nonexistence(args) -> int:
         field,
         guard=args.guard,
         start=args.resume_from,
-        jobs=args.jobs,
         progress=progress,
     )
     obj = {
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--gf", type=int, required=True)
     p.add_argument("--modulus", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--guard", type=int, default=1 << 24)
     p.add_argument("--resume-from", type=int, default=0)
     p.add_argument("--progress", action="store_true")

@@ -13,8 +13,8 @@ table per constant that the field builds on first use and caches, so a
 product is one lookup; above q = 256 the table fills one value at a time,
 so a large field never tabulates values it does not see.  Filling a table
 writes the same values whoever does it, so fields stay safe to share
-between threads or worker processes; their identity (p, m, modulus)
-never changes after construction.
+between threads; their identity (p, m, modulus) never changes after
+construction.
 
 The default modulus for GF(2^m) is the lexicographically smallest
 irreducible polynomial of degree m (bit-encoded, bit i = coefficient of

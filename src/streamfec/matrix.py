@@ -10,8 +10,8 @@ once; it adds vectors with `add` and takes dense dot products with
 `dot`.
 Elimination is exact, one row at a time (`_insert`), pivoting on the
 first nonzero column, so there is no tolerance anywhere.  Matrices are
-immutable; operations return new objects and are safe to call
-concurrently.
+immutable; operations return new objects and are safe to share
+between threads.
 """
 
 from __future__ import annotations

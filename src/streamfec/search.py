@@ -308,13 +308,6 @@ def _code_at(field: Field, n: int, k: int, index: int) -> SystematicCode:
     return SystematicCode(field=field, n=n, k=k, P=p)
 
 
-def _scan_task(args) -> int | None:
-    field_dict, n, k, tau, z, b, start, stop = args
-    field = Field.from_dict(field_dict)
-    checks = _build_checks(n, k, tau, burst_supports(n, z, b))
-    return _scan(field, k, n - k, checks, start, stop)
-
-
 def search_nonexistence(
     n: int,
     k: int,
@@ -336,7 +329,8 @@ def search_nonexistence(
     is row-major lexicographically first, its index determining
     candidates_checked; when none exists, candidates_checked == total.
     `start` is a resume cursor into the same enumeration: the result is
-    the first witness at or after it.  `progress` needs jobs=1.
+    the first witness at or after it.  The scan runs in this process:
+    `jobs` stays for callers that pass jobs=1, and accepts nothing else.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -350,30 +344,11 @@ def search_nonexistence(
         raise ValueError(f"candidate space of size {field.q}^{k * r} exceeds the guard {guard}")
     if not 0 <= start <= total:
         raise ValueError(f"resume cursor {start} outside the candidate space [0, {total}]")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if progress is not None and jobs > 1:
-        raise ValueError(f"progress needs jobs=1: the {jobs} worker processes report no cursors")
+    if jobs != 1:
+        raise ValueError(f"the search runs in one process: jobs must be 1, got {jobs}")
     supports = burst_supports(n, z, b)
     checks = _build_checks(n, k, tau, supports)
-
-    survivor: int | None = None
-    if jobs == 1:
-        survivor = _scan(field, k, r, checks, start, total, progress)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        span = total - start
-        chunk = max(1, (span + jobs - 1) // jobs)
-        # One worker per non-empty chunk, so a space smaller than `jobs`
-        # starts only as many workers as it has chunks.
-        tasks = [(field.to_dict(), n, k, tau, z, b, lo, min(lo + chunk, total)) for lo in range(start, total, chunk)]
-        found = []
-        if tasks:
-            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                found = [s for s in pool.map(_scan_task, tasks) if s is not None]
-        survivor = min(found) if found else None
-
+    survivor = _scan(field, k, r, checks, start, total, progress)
     if survivor is None:
         return {"found": False, "witness": None, "candidates_checked": total - start, "total": total}
     code = _code_at(field, n, k, survivor)

@@ -161,6 +161,32 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     return PacketStream(code=code, message_horizon=len(msgs), messages=msgs, packets=tuple(zip(*symbols)))
 
 
+def _check_received(code: SystematicCode, received: Sequence, message_horizon: int, allow_erased: bool) -> list[int]:
+    """The received stream's values, flattened in packet order, once it is
+    checked: it covers packet times [0, message_horizon + n - 2], and each
+    packet is n field values, or None (erased) where `allow_erased`.  A
+    malformed stream raises ValueError naming the first bad packet time."""
+    n = code.n
+    if len(received) != message_horizon + n - 1:
+        raise ValueError(f"received stream must cover {message_horizon + n - 1} packet times")
+    flat: list[int] = []
+    for t, packet in enumerate(received):
+        if packet is None and allow_erased:
+            continue
+        if packet is None or len(packet) != n:
+            raise ValueError(f"received packet {t} must hold {n} symbols, got {packet!r}")
+        flat += packet
+    try:
+        code.field.check_all(flat)
+    except ValueError:
+        for t, packet in enumerate(received):
+            try:
+                code.field.check_all(packet or ())
+            except ValueError as exc:
+                raise ValueError(f"received packet {t}: {exc}")
+    return flat
+
+
 def decode_erasures(
     code: SystematicCode,
     tau: int,
@@ -187,8 +213,7 @@ def decode_erasures(
         raise ValueError(f"tau must be nonnegative, got {tau}")
     n, k, f = code.n, code.k, code.field
     t_msgs = message_horizon
-    if len(received) != t_msgs + n - 1:
-        raise ValueError(f"received stream must cover {t_msgs + n - 1} packet times")
+    _check_received(code, received, t_msgs, allow_erased=True)
 
     # Bit t is set iff packet t arrived, so diagonal d's received
     # positions are a shift and a mask of it.
@@ -413,8 +438,7 @@ def decode_errors(
     n, k, f = code.n, code.k, code.field
     q, w = f.q, model.w
     t_msgs = message_horizon
-    if len(received) != t_msgs + n - 1:
-        raise ValueError(f"received stream must cover {t_msgs + n - 1} packet times")
+    received_flat = _check_received(code, received, t_msgs, allow_erased=False)
     last = len(received) - 1
 
     memo = code._error_decisions.get((tau, model))
@@ -428,7 +452,6 @@ def decode_errors(
     # and the received stream, each flattened; window observations are
     # slices of them.
     known_flat = [0] * ((n - 1) * k)
-    received_flat = [v for packet in received for v in packet]
     past_support: list[int] = []
     per_packet: list[PacketStatus] = []
     ambiguities: list[int] = []

@@ -125,6 +125,14 @@ def test_search_nonexistence_cli(capsys):
     assert result == {"found": False, "witness": None, "candidates_checked": 4096, "total": 4096}
 
 
+def test_search_nonexistence_has_no_jobs_option(capsys):
+    # the search runs in one process, so argparse refuses the option
+    with pytest.raises(SystemExit) as exc:
+        main("search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs 2".split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 def test_search_nonexistence_witness_descriptor(capsys):
     code, out = run(
         capsys,
@@ -179,7 +187,7 @@ def test_bad_model_spec_is_operational_error(tmp_path, capsys):
         main(["verify-code", "--descriptor", str(desc), "--tau", "4", "--model", "nope:1"])
     with pytest.raises(SystemExit) as exc:
         main(["verify-code", "--descriptor", str(desc), "--tau", "4", "--model", "mbsw:1,2"])
-    assert exc.value.code == "bad model spec 'mbsw:1,2': mbsw takes z,b,w"
+    assert exc.value.code == "streamfec verify-code: bad model spec 'mbsw:1,2': mbsw takes z,b,w"
 
 
 # Each of these printed a traceback, a wrong count or a silent accept before the CLI had
@@ -218,11 +226,8 @@ BAD_INPUT = {
     "verify-zero-burst-length": "verify-code --descriptor {dir}/code53.json --tau 4 --bursts 1 0",
     "search-cursor-past-end": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from 99999",
     "search-cursor-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --resume-from -5",
-    "search-jobs-zero": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs 0",
-    "search-jobs-negative": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs -2",
     "search-k-zero": "search-nonexistence --n 4 --k 0 --z 2 --b 2 --tau 2 --gf 2",
     "search-k-negative": "search-nonexistence --n 3 --k -1 --z 2 --b 2 --tau 1 --gf 2",
-    "search-progress-with-jobs": "search-nonexistence --n 7 --k 3 --z 2 --b 2 --tau 5 --gf 2 --jobs 2 --progress",
     "simulate-missing-pattern-file": (
         "simulate --descriptor {dir}/code53.json --tau 4 --pattern {dir}/missing.csv --horizon 2"
     ),

@@ -1,4 +1,3 @@
-import concurrent.futures
 import random
 from itertools import combinations, product
 
@@ -510,47 +509,9 @@ def test_witness_confirmation_failure_raises(monkeypatch):
         search_nonexistence(4, 2, 1, 2, 2, F2)
 
 
-def test_search_parallel_matches_sequential():
-    seq = search_nonexistence(7, 3, 2, 2, 5, F2)
-    par = search_nonexistence(7, 3, 2, 2, 5, F2, jobs=2)
-    assert seq == par
-    seq_w = search_nonexistence(4, 2, 1, 2, 2, F2)
-    par_w = search_nonexistence(4, 2, 1, 2, 2, F2, jobs=3)
-    assert seq_w["candidates_checked"] == par_w["candidates_checked"]
-    assert seq_w["witness"] == par_w["witness"]
-
-
-def test_search_jobs_validated_and_workers_capped(monkeypatch):
-    # jobs below 1 is rejected, and the pool never gets more workers than
-    # the space has non-empty chunks.  The stand-in pool records its size
-    # and scans in this process, so a huge jobs value starts nothing.
-    for jobs in (0, -2):
-        with pytest.raises(ValueError):
+def test_search_runs_in_one_process():
+    # `jobs` is kept only for callers that pass jobs=1
+    for jobs in (0, 2, -2):
+        with pytest.raises(ValueError, match=f"the search runs in one process: jobs must be 1, got {jobs}"):
             search_nonexistence(4, 2, 1, 2, 2, F2, jobs=jobs)
-    # the workers report no cursors, so progress with a pool is refused
-    with pytest.raises(ValueError, match="progress needs jobs=1"):
-        search_nonexistence(4, 2, 1, 2, 2, F2, jobs=2, progress=print)
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    seq = search_nonexistence(4, 2, 1, 2, 2, F2)
-    # 2^4 candidates: one-candidate chunks for 10^6 jobs, chunks of 6 for 3
-    assert search_nonexistence(4, 2, 1, 2, 2, F2, jobs=10**6) == seq
-    assert search_nonexistence(4, 2, 1, 2, 2, F2, jobs=3) == seq
-    assert sizes == [16, 3]
-    # an exhausted cursor leaves no chunk and starts no pool
-    assert search_nonexistence(4, 2, 1, 2, 2, F2, start=16, jobs=4)["candidates_checked"] == 0
-    assert sizes == [16, 3]
+    assert search_nonexistence(4, 2, 1, 2, 2, F2, jobs=1) == search_nonexistence(4, 2, 1, 2, 2, F2)

@@ -428,6 +428,53 @@ def test_error_decoder_rejects_negative_delay(tau):
         decode_errors(code, tau, received, 4, ChannelModel.sw_err(1, 5))
 
 
+# Malformed packets at time 2, each with the line that names it.  Unchecked,
+# -1 came back as a recovered message value, a long packet as a clean stream,
+# a short one as a halted error stream, and 9 raised IndexError.
+MALFORMED_PACKETS = {
+    "short": (lambda p: p[:4], r"received packet 2 must hold 5 symbols, got \(\d+, \d+, \d+, \d+\)$"),
+    "long": (lambda p: p + (0,), r"received packet 2 must hold 5 symbols, got \(\d+, \d+, \d+, \d+, \d+, 0\)$"),
+    "negative": (lambda p: (-1,) + p[1:], r"received packet 2: -1 is not a value of GF\(8"),
+    "past-field": (lambda p: (9,) + p[1:], r"received packet 2: 9 is not a value of GF\(8"),
+    "bool": (lambda p: (True,) + p[1:], r"received packet 2: True is not a value of GF\(8"),
+    "erased": (lambda p: None, "received packet 2 must hold 5 symbols, got None"),
+}
+
+
+# None is an erased packet, which only an erasure stream may hold.
+MALFORMED_CASES = [
+    (decoder, name)
+    for decoder in ("erasures", "errors")
+    for name in MALFORMED_PACKETS
+    if (decoder, name) != ("erasures", "erased")
+]
+
+
+@pytest.mark.parametrize("decoder, name", MALFORMED_CASES, ids=[f"{d}-{name}" for d, name in MALFORMED_CASES])
+def test_decoders_reject_malformed_received(decoder, name):
+    bad, message = MALFORMED_PACKETS[name]
+    code = build_mds(5, 3, F8)
+    stream = de_encode(code, [[1, 2, 3], [4, 5, 6], [7, 0, 1]])
+    received = list(stream.packets)
+    received[2] = bad(received[2])
+    with pytest.raises(ValueError, match=message):
+        if decoder == "erasures":
+            decode_erasures(code, 4, received, 3, ErasurePattern.from_support(stream.packet_horizon, ()))
+        else:
+            decode_errors(code, 4, received, 3, ChannelModel.sw_err(1, 5))
+
+
+@pytest.mark.parametrize("decoder", ["erasures", "errors"])
+def test_decoders_reject_stream_of_wrong_length(decoder):
+    code = build_mds(5, 3, F8)
+    received = list(de_encode(code, [[1, 2, 3]] * 3).packets)[:-1]
+    with pytest.raises(ValueError, match="received stream must cover 7 packet times"):
+        if decoder == "erasures":
+            decode_erasures(code, 4, received, 3, ErasurePattern.from_support(6, ()))
+        else:
+            decode_errors(code, 4, received, 3, ChannelModel.sw_err(1, 5))
+
+
 def _random_error_decodes(field, seed):
     """`decode_errors` arguments (code, tau, received, message_horizon,
     model, pattern) on random, typically non-MDS codes over the field,
