@@ -179,9 +179,11 @@ class Field:
 
     def check_all(self, values: Sequence) -> None:
         """`check` every value: one pass over all of them at once, not a
-        method call each (a bool's type is not int), and on a bad one
-        `check` raises for the first in order."""
-        if values and (set(map(type, values)) != {int} or min(values) < 0 or max(values) >= self.q):
+        method call each, and on a bad one `check` raises for the first in
+        order.  The type pass reads every value (a bool's type is not int,
+        and a set folds True and 1.0 into 1); the range test only the
+        distinct ones."""
+        if values and (set(map(type, values)) != {int} or min(seen := set(values)) < 0 or max(seen) >= self.q):
             for v in values:
                 self.check(v)
 

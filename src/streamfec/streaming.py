@@ -55,6 +55,10 @@ syndrome).  A new key is decided from the key alone: each candidate of
 its (width, near-past offsets) context is a set of rows over the
 syndrome digits, built once per width, the residuals are digits of the
 syndrome, and no received packet is read.
+
+Both decoders read only the received stream, as a receiver does.
+`simulate`, which applies the channel realization, alone judges it and
+sets the report's `pattern_admissible` and `params["model"]`.
 """
 
 from __future__ import annotations
@@ -100,7 +104,9 @@ class PacketStatus(NamedTuple):
 
 @dataclass(frozen=True)
 class DecodeReport:
-    """Per-packet recovery accounting for one decoded stream."""
+    """Per-packet recovery accounting for one decoded stream.  A decoder
+    reports `pattern_admissible` True, as it never sees the pattern;
+    `simulate` replaces it, and `params["model"]`, with its verdict."""
 
     params: dict
     per_packet: tuple[PacketStatus, ...]
@@ -164,16 +170,19 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
 def _check_received(code: SystematicCode, received: Sequence, message_horizon: int, allow_erased: bool) -> list[int]:
     """The received stream's values, flattened in packet order, once it is
     checked: it covers packet times [0, message_horizon + n - 2], and each
-    packet is n field values, or None (erased) where `allow_erased`.  A
-    malformed stream raises ValueError naming the first bad packet time."""
+    packet is a tuple or list of n field values, or None (erased) where
+    `allow_erased`.  A malformed stream raises ValueError naming the first
+    bad packet time."""
     n = code.n
+    if message_horizon < 0:
+        raise ValueError(f"message_horizon must be nonnegative, got {message_horizon}")
     if len(received) != message_horizon + n - 1:
         raise ValueError(f"received stream must cover {message_horizon + n - 1} packet times")
     flat: list[int] = []
     for t, packet in enumerate(received):
         if packet is None and allow_erased:
             continue
-        if packet is None or len(packet) != n:
+        if not isinstance(packet, (tuple, list)) or len(packet) != n:
             raise ValueError(f"received packet {t} must hold {n} symbols, got {packet!r}")
         flat += packet
     try:
@@ -192,8 +201,6 @@ def decode_erasures(
     tau: int,
     received: Sequence[tuple[int, ...] | None],
     message_horizon: int,
-    pattern: ErasurePattern,
-    model: ChannelModel | None = None,
 ) -> DecodeReport:
     """Recover erased message packets, each by its deadline t + tau.
 
@@ -212,8 +219,7 @@ def decode_erasures(
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     n, k, f = code.n, code.k, code.field
-    t_msgs = message_horizon
-    _check_received(code, received, t_msgs, allow_erased=True)
+    _check_received(code, received, message_horizon, allow_erased=True)
 
     # Bit t is set iff packet t arrived, so diagonal d's received
     # positions are a shift and a mask of it.
@@ -226,7 +232,7 @@ def decode_erasures(
     readers = code._erasure_readers
     # Per diagonal d: its pins and the received symbols they read.
     diagonals: dict[int, tuple[dict[int, tuple[int, Form]], list[int]]] = {}
-    for d in range(1 - k, t_msgs):
+    for d in range(1 - k, message_horizon):
         # Coordinates i with d + i < 0 are given as zero.
         given = max(-d, 0)
         avail = (arrived >> d if d >= 0 else arrived << given) & full
@@ -247,7 +253,7 @@ def decode_erasures(
 
     per_packet = []
     messages_out: list[tuple[int, ...] | None] = []
-    for t in range(t_msgs):
+    for t in range(message_horizon):
         deadline = t + tau
         if received[t] is not None:
             status = PacketStatus(t, True, t, deadline)
@@ -266,12 +272,10 @@ def decode_erasures(
             messages_out.append(None)
         per_packet.append(status)
 
-    admissible = model.admits(pattern) if model is not None else True
-    params = _report_params(code, tau, model, t_msgs)
     return DecodeReport(
-        params=params,
+        params=_report_params(code, tau, None, message_horizon),
         per_packet=tuple(per_packet),
-        pattern_admissible=admissible,
+        pattern_admissible=True,
         ambiguities=(),
         messages=tuple(messages_out),
     )
@@ -406,7 +410,6 @@ def decode_errors(
     received: Sequence[tuple[int, ...]],
     message_horizon: int,
     model: ChannelModel,
-    pattern: ErrorPattern | None = None,
 ) -> DecodeReport:
     """Reference exhaustive decoder for additive packet errors.
 
@@ -437,8 +440,7 @@ def decode_errors(
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
     q, w = f.q, model.w
-    t_msgs = message_horizon
-    received_flat = _check_received(code, received, t_msgs, allow_erased=False)
+    received_flat = _check_received(code, received, message_horizon, allow_erased=False)
     last = len(received) - 1
 
     memo = code._error_decisions.get((tau, model))
@@ -452,18 +454,14 @@ def decode_errors(
     # and the received stream, each flattened; window observations are
     # slices of them.
     known_flat = [0] * ((n - 1) * k)
-    past_support: list[int] = []
+    # Bit r is set iff packet t - r, 0 < r < w, was inferred in error.
+    near_past = 0
     per_packet: list[PacketStatus] = []
     ambiguities: list[int] = []
     messages_out: list[tuple[int, ...] | None] = []
-    halted = False
 
-    for t in range(t_msgs):
+    for t in range(message_horizon):
         deadline = t + tau
-        if halted:
-            per_packet.append(PacketStatus(t, False, None, deadline))
-            messages_out.append(None)
-            continue
         wend = min(deadline, last)
         width = wend - t + 1
         if width not in windows:
@@ -475,11 +473,6 @@ def decode_errors(
         syndrome = 0
         for s in digits:
             syndrome = syndrome * q + s
-        near_past = 0
-        for p in reversed(past_support):
-            if p <= t - w:
-                break
-            near_past |= 1 << (t - p)
         key = syndrome << low_bits | width << w | near_past
         verdict = verdicts.get(key)
         if verdict is None:
@@ -503,24 +496,20 @@ def decode_errors(
             # u(t) is an ambiguity.  Nothing sound can be decoded from here on.
             if verdict is _AMBIGUOUS:
                 ambiguities.append(t)
-            per_packet.append(PacketStatus(t, False, None, deadline))
-            messages_out.append(None)
-            halted = True
-        else:
-            correction, in_error = verdict
-            value = tuple(add(f, received[t][:k], correction))
-            known_flat += value
-            messages_out.append(value)
-            per_packet.append(PacketStatus(t, True, wend, deadline))
-            if in_error:
-                past_support.append(t)
+            per_packet += [PacketStatus(s, False, None, s + tau) for s in range(t, message_horizon)]
+            messages_out += [None] * (message_horizon - t)
+            break
+        correction, in_error = verdict
+        value = tuple(add(f, received[t][:k], correction))
+        known_flat += value
+        messages_out.append(value)
+        per_packet.append(PacketStatus(t, True, wend, deadline))
+        near_past = ((near_past | in_error) << 1) & ((1 << w) - 1)
 
-    admissible = model.admits(pattern) if pattern is not None else True
-    params = _report_params(code, tau, model, t_msgs)
     return DecodeReport(
-        params=params,
+        params=_report_params(code, tau, model, message_horizon),
         per_packet=tuple(per_packet),
-        pattern_admissible=admissible,
+        pattern_admissible=True,
         ambiguities=tuple(ambiguities),
         messages=tuple(messages_out),
     )
@@ -561,9 +550,12 @@ def simulate(
 ) -> DecodeReport:
     """Encode, apply the channel realization, decode, and report.
 
-    Deterministic given its inputs.  When the pattern is admissible in
-    the declared model, decoded values are checked against the encoded
-    messages; a mismatch would be an implementation defect and raises.
+    Deterministic given its inputs.  The decoder sees only the received
+    stream; this judges the pattern against the declared model (None
+    admits every pattern) and puts the verdict and the model on the
+    report.  When the pattern is admissible, decoded values are checked
+    against the encoded messages; a mismatch would be an implementation
+    defect and raises.
     """
     if not isinstance(pattern, (ErasurePattern, ErrorPattern)):
         raise TypeError(f"unsupported pattern type {type(pattern).__name__}")
@@ -579,7 +571,7 @@ def simulate(
         if model is not None and model.errors:
             raise ValueError(f"erasure patterns need an erasure-channel model, got {model.kind}")
         received = apply_erasures(stream, pattern)
-        report = decode_erasures(code, tau, received, t_msgs, pattern, model)
+        report = decode_erasures(code, tau, received, t_msgs)
     else:
         if model is None or not model.errors:
             raise ValueError("error patterns need an error-channel model")
@@ -587,8 +579,11 @@ def simulate(
             raise ValueError("error packet size must equal the code length")
         code.field.check_all([v for packet in pattern.packets for v in packet])
         received = apply_errors(stream, pattern)
-        report = decode_errors(code, tau, received, t_msgs, model, pattern)
-    if report.pattern_admissible:
+        report = decode_errors(code, tau, received, t_msgs, model)
+    admissible = model is None or model.admits(pattern)
+    params = {**report.params, "model": None if model is None else model.to_dict()}
+    report = DecodeReport(params, report.per_packet, admissible, report.ambiguities, report.messages)
+    if admissible:
         for t, val in enumerate(report.messages):
             if val is not None and val != stream.messages[t]:
                 raise RuntimeError(

@@ -229,7 +229,9 @@ def test_prime_field_tables_sampled(p):
 def test_check_all_raises_for_the_first_bad_value_as_check_does(f):
     f.check_all([])
     f.check_all(list(range(f.q)) * 2)
-    for values in ([0, f.q, "1"], [1, True, -1], [None, 1.5], [0, [1]], [f.q - 1, -1]):
+    # A set of [1, True] or [1, 1.0] holds only 1, so the type test must
+    # read every value.
+    for values in ([0, f.q, "1"], [1, True, -1], [None, 1.5], [0, [1]], [f.q - 1, -1], [1, True], [1, 1.0]):
         bad = next(v for v in values if type(v) is not int or not 0 <= v < f.q)
         with pytest.raises(ValueError) as expected:
             f.check(bad)

@@ -217,7 +217,7 @@ def test_packet_status_is_an_immutable_record():
             setattr(status, name, 4)
 
 
-def _per_diagonal_decode(code, tau, received, message_horizon, pattern, model):
+def _per_diagonal_decode(code, tau, received, message_horizon):
     """The erasure decoder one diagonal at a time: `code.recovery` on the
     diagonal's given and received positions, read by dense dot products.
     An oracle for the mask-keyed decoder."""
@@ -250,9 +250,9 @@ def _per_diagonal_decode(code, tau, received, message_horizon, pattern, model):
             per_packet.append(PacketStatus(t, False, None, deadline))
             messages.append(None)
     return DecodeReport(
-        params=streaming._report_params(code, tau, model, message_horizon),
+        params=streaming._report_params(code, tau, None, message_horizon),
         per_packet=tuple(per_packet),
-        pattern_admissible=model.admits(pattern) if model is not None else True,
+        pattern_admissible=True,
         ambiguities=(),
         messages=tuple(messages),
     )
@@ -268,7 +268,6 @@ def test_erasure_decoder_matches_per_diagonal_oracle(field):
         k = rng.randrange(1, n)
         p = FieldMatrix(field, [[rng.choice((0, rng.randrange(field.q))) for _ in range(n - k)] for _ in range(k)])
         code = SystematicCode(field=field, n=n, k=k, P=p)
-        model = ChannelModel.sw(n - k, n)
         for horizon in (0, 1, n, 30):
             stream = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
             last = stream.packet_horizon
@@ -279,8 +278,8 @@ def test_erasure_decoder_matches_per_diagonal_oracle(field):
                 pattern = ErasurePattern.from_support(last, support)
                 tau = rng.randrange(n + 1)
                 received = apply_erasures(stream, pattern)
-                got = decode_erasures(code, tau, received, horizon, pattern, model)
-                want = _per_diagonal_decode(code, tau, received, horizon, pattern, model)
+                got = decode_erasures(code, tau, received, horizon)
+                want = _per_diagonal_decode(code, tau, received, horizon)
                 assert got.to_json() == want.to_json()
                 assert got.messages == want.messages
 
@@ -293,9 +292,8 @@ def test_erasure_decoder_rejects_conflicting_diagonal():
     received = [list(pkt) for pkt in stream.packets]
     # packet 5, symbol 4: parity 4 of diagonal 1
     received[5][4] ^= 1
-    pattern = ErasurePattern.from_support(stream.packet_horizon, ())
     with pytest.raises(RuntimeError, match="received symbols of diagonal 1 conflict"):
-        decode_erasures(code, 4, [tuple(pkt) for pkt in received], 6, pattern)
+        decode_erasures(code, 4, [tuple(pkt) for pkt in received], 6)
 
 
 @pytest.mark.parametrize("tau", [-1, -3])
@@ -304,9 +302,8 @@ def test_erasure_decoder_rejects_negative_delay(tau):
     # deadline miss.
     code = build_mds(5, 3, F8)
     stream = de_encode(code, _messages(F8, 3, 3, seed=11))
-    pattern = ErasurePattern.from_support(stream.packet_horizon, ())
     with pytest.raises(ValueError, match=f"tau must be nonnegative, got {tau}"):
-        decode_erasures(code, tau, apply_erasures(stream, pattern), 3, pattern)
+        decode_erasures(code, tau, list(stream.packets), 3)
 
 
 # -- error decoding ---------------------------------------------------------------
@@ -389,9 +386,9 @@ def test_past_error_rules_out_candidates_in_its_window():
     code = SystematicCode(field=F2, n=4, k=1, P=FieldMatrix(F2, [[1, 1, 1]]))
     msgs = [[1]] * 5
     pattern = ErrorPattern.from_entries(8, 4, {0: (1, 0, 1, 0), 3: (0, 1, 0, 0)})
-    received = apply_errors(de_encode(code, msgs), pattern)
-    report = decode_errors(code, 1, received, 5, ChannelModel.sw_err(1, 3), pattern)
-    assert report.pattern_admissible
+    model = ChannelModel.sw_err(1, 3)
+    assert model.admits(pattern)
+    report = decode_errors(code, 1, apply_errors(de_encode(code, msgs), pattern), 5, model)
     assert report.success and not report.ambiguities
     assert list(report.messages) == [(1,)] * 5
 
@@ -403,11 +400,61 @@ def test_past_parity_error_rules_out_candidates_in_its_window():
     code = SystematicCode(field=F2, n=4, k=1, P=FieldMatrix(F2, [[1, 1, 1]]))
     msgs = [[1]] * 5
     pattern = ErrorPattern.from_entries(8, 4, {0: (0, 0, 1, 0), 3: (0, 1, 0, 0)})
-    received = apply_errors(de_encode(code, msgs), pattern)
-    report = decode_errors(code, 1, received, 5, ChannelModel.sw_err(1, 3), pattern)
-    assert report.pattern_admissible
+    model = ChannelModel.sw_err(1, 3)
+    assert model.admits(pattern)
+    report = decode_errors(code, 1, apply_errors(de_encode(code, msgs), pattern), 5, model)
     assert report.success and not report.ambiguities
     assert list(report.messages) == [(1,)] * 5
+
+
+def test_over_budget_error_pattern_is_flagged_but_simulated():
+    # Two errored packets in one window of sw_err:1,5, packets 3 and 4 of
+    # the stream of a unit u_0(0): the received stream is that of another
+    # u(0) with one error at packet 0, which the decoder accepts.  The
+    # pattern is over the error budget, so `simulate` says so and does not
+    # take the wrong value for an implementation defect.
+    code = build_mds(5, 3, F8)
+    msgs = _messages(F8, 8, 3, seed=13)
+    unit = de_encode(code, [[1, 0, 0]] + [[0, 0, 0]] * 7).packets
+    pattern = ErrorPattern.from_entries(12, 5, {3: unit[3], 4: unit[4]})
+    report = simulate(code, 4, ChannelModel.sw_err(1, 5), pattern, msgs)
+    assert not report.pattern_admissible
+    assert json.loads(report.to_json())["pattern_admissible"] is False
+    assert report.success and report.messages[0] != tuple(msgs[0])
+
+
+def test_simulate_reports_the_decoders_report_and_its_own_verdict():
+    # On random streams `simulate`'s report is the decoder's report on the
+    # same received stream, apart from the model and the verdict on the
+    # pattern, which only `simulate` knows.
+    rng = random.Random(14)
+    code = build_mds(5, 3, F8)
+    models = (ChannelModel.sw(2, 5), None, ChannelModel.sw_err(1, 5))
+    verdicts = set()
+    for model in models:
+        for _ in range(30):
+            msgs = _messages(F8, 6, 3, seed=rng.randrange(1 << 30))
+            stream = de_encode(code, msgs)
+            support = [t for t in range(stream.packet_horizon) if rng.random() < 0.2]
+            if model is not None and model.errors:
+                entries = {t: tuple(rng.randrange(F8.q) for _ in range(5)) for t in support}
+                pattern = ErrorPattern.from_entries(stream.packet_horizon, 5, entries)
+                bare = decode_errors(code, 4, apply_errors(stream, pattern), 6, model)
+            else:
+                pattern = ErasurePattern.from_support(stream.packet_horizon, support)
+                bare = decode_erasures(code, 4, apply_erasures(stream, pattern), 6)
+                assert bare.params["model"] is None
+            assert bare.pattern_admissible
+            report = simulate(code, 4, model, pattern, msgs)
+            admissible = model is None or model.admits(pattern)
+            verdicts.add((model, admissible))
+            expected = json.loads(bare.to_json())
+            expected["params"]["model"] = None if model is None else model.to_dict()
+            expected["pattern_admissible"] = admissible
+            assert json.loads(report.to_json()) == expected
+            assert report.messages == bare.messages
+    # both verdicts occur under each model
+    assert verdicts == {(models[0], True), (models[0], False), (None, True), (models[2], True), (models[2], False)}
 
 
 def test_error_decoder_requires_error_model():
@@ -430,7 +477,9 @@ def test_error_decoder_rejects_negative_delay(tau):
 
 # Malformed packets at time 2, each with the line that names it.  Unchecked,
 # -1 came back as a recovered message value, a long packet as a clean stream,
-# a short one as a halted error stream, and 9 raised IndexError.
+# a short one as a halted error stream, and 9 raised IndexError; an int
+# raised TypeError from len(), and a dict of 5 entries had its keys checked
+# as the values.
 MALFORMED_PACKETS = {
     "short": (lambda p: p[:4], r"received packet 2 must hold 5 symbols, got \(\d+, \d+, \d+, \d+\)$"),
     "long": (lambda p: p + (0,), r"received packet 2 must hold 5 symbols, got \(\d+, \d+, \d+, \d+, \d+, 0\)$"),
@@ -438,6 +487,8 @@ MALFORMED_PACKETS = {
     "past-field": (lambda p: (9,) + p[1:], r"received packet 2: 9 is not a value of GF\(8"),
     "bool": (lambda p: (True,) + p[1:], r"received packet 2: True is not a value of GF\(8"),
     "erased": (lambda p: None, "received packet 2 must hold 5 symbols, got None"),
+    "int": (lambda p: 5, "received packet 2 must hold 5 symbols, got 5$"),
+    "dict": (lambda p: dict(enumerate(p)), r"received packet 2 must hold 5 symbols, got \{0: \d+, 1: "),
 }
 
 
@@ -459,7 +510,7 @@ def test_decoders_reject_malformed_received(decoder, name):
     received[2] = bad(received[2])
     with pytest.raises(ValueError, match=message):
         if decoder == "erasures":
-            decode_erasures(code, 4, received, 3, ErasurePattern.from_support(stream.packet_horizon, ()))
+            decode_erasures(code, 4, received, 3)
         else:
             decode_errors(code, 4, received, 3, ChannelModel.sw_err(1, 5))
 
@@ -470,14 +521,26 @@ def test_decoders_reject_stream_of_wrong_length(decoder):
     received = list(de_encode(code, [[1, 2, 3]] * 3).packets)[:-1]
     with pytest.raises(ValueError, match="received stream must cover 7 packet times"):
         if decoder == "erasures":
-            decode_erasures(code, 4, received, 3, ErasurePattern.from_support(6, ()))
+            decode_erasures(code, 4, received, 3)
         else:
             decode_errors(code, 4, received, 3, ChannelModel.sw_err(1, 5))
 
 
+@pytest.mark.parametrize("decoder", ["erasures", "errors"])
+def test_decoders_reject_negative_message_horizon(decoder):
+    # An empty stream covers -4 + 5 - 1 = 0 packet times, so without the
+    # check a [5,3] decode at horizon -4 reported success.
+    code = build_mds(5, 3, F8)
+    with pytest.raises(ValueError, match="^message_horizon must be nonnegative, got -4$"):
+        if decoder == "erasures":
+            decode_erasures(code, 4, [], -4)
+        else:
+            decode_errors(code, 4, [], -4, ChannelModel.sw_err(1, 5))
+
+
 def _random_error_decodes(field, seed):
     """`decode_errors` arguments (code, tau, received, message_horizon,
-    model, pattern) on random, typically non-MDS codes over the field,
+    model) on random, typically non-MDS codes over the field,
     with mostly inadmissible random error patterns, the last of them on
     parity symbols only, and fresh messages per decode.  tau runs past
     n-1, so windows at the tail are cut short."""
@@ -495,7 +558,7 @@ def _random_error_decodes(field, seed):
             if rng.random() < rate
         }
         pattern = ErrorPattern.from_entries(horizon + n - 1, n, entries)
-        return code, tau, apply_errors(stream, pattern), horizon, model, pattern
+        return code, tau, apply_errors(stream, pattern), horizon, model
 
     for n, k in ((2, 1), (3, 2), (4, 2), (5, 4)):
         p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
@@ -604,7 +667,7 @@ def test_syndrome_verdicts_match_window_candidate_loop(field):
     # agree with it, cold or warm.
     cases = _random_error_decodes(field, seed=field.q)
     reports = [decode_errors(_fresh(code), *rest) for code, *rest in cases] + [decode_errors(*case) for case in cases]
-    for report, (code, tau, received, horizon, model, _) in zip(reports, cases + cases):
+    for report, (code, tau, received, horizon, model) in zip(reports, cases + cases):
         expected = _window_candidate_decode(code, tau, received, horizon, model)
         assert (report.per_packet, report.failures, report.ambiguities, report.messages) == expected
     # all three verdicts occur: exact, ambiguous, no consistent candidate
