@@ -2,11 +2,9 @@
 errors over adversarial sliding-window channels."""
 
 from .block_code import (
-    CausalCode,
     SystematicCode,
     build_mds,
     build_multi_burst,
-    causal_to_systematic,
     check_full_rank_property,
     check_window_rank_properties,
     delay_tau_star,
@@ -41,7 +39,6 @@ from .matrix import (
 )
 from .search import (
     brute_force_decodable,
-    cross_validate,
     enumerate_codebook,
     search_nonexistence,
 )

@@ -2,9 +2,10 @@
 
 Covers the code constructions used by the streaming layer (systematic
 MDS via Vandermonde systematization, and interleaved-MDS codes for
-multiple burst erasures), the transform from causal to systematic
-generator form, and the exact verifier that decides whether a code can
-recover every erased message symbol within a per-symbol delay budget.
+multiple burst erasures), and the exact verifier that decides whether a
+code can recover every erased message symbol within a per-symbol delay
+budget; a generator with an invertible leading block is verified in its
+systematic form (`_systematize`).
 
 Delay semantics: message symbol i of a codeword must be recovered from
 the non-erased code symbols in positions [0, min(i + tau, n-1)].  The
@@ -165,29 +166,6 @@ class SystematicCode:
         )
 
 
-@dataclass(frozen=True)
-class CausalCode:
-    """An [n, k] code whose generator is [U | P] with U upper-triangular
-    and invertible, so code symbol j depends only on messages 0..j."""
-
-    field: Field
-    n: int
-    k: int
-    G: FieldMatrix
-
-    def __post_init__(self) -> None:
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
-        if self.G.rows != self.k or self.G.cols != self.n:
-            raise ValueError(f"G must be {self.k}x{self.n}")
-        for i in range(self.k):
-            if self.G[i, i] == 0:
-                raise ValueError("leading block must have a nonzero diagonal")
-            for j in range(i):
-                if self.G[i, j] != 0:
-                    raise ValueError("leading block must be upper-triangular")
-
-
 def _systematize(g: FieldMatrix) -> SystematicCode:
     """The code of generator g in systematic form: row-reduce g to
     [I | P], which keeps its row space (and hence the codebook)."""
@@ -196,12 +174,6 @@ def _systematize(g: FieldMatrix) -> SystematicCode:
     if pivots != list(range(k)):
         raise ValueError("leading k x k block is singular")
     return SystematicCode(field=g.field, n=g.cols, k=k, P=FieldMatrix(g.field, [r[k:] for r in rows]))
-
-
-def causal_to_systematic(code: CausalCode) -> SystematicCode:
-    """Row-reduce [U | P] to [I | U^-1 P]; the row space (and hence the
-    codebook) is unchanged."""
-    return _systematize(code.G)
 
 
 def build_mds(n: int, k: int, field: Field) -> SystematicCode:

@@ -104,6 +104,4 @@ def causal_code_exists(k: int, z: int, b: int, tau: int) -> bool:
         raise ValueError(f"regime k >= b required, got k={k}, b={b}")
     if tau < tau_star:
         return False
-    if tau == tau_star and z > 1:
-        return tau_star % b == 0
-    return True
+    return tau > tau_star or de_achievable(z, b, tau_star + 1)

@@ -6,8 +6,7 @@ This module and `galois` are the only ones that add field values: the
 rest of the package computes its linear maps (encoders, syndromes,
 corrections) as `form`s read by `evaluate`, one vector at a time, or by
 `evaluate_columns`, on every row of a matrix given by its columns at
-once; it adds vectors with `add` and takes dense dot products with
-`dot`.
+once, and adds vectors with `add`.
 Elimination is exact, one row at a time (`_insert`), pivoting on the
 first nonzero column, so there is no tolerance anywhere.  Matrices are
 immutable; operations return new objects and are safe to share
@@ -52,12 +51,6 @@ class FieldMatrix:
             raise ValueError("hstack shape or field mismatch")
         return FieldMatrix(self.field, [a + b for a, b in zip(self.data, other.data)])
 
-    def vector_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Row vector times matrix."""
-        if len(vec) != self.rows:
-            raise ValueError("vector-matrix shape mismatch")
-        return tuple(dot(self.field, vec, col) for col in zip(*self.data))
-
     def submatrix(self, row_set: Iterable[int], col_set: Iterable[int]) -> "FieldMatrix":
         """Rows and columns extracted in ascending index order."""
         rs = sorted(set(row_set))
@@ -84,22 +77,6 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.field!r}, {self.to_lists()!r})"
-
-
-def dot(field: Field, a: Sequence[int], b: Sequence[int]) -> int:
-    """a . b over the field, for sequences of equal length: a sum of
-    product-table lookups."""
-    times = field.times
-    acc = 0
-    if field.p == 2:
-        for x, y in zip(a, b):
-            if x and y:
-                acc ^= times(x)[y]
-        return acc
-    for x, y in zip(a, b):
-        if x and y:
-            acc += times(x)[y]
-    return acc % field.p
 
 
 # A sparse linear form: its nonzero terms, each (position, the product

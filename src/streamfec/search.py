@@ -1,6 +1,6 @@
 """Brute-force oracles: exhaustive search over systematic code spaces,
-and an independent codeword-consistency decodability check used to
-cross-validate the analytic verifier.
+and an independent codeword-consistency decodability check, an oracle
+for the analytic verifier.
 
 The search covers every k x (n-k) coefficient matrix over the field in
 row-major lexicographic order, depth-first over the k rows, against the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .block_code import SystematicCode, VerifyResult, _as_support, _check_range, verify_delay_decodable
 from .channel import burst_supports
@@ -92,20 +92,6 @@ def brute_force_decodable(
         for u, cw in codebook:
             if u[i] != 0 and all(cw[pos] == 0 for pos in keep):
                 return False
-    return True
-
-
-def cross_validate(code: SystematicCode, tau: int, patterns: Iterable, codebook=None) -> bool:
-    """True iff the analytic verifier and the codebook oracle agree on
-    every pattern."""
-    if codebook is None:
-        codebook = enumerate_codebook(code)
-    for p in patterns:
-        support = _as_support(p)
-        analytic = verify_delay_decodable(code, tau, [support]).ok
-        brute = brute_force_decodable(code, tau, support, codebook)
-        if analytic != brute:
-            return False
     return True
 
 

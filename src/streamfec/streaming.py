@@ -172,10 +172,15 @@ def _check_received(code: SystematicCode, received: Sequence, message_horizon: i
     checked: it covers packet times [0, message_horizon + n - 2], and each
     packet is a tuple or list of n field values, or None (erased) where
     `allow_erased`.  A malformed stream raises ValueError naming the first
-    bad packet time."""
+    bad packet time.  The stream itself must be a tuple or list, and
+    message_horizon exactly an int (not a bool or a float)."""
     n = code.n
+    if type(message_horizon) is not int:
+        raise ValueError(f"message_horizon must be an int, got {message_horizon!r}")
     if message_horizon < 0:
         raise ValueError(f"message_horizon must be nonnegative, got {message_horizon}")
+    if not isinstance(received, (tuple, list)):
+        raise ValueError(f"received stream must be a tuple or list of packets, got {type(received).__name__}")
     if len(received) != message_horizon + n - 1:
         raise ValueError(f"received stream must cover {message_horizon + n - 1} packet times")
     flat: list[int] = []

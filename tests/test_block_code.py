@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfec.block_code import (
-    CausalCode,
     SystematicCode,
+    _systematize,
     build_mds,
     build_multi_burst,
-    causal_to_systematic,
     check_full_rank_property,
     check_window_rank_properties,
     delay_tau_star,
@@ -25,6 +24,20 @@ from streamfec.matrix import FieldMatrix, rank
 from streamfec.search import enumerate_codebook
 
 F2, F3, F5, F8 = GF(2), GF(3), GF(5), GF(8)
+
+
+def _dot(field, row, y):
+    """row . y by the field's scalar add and mul: an oracle that shares no
+    product table with `matrix.evaluate`."""
+    acc = 0
+    for a, b in zip(row, y):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def _mul(u, g):
+    """Row vector u times the matrix g, by `_dot`."""
+    return tuple(_dot(g.field, u, col) for col in zip(*g.data))
 
 
 # -- constructions ----------------------------------------------------------
@@ -126,18 +139,16 @@ def test_encode_matches_generator_product(q):
             code = SystematicCode(f, n, k, FieldMatrix(f, [[rng.randrange(q) for _ in range(n - k)] for _ in range(k)]))
             for _ in range(20):
                 u = [rng.randrange(q) for _ in range(k)]
-                assert code.encode(u) == code.generator.vector_mul(u)
+                assert code.encode(u) == _mul(u, code.generator)
 
 
 def test_causal_to_systematic_identity_on_systematic_input():
     code = build_mds(5, 3, F8)
-    causal = CausalCode(field=F8, n=5, k=3, G=code.generator)
-    assert causal_to_systematic(causal).P == code.P
+    assert _systematize(code.generator).P == code.P
 
 
 def test_causal_to_systematic_hand_example():
-    causal = CausalCode(field=F2, n=3, k=2, G=FieldMatrix(F2, [[1, 1, 1], [0, 1, 1]]))
-    sys_code = causal_to_systematic(causal)
+    sys_code = _systematize(FieldMatrix(F2, [[1, 1, 1], [0, 1, 1]]))
     assert sys_code.generator.to_lists() == [[1, 0, 0], [0, 1, 1]]
 
 
@@ -147,16 +158,16 @@ def _random_causal(field, n, k, rng):
         g[i][i] = rng.randrange(1, field.q)
         for j in range(i + 1, n):
             g[i][j] = rng.randrange(field.q)
-    return CausalCode(field=field, n=n, k=k, G=FieldMatrix(field, g))
+    return FieldMatrix(field, g)
 
 
 def test_causal_to_systematic_preserves_row_space():
     rng = random.Random(11)
     for field in (F2, F8):
         for _ in range(10):
-            causal = _random_causal(field, 6, 3, rng)
-            sys_code = causal_to_systematic(causal)
-            stacked = FieldMatrix(field, causal.G.to_lists() + sys_code.generator.to_lists())
+            g = _random_causal(field, 6, 3, rng)
+            sys_code = _systematize(g)
+            stacked = FieldMatrix(field, g.to_lists() + sys_code.generator.to_lists())
             assert rank(stacked) == 3
 
 
@@ -199,8 +210,8 @@ def test_causal_delay_decodability_matches_systematic_transform():
     seen = set()
     for field in (F2, F3, GF(4)):
         for _ in range(6):
-            g = _random_causal(field, n, k, rng).G
-            book = [(u, g.vector_mul(u)) for u in product(range(field.q), repeat=k)]
+            g = _random_causal(field, n, k, rng)
+            book = [(u, _mul(u, g)) for u in product(range(field.q), repeat=k)]
             verify = partial(verify_delay_decodable_general, g)
             seen |= _assert_matches_codebook(verify, book, n, k, range(n), supports)
     assert seen == {True, False}
@@ -229,13 +240,6 @@ def test_general_verifier_agrees_on_systematic_codes():
 def test_general_verifier_rejects_singular_leading_block():
     with pytest.raises(ValueError):
         verify_delay_decodable_general(FieldMatrix(F2, [[1, 1, 1], [1, 1, 0]]), 2, [(0,)])
-
-
-def test_causal_requires_invertible_triangular_block():
-    with pytest.raises(ValueError):
-        CausalCode(field=F2, n=3, k=2, G=FieldMatrix(F2, [[1, 1, 1], [1, 1, 0]]))
-    with pytest.raises(ValueError):
-        CausalCode(field=F2, n=3, k=2, G=FieldMatrix(F2, [[0, 1, 1], [0, 1, 0]]))
 
 
 # -- the delay verifier -----------------------------------------------------
@@ -345,13 +349,6 @@ def test_delay_tau_star_examples():
 
 
 # -- the recovery query against the codebook --------------------------------
-
-
-def _dot(field, row, y):
-    acc = 0
-    for a, b in zip(row, y):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8])

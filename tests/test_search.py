@@ -10,7 +10,6 @@ from streamfec.galois import GF
 from streamfec.matrix import FieldMatrix, rank
 from streamfec.search import (
     brute_force_decodable,
-    cross_validate,
     enumerate_codebook,
     search_nonexistence,
 )
@@ -80,17 +79,21 @@ def test_codebook_guard():
 
 
 def test_cross_validate_agreement():
-    c53 = build_mds(5, 3, F8)
-    sup53 = [s for r in range(4) for s in combinations(range(5), r)]
-    assert cross_validate(c53, 4, sup53)
-    c84 = build_multi_burst(4, 2, 2, F8)
-    assert cross_validate(c84, 6, burst_supports(8, 2, 2))
+    # the analytic verifier against the codebook oracle, one support at a time
+    cases = [
+        (build_mds(5, 3, F8), 4, [s for r in range(4) for s in combinations(range(5), r)]),
+        (build_multi_burst(4, 2, 2, F8), 6, burst_supports(8, 2, 2)),
+    ]
     rng = random.Random(29)
     fam = burst_supports(7, 2, 2)
     for _ in range(20):
         p = FieldMatrix(F2, [[rng.randrange(2) for _ in range(4)] for _ in range(3)])
-        code = SystematicCode(field=F2, n=7, k=3, P=p)
-        assert cross_validate(code, 5, fam)
+        cases.append((SystematicCode(field=F2, n=7, k=3, P=p), 5, fam))
+    for code, tau, supports in cases:
+        book = enumerate_codebook(code)
+        for support in supports:
+            want = brute_force_decodable(code, tau, support, book)
+            assert verify_delay_decodable(code, tau, [support]).ok == want, (code, tau, support)
 
 
 def test_search_small_nonexistence():

@@ -9,7 +9,7 @@ from streamfec import streaming
 from streamfec.block_code import SystematicCode, build_mds, build_multi_burst
 from streamfec.channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from streamfec.galois import GF
-from streamfec.matrix import FieldMatrix, dot
+from streamfec.matrix import FieldMatrix
 from streamfec.streaming import (
     DecodeReport,
     PacketStatus,
@@ -21,6 +21,8 @@ from streamfec.streaming import (
     equivalence_sweep,
     simulate,
 )
+
+from test_block_code import _dot
 
 F2, F3, F4, F5, F7, F8, F16 = GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(16)
 
@@ -219,7 +221,7 @@ def test_packet_status_is_an_immutable_record():
 
 def _per_diagonal_decode(code, tau, received, message_horizon):
     """The erasure decoder one diagonal at a time: `code.recovery` on the
-    diagonal's given and received positions, read by dense dot products.
+    diagonal's given and received positions, read by scalar dot products.
     An oracle for the mask-keyed decoder."""
     n, k, f = code.n, code.k, code.field
     last = len(received) - 1
@@ -229,7 +231,7 @@ def _per_diagonal_decode(code, tau, received, message_horizon):
         recv = [j for j in range(given, min(n, last - d + 1)) if received[d + j] is not None]
         checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
         y = [0] * given + [received[d + j][j] for j in recv]
-        assert not any(dot(f, c, y) for c in checks)
+        assert not any(_dot(f, c, y) for c in checks)
         diagonals[d] = (pins, y)
     per_packet, messages = [], []
     for t in range(message_horizon):
@@ -243,7 +245,7 @@ def _per_diagonal_decode(code, tau, received, message_horizon):
                 pins, y = diagonals[t - i]
                 position, row = pins[i]
                 times.append(t - i + position)
-                vals.append(dot(f, row, y))
+                vals.append(_dot(f, row, y))
             per_packet.append(PacketStatus(t, True, max(times), deadline))
             messages.append(tuple(vals))
         else:
@@ -538,6 +540,30 @@ def test_decoders_reject_negative_message_horizon(decoder):
             decode_errors(code, 4, [], -4, ChannelModel.sw_err(1, 5))
 
 
+@pytest.mark.parametrize("decoder", ["erasures", "errors"])
+@pytest.mark.parametrize("received", [None, 5, "abcdefg", iter([(0,) * 5] * 7)], ids=["None", "int", "str", "iter"])
+def test_decoders_reject_received_that_is_no_tuple_or_list(decoder, received):
+    code = build_mds(5, 3, F8)
+    with pytest.raises(ValueError, match="^received stream must be a tuple or list of packets, got "):
+        if decoder == "erasures":
+            decode_erasures(code, 4, received, 3)
+        else:
+            decode_errors(code, 4, received, 3, ChannelModel.sw_err(1, 5))
+
+
+@pytest.mark.parametrize("decoder", ["erasures", "errors"])
+@pytest.mark.parametrize("horizon", [3.5, 3.0, True, "3", None])
+def test_decoders_reject_message_horizon_that_is_no_int(decoder, horizon):
+    # 3.5 once asked for a stream of 7.5 packet times, and True passed as 1.
+    code = build_mds(5, 3, F8)
+    received = list(de_encode(code, [[1, 2, 3]]).packets)
+    with pytest.raises(ValueError, match=re.escape(f"message_horizon must be an int, got {horizon!r}")):
+        if decoder == "erasures":
+            decode_erasures(code, 4, received, horizon)
+        else:
+            decode_errors(code, 4, received, horizon, ChannelModel.sw_err(1, 5))
+
+
 def _random_error_decodes(field, seed):
     """`decode_errors` arguments (code, tau, received, message_horizon,
     model) on random, typically non-MDS codes over the field,
@@ -636,10 +662,10 @@ def _window_candidate_decode(code, tau, received, message_horizon, model):
                 recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
                 checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
                 y = [known[d + i][i] if d + i >= 0 else 0 for i in range(given)] + [received[d + j][j] for j in recv]
-                if any(dot(f, c, y) for c in checks):
+                if any(_dot(f, c, y) for c in checks):
                     break
                 if t - d in pins:
-                    values[t - d] = dot(f, pins[t - d][1], y)
+                    values[t - d] = _dot(f, pins[t - d][1], y)
             else:
                 consistent.append(tuple(values))
         if len(set(consistent)) != 1 or None in consistent[0]:
