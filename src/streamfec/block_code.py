@@ -61,8 +61,9 @@ class SystematicCode:
 
     @cached_property
     def _erasure_readers(self) -> dict:
-        """`streaming.decode_erasures`' `recovery` answers as forms, per
-        (given, received) mask pair."""
+        """`streaming.decode_erasures`' `recovery` answers per (given,
+        received) mask pair: the checks as one `matrix.Packed` reader, and
+        each pin's position and reader, over the flat received stream."""
         return {}
 
     @cached_property

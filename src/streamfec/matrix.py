@@ -6,7 +6,11 @@ This module and `galois` are the only ones that add field values: the
 rest of the package computes its linear maps (encoders, syndromes,
 corrections) as `form`s read by `evaluate`, one vector at a time, or by
 `evaluate_columns`, on every row of a matrix given by its columns at
-once, and adds vectors with `add`.
+once, and adds vectors with `add`.  A set of forms that is read many
+times, at offsets into one flat vector, is a `Packed` reader: one table
+per position gives the contribution of every form at once, so a read is
+one lookup per position and returns the forms' values as one base-q
+integer (`Packed.digits` splits it).
 Elimination is exact, one row at a time (`_insert`), pivoting on the
 first nonzero column, so there is no tolerance anywhere.  Matrices are
 immutable; operations return new objects and are safe to share
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .galois import Field
+from .galois import _MAX_LIST_TABLE, Field
 
 
 class FieldMatrix:
@@ -132,6 +136,102 @@ def evaluate_columns(field: Field, forms: Iterable[Form], columns: Sequence[Sequ
             acc = [a + t[v] for a, v in zip(acc, columns[at])]
         out.append([a % p for a in acc])
     return out
+
+
+class _PackedProducts(dict):
+    """A `Packed` table above q = 256: v -> the packed contribution of v,
+    filled on first use, as `Field.times` fills its products."""
+
+    __slots__ = ("parts", "xor")
+
+    def __init__(self, parts: list[tuple[int, Sequence[int]]], xor: bool):
+        super().__init__()
+        self.parts, self.xor = parts, xor
+
+    def __missing__(self, v: int) -> int:
+        acc = self[v] = _contribution(self.parts, self.xor, v)
+        return acc
+
+
+class Packed:
+    """A set of `form`s read together: one table per observation position,
+    mapping a symbol value there to the contribution of every form at
+    once, each form's in its own digit field, the first form's most
+    significant.  `read` is then one lookup per position, and returns the
+    base-q integer of the forms' values in order (the value of the one
+    form, for a single form).
+
+    Over GF(2^m) a field is m bits and the fields combine by XOR, so the
+    packed sum is that integer.  Over GF(p) every field is wide enough for
+    the unreduced sum of the longest form, each term at most p - 1, so the
+    sum never carries between fields, and the read reduces each field mod
+    p once.  A position that only one form
+    reads, in the lowest field, reuses that term's `Field.times` table;
+    above q = 256 every other table fills one value at a time."""
+
+    __slots__ = ("terms", "count", "q", "_width", "_modulus")
+
+    def __init__(self, field: Field, forms: Iterable[Form]):
+        forms = list(forms)
+        xor = field.p == 2
+        if xor:
+            width = field.m
+        else:
+            width = max(1, (max(map(len, forms), default=0) * (field.p - 1)).bit_length())
+        parts: dict[int, list[tuple[int, Sequence[int]]]] = {}
+        for l, terms in enumerate(forms):
+            shift = width * (len(forms) - 1 - l)
+            for at, t in terms:
+                parts.setdefault(at, []).append((shift, t))
+        self.terms: Form = tuple((at, _packed_table(field, parts[at], xor)) for at in sorted(parts))
+        self.count = len(forms)
+        self.q = field.q
+        self._width = width
+        self._modulus = None if xor else field.p
+
+    def read(self, vec: Sequence[int], offset: int = 0) -> int:
+        """The base-q integer of the forms' values on the vector whose entry
+        `at` is vec[offset + at]."""
+        acc = 0
+        p = self._modulus
+        if p is None:
+            for at, t in self.terms:
+                acc ^= t[vec[offset + at]]
+            return acc
+        for at, t in self.terms:
+            acc += t[vec[offset + at]]
+        width = self._width
+        mask = (1 << width) - 1
+        out = 0
+        for shift in range(width * (self.count - 1), -1, -width):
+            out = out * p + (acc >> shift & mask) % p
+        return out
+
+    def digits(self, value: int) -> list[int]:
+        """The forms' values, in order, from a value `read` returned."""
+        out = [0] * self.count
+        for l in range(self.count - 1, -1, -1):
+            value, out[l] = divmod(value, self.q)
+        return out
+
+
+def _contribution(parts: list[tuple[int, Sequence[int]]], xor: bool, v: int) -> int:
+    """The sum (XOR for p = 2) of t[v] << shift over the parts."""
+    acc = 0
+    for shift, t in parts:
+        acc = acc ^ (t[v] << shift) if xor else acc + (t[v] << shift)
+    return acc
+
+
+def _packed_table(field: Field, parts: list[tuple[int, Sequence[int]]], xor: bool) -> Sequence[int]:
+    """The table v -> `_contribution` of v: the one part's product table
+    itself when that part is at shift 0, else a list up to q = 256 and a
+    `_PackedProducts` above."""
+    if len(parts) == 1 and parts[0][0] == 0:
+        return parts[0][1]
+    if field.q > _MAX_LIST_TABLE:
+        return _PackedProducts(parts, xor)
+    return [_contribution(parts, xor, v) for v in range(field.q)]
 
 
 def add(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:

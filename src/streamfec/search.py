@@ -49,9 +49,9 @@ from .matrix import FieldMatrix, _insert
 _CODEBOOK_GUARD = 1 << 20
 _SEARCH_GUARD = 1 << 24
 # `_scan`'s verdict memos hold at most this many verdicts together, and
-# are all cleared when full.  An entry is an int key and its dict slot:
-# about 70 B for the 64-bit keys of [12,8] over GF(4), so full memos of
-# such keys hold about 18 MiB.
+# are all cleared when full; its memo of row twins holds at most as many.
+# An entry is an int key and its dict slot: about 70 B for the 64-bit
+# keys of [12,8] over GF(4), so full memos of such keys hold about 18 MiB.
 _VERDICT_CAP = 1 << 18
 
 
@@ -160,6 +160,16 @@ def _fails(field: Field, rows: list, check) -> bool:
     return _insert(field, basis, target, width) is None
 
 
+def _twin_drop(field: Field, row: list[int], weights: list[int]) -> int:
+    """The row's value minus the value of its twin a^-1 * row, for a row
+    whose leading nonzero digit a is above 1, and 0 for any other row."""
+    a = next(filter(None, row), 0)
+    if a <= 1:
+        return 0
+    inverse = field.times(field.inv(a))
+    return sum((x - inverse[x]) * w for x, w in zip(row, weights))
+
+
 def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=None) -> int | None:
     """First surviving candidate index in [start, stop), or None.
 
@@ -190,8 +200,11 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     every fresh digit above 1 set to 1; scaling those columns maps each
     candidate W below the node to one below v'.  Rows: when the row's
     leading nonzero digit a is above 1, v' = a^-1 * row; scaling row d
-    maps W to one below v'.  Either way every check, and the reference
-    verifier, judge W and its image alike.  So when v''s subtree starts
+    maps W to one below v'.  The row fixes v', so how far v' lies below
+    the row is memoised for this call under the row's digits in
+    `packed`, filled on first visit (at most `_VERDICT_CAP` held, then
+    cleared); no table of all q^r rows is built.  Either way every
+    check, and the reference verifier, judge W and its image alike.  So when v''s subtree starts
     at or after `start`, the image lies in [start, W) and the subtree is
     skipped; otherwise (a resumed scan whose cursor passed v') the node
     is scanned.  A skipped W thus always has an image judged alike in
@@ -212,6 +225,10 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
                 mask |= digit << offsets[j] + width * (r - 1 - c)
         at_depth[max((i, *msg_js))].append((check, mask, {}))
     memos = [memo for checks_at in at_depth for _, _, memo in checks_at]
+    # Per row, keyed by its digit fields in `packed`: its value minus its
+    # twin's (`_twin_drop`), filled on first visit.
+    drops: dict[int, int] = {}
+    row_bits = (1 << width * r) - 1
     held = 0
     sizes = [base ** (k - 1 - d) for d in range(k)]
     weights = [q ** (r - 1 - c) for c in range(r)]
@@ -238,12 +255,14 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
                 cols = [c for c in cols if not row[c]]
             fresh[d + 1] = cols
             if scaled:
-                a = next(filter(None, row), 0)
-                if a > 1:
-                    inverse = field.times(field.inv(a))
-                    twin = sum(inverse[x] * w for x, w in zip(row, weights))
-                    if idx - idx % sizes[d] - (idx // sizes[d] % base - twin) * sizes[d] >= start:
-                        break
+                key = packed >> offsets[d] & row_bits
+                drop = drops.get(key)
+                if drop is None:
+                    if len(drops) >= _VERDICT_CAP:
+                        drops.clear()
+                    drop = drops[key] = _twin_drop(field, row, weights)
+                if drop and idx - idx % sizes[d] - drop * sizes[d] >= start:
+                    break
             for check, mask, memo in at_depth[d]:
                 key = packed & mask
                 verdict = memo.get(key)

@@ -24,11 +24,15 @@ time 0 given as zero and every unerased symbol received; a coordinate is
 recovered at the diagonal's start plus its pin position.  A diagonal's
 received positions are a shift and a mask of the stream's arrival
 bitmask, and the answer for each mask pair is kept per code as
-`matrix.form`s over the received symbols, so a diagonal costs one
-lookup, its consistency checks and, for an erased message, its pin.
-Packets recovered earlier carry no extra information for later ones
-beyond what the received symbols already determine, so per-diagonal
-solving realizes sequential (peeling) recovery exactly.
+`matrix.Packed` readers over the flat received stream (erased packets
+as zeros): one for the checks, and one per pin.  So a diagonal costs
+one lookup of its mask pair and one packed read of its checks, a table
+lookup per received symbol, which must read zero; a pin is read only
+for an erased message, from the last k diagonals' pins, which is all
+the decoder keeps across diagonals.  Packets recovered earlier carry no
+extra information for later ones beyond what the received symbols
+already determine, so per-diagonal solving realizes sequential
+(peeling) recovery exactly.
 
 The error decoder is the reference exhaustive one, and it is syndrome
 decoding.  To decode u(t) it assumes all earlier messages are known
@@ -51,10 +55,14 @@ and nothing is re-encoded.
 So the decision, the correction to u(t) and whether packet t was in
 error, depends on the window only through its syndrome, and it is
 memoised under (window width, near-past error offsets, window
-syndrome).  A new key is decided from the key alone: each candidate of
-its (width, near-past offsets) context is a set of rows over the
-syndrome digits, built once per width, the residuals are digits of the
-syndrome, and no received packet is read.
+syndrome).  The syndrome is one `matrix.Packed` read of the window's
+checks, built once per width, over the window's known messages and
+received packets: a table lookup per symbol gives the base-q integer of
+its digits, which is the key's syndrome part as it stands.  A new key
+is decided from the key alone: its digits are unpacked from it, each
+candidate of its (width, near-past offsets) context is a set of rows
+over those digits, built once per width, the residuals are digits of
+the syndrome, and no received packet is read.
 
 Both decoders read only the received stream, as a receiver does.
 `simulate`, which applies the channel realization, alone judges it and
@@ -73,7 +81,7 @@ from typing import NamedTuple, Sequence
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from .galois import Field
-from .matrix import Form, _rref, add, evaluate, evaluate_columns, form
+from .matrix import Packed, _rref, add, evaluate, evaluate_columns, form
 
 
 @dataclass(frozen=True)
@@ -168,12 +176,13 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
 
 
 def _check_received(code: SystematicCode, received: Sequence, message_horizon: int, allow_erased: bool) -> list[int]:
-    """The received stream's values, flattened in packet order, once it is
-    checked: it covers packet times [0, message_horizon + n - 2], and each
-    packet is a tuple or list of n field values, or None (erased) where
-    `allow_erased`.  A malformed stream raises ValueError naming the first
-    bad packet time.  The stream itself must be a tuple or list, and
-    message_horizon exactly an int (not a bool or a float)."""
+    """The received stream's values, flattened in packet order with each
+    erased packet as n zeros, once it is checked: it covers packet times
+    [0, message_horizon + n - 2], and each packet is a tuple or list of n
+    field values, or None (erased) where `allow_erased`.  A malformed
+    stream raises ValueError naming the first bad packet time.  The
+    stream itself must be a tuple or list, and message_horizon exactly an
+    int (not a bool or a float)."""
     n = code.n
     if type(message_horizon) is not int:
         raise ValueError(f"message_horizon must be an int, got {message_horizon!r}")
@@ -184,8 +193,10 @@ def _check_received(code: SystematicCode, received: Sequence, message_horizon: i
     if len(received) != message_horizon + n - 1:
         raise ValueError(f"received stream must cover {message_horizon + n - 1} packet times")
     flat: list[int] = []
+    erased = [0] * n
     for t, packet in enumerate(received):
         if packet is None and allow_erased:
+            flat += erased
             continue
         if not isinstance(packet, (tuple, list)) or len(packet) != n:
             raise ValueError(f"received packet {t} must hold {n} symbols, got {packet!r}")
@@ -199,6 +210,23 @@ def _check_received(code: SystematicCode, received: Sequence, message_horizon: i
             except ValueError as exc:
                 raise ValueError(f"received packet {t}: {exc}")
     return flat
+
+
+def _erasure_reader(
+    code: SystematicCode, given: int, avail: int
+) -> tuple[Packed, dict[int, tuple[int, Packed]]]:
+    """The `recovery` answer for a diagonal whose first `given` message
+    coordinates are zero and whose received positions are the bitmask
+    `avail`: its checks, and each pin's position and form, packed over the
+    diagonal's received symbols in the flat stream at offset d*n, where
+    its symbol j is entry j*(n+1)."""
+    n, f = code.n, code.field
+    checks, pins = code.recovery((1 << given) - 1, avail)
+    at = [j * (n + 1) for j in range(n) if avail >> j & 1]
+    return (
+        Packed(f, [form(f, c[given:], at) for c in checks]),
+        {i: (position, Packed(f, [form(f, row[given:], at)])) for i, (position, row) in pins.items()},
+    )
 
 
 def decode_erasures(
@@ -216,66 +244,55 @@ def decode_erasures(
     became fully determined.
 
     Diagonal d's (given, received) mask pair is read off the arrival
-    bitmask by a shift; its checks and pins are built as forms once per
-    pair and code, and every diagonal's checks must vanish on its
-    received symbols, or the stream is not a valid one and this raises
-    RuntimeError.
+    bitmask by a shift; its checks and pins are built as `matrix.Packed`
+    readers once per pair and code (`_erasure_reader`), and read at
+    offset d*n of the received stream flattened with erased packets as
+    zeros.  Every diagonal's checks must read zero, or the stream is not
+    a valid one and this raises RuntimeError naming the first diagonal
+    that does not.  Message t is decided right after diagonal t, the last
+    it lies on, is checked; only an erased one reads pins, those of
+    diagonals t-k+1, ..., t.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     n, k, f = code.n, code.k, code.field
-    _check_received(code, received, message_horizon, allow_erased=True)
+    flat = _check_received(code, received, message_horizon, allow_erased=True)
 
-    # Bit t is set iff packet t arrived, so diagonal d's received
-    # positions are a shift and a mask of it.
-    arrived = int("".join("0" if pkt is None else "1" for pkt in reversed(received)) or "0", 2)
+    # Bit k-1+t is set iff packet t arrived, so diagonal d's received
+    # positions are a shift and a mask of it, for d < 0 too.
+    arrived = int("".join("0" if pkt is None else "1" for pkt in reversed(received)) or "0", 2) << k - 1
     full = (1 << n) - 1
-    # Per (given, avail) key, memoised per code in place of the dense
-    # `recovery` answer: the received positions, and the checks and pins
-    # as forms over the symbols received there (the given coordinates
-    # are zero).
     readers = code._erasure_readers
-    # Per diagonal d: its pins and the received symbols they read.
-    diagonals: dict[int, tuple[dict[int, tuple[int, Form]], list[int]]] = {}
+    # The pins of the last k diagonals, diagonal d's at index d % k.
+    recent: list[dict[int, tuple[int, Packed]]] = [{}] * k
+    per_packet: list[PacketStatus] = []
+    messages_out: list[tuple[int, ...] | None] = []
     for d in range(1 - k, message_horizon):
         # Coordinates i with d + i < 0 are given as zero.
-        given = max(-d, 0)
-        avail = (arrived >> d if d >= 0 else arrived << given) & full
+        given = -d if d < 0 else 0
+        avail = arrived >> d + k - 1 & full
         key = avail << k | given
         reader = readers.get(key)
         if reader is None:
-            checks, pins = code.recovery((1 << given) - 1, avail)
-            reader = readers[key] = (
-                [j for j in range(n) if avail >> j & 1],
-                [form(f, c[given:]) for c in checks],
-                {i: (position, form(f, row[given:])) for i, (position, row) in pins.items()},
-            )
-        positions, checks, pins = reader
-        y = [received[d + j][j] for j in positions]
-        if any(evaluate(f, checks, y)):
+            reader = readers[key] = _erasure_reader(code, given, avail)
+        checks, recent[d % k] = reader
+        if checks.read(flat, d * n):
             raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
-        diagonals[d] = (pins, y)
-
-    per_packet = []
-    messages_out: list[tuple[int, ...] | None] = []
-    for t in range(message_horizon):
-        deadline = t + tau
-        if received[t] is not None:
-            status = PacketStatus(t, True, t, deadline)
+        if d < 0:
+            continue
+        # Diagonal t = d is the last that message t lies on.
+        t, deadline = d, d + tau
+        if avail & 1:
+            per_packet.append(PacketStatus(t, True, t, deadline))
             messages_out.append(tuple(received[t][:k]))
-        elif all(i in diagonals[t - i][0] for i in range(k)):
-            times, vals = [], []
-            for i in range(k):
-                pins, y = diagonals[t - i]
-                position, terms = pins[i]
-                times.append(t - i + position)
-                vals += evaluate(f, (terms,), y)
-            status = PacketStatus(t, True, max(times), deadline)
-            messages_out.append(tuple(vals))
-        else:
-            status = PacketStatus(t, False, None, deadline)
+            continue
+        pins = [recent[(t - i) % k].get(i) for i in range(k)]
+        if None in pins:
+            per_packet.append(PacketStatus(t, False, None, deadline))
             messages_out.append(None)
-        per_packet.append(status)
+            continue
+        per_packet.append(PacketStatus(t, True, t + max(position - i for i, (position, _) in enumerate(pins)), deadline))
+        messages_out.append(tuple(pin.read(flat, (t - i) * n) for i, (_, pin) in enumerate(pins)))
 
     return DecodeReport(
         params=_report_params(code, tau, None, message_horizon),
@@ -427,11 +444,15 @@ def decode_errors(
     ambiguity record and decoding halts there.
 
     The decision is memoised per (code, tau, model) under (window width,
-    near-past error offsets, window syndrome), and a miss is decided from
-    the key alone by syndrome decoding: on each diagonal d, a candidate is
-    consistent iff d's syndrome slice lies in the span of d's full-window
-    checks on the positions it erases, and its correction to u_i(t) is
-    minus the error that the slice then determines.  The width and
+    near-past error offsets, window syndrome).  The syndrome is one
+    `matrix.Packed` read of the width's window checks over the window's
+    known messages and received packets, the base-q integer of its
+    digits.  A miss is decided from the key alone, its digits unpacked
+    from the syndrome, by syndrome decoding: on each diagonal d, a
+    candidate is consistent iff d's syndrome slice lies in the span of
+    d's full-window checks on the positions it erases, and its
+    correction to u_i(t) is minus the error that the slice then
+    determines.  The width and
     near-past offsets fix the admissible candidates, so the key fixes the
     verdict and the correction to u(t) exactly; it also fixes whether
     packet t was in error, through the residuals of its parity symbols,
@@ -444,7 +465,7 @@ def decode_errors(
     if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
-    q, w = f.q, model.w
+    w = model.w
     received_flat = _check_received(code, received, message_horizon, allow_erased=False)
     last = len(received) - 1
 
@@ -471,13 +492,10 @@ def decode_errors(
         width = wend - t + 1
         if width not in windows:
             subsets = [p.support for p in enumerate_admissible(model, width)]
-            windows[width] = _window(code, width, subsets)
-        checks_of_width, rows, residuals = windows[width]
-        window = known_flat[t * k : (t + n - 1) * k] + received_flat[t * n : (wend + 1) * n]
-        digits = evaluate(f, checks_of_width, window)
-        syndrome = 0
-        for s in digits:
-            syndrome = syndrome * q + s
+            checks, rows, residuals = _window(code, width, subsets)
+            windows[width] = Packed(f, checks), rows, residuals
+        syndromes, rows, residuals = windows[width]
+        syndrome = syndromes.read(known_flat[t * k : (t + n - 1) * k] + received_flat[t * n : (wend + 1) * n])
         key = syndrome << low_bits | width << w | near_past
         verdict = verdicts.get(key)
         if verdict is None:
@@ -489,7 +507,7 @@ def decode_errors(
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
                 ]
-            verdict = _decide(f, candidates, residuals, digits)
+            verdict = _decide(f, candidates, residuals, syndromes.digits(syndrome))
             if len(verdicts) >= _DECISION_CAP:
                 verdicts.clear()
                 shared.clear()

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamfec.block_code import build_mds
 from streamfec.galois import GF
 from streamfec.matrix import (
     FieldMatrix,
+    Packed,
     add,
     evaluate,
     evaluate_columns,
@@ -16,6 +18,7 @@ from streamfec.matrix import (
     punctured_parity,
     rank,
 )
+from streamfec.streaming import _window
 
 from test_block_code import _dot, _mul
 
@@ -162,6 +165,91 @@ def test_evaluate_columns_matches_evaluate_row_by_row(q):
         columns = [[row[c] for row in matrix] for c in range(cols)]
         assert evaluate_columns(f, forms, columns) == [[values[l] for values in want] for l in range(len(forms))]
     assert evaluate_columns(f, [], [[1, 0]]) == []
+
+
+def _base_q(q, digits):
+    """The base-q integer of the digits, the first most significant: the
+    error decoder's window syndrome key, folded one digit at a time."""
+    value = 0
+    for s in digits:
+        value = value * q + s
+    return value
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 251, 256, 1 << 16])
+def test_packed_read_matches_evaluate_digit_by_digit(q):
+    # random forms, with zero coefficients and repeated positions, read
+    # at an offset into a longer vector
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        length = rng.randrange(1, 10)
+        forms = []
+        for _ in range(rng.randrange(6)):
+            positions = [rng.randrange(length) for _ in range(rng.randrange(8))]
+            forms.append(form(f, [rng.choice((0, 1, rng.randrange(q))) for _ in positions], positions))
+        packed = Packed(f, forms)
+        vec = [rng.randrange(q) for _ in range(length)]
+        offset = rng.randrange(5)
+        padded = [rng.randrange(q) for _ in range(offset)] + vec + [rng.randrange(q)]
+        want = evaluate(f, forms, vec)
+        value = packed.read(padded, offset)
+        assert packed.digits(value) == want
+        assert value == _base_q(q, want)
+        assert packed.read(vec) == value
+    assert Packed(f, []).read([1, 2]) == 0
+    assert Packed(f, []).digits(0) == []
+
+
+def test_packed_unreduced_sums_never_carry_over_gf251():
+    # The largest unreduced sums: every product p - 1, on every position
+    # of the error decoder's full window for a [9,5] code at tau = 8,
+    # (n-1)k + (tau+1)n = 101 positions; one form reads each position
+    # twice.
+    f = GF(251)
+    length = 4 * 5 + 9 * 9
+    vec = [250] * length
+    ones = form(f, [1] * length)
+    forms = [ones, form(f, [250] * length), ones, form(f, [1] * 2 * length, [*range(length)] * 2), ones]
+    packed = Packed(f, forms)
+    want = evaluate(f, forms, vec)
+    assert want == [length * 250 % 251, length % 251, length * 250 % 251, 2 * length * 250 % 251, length * 250 % 251]
+    value = packed.read(vec)
+    assert packed.digits(value) == want
+    assert value == _base_q(251, want)
+
+
+def test_packed_tables_fill_lazily_above_q256():
+    # Over GF(2^16) each position's table holds only the values read there.
+    f = GF(1 << 16)
+    rng = random.Random(16)
+    forms = [form(f, [rng.randrange(1, 1 << 16) for _ in range(4)]) for _ in range(3)]
+    packed = Packed(f, forms)
+    tables = [t for _, t in packed.terms]
+    assert len(tables) == 4 and not any(tables)
+    vec = [rng.randrange(1 << 16) for _ in range(4)]
+    assert packed.digits(packed.read(vec)) == evaluate(f, forms, vec)
+    assert [sorted(t) for t in tables] == [[v] for v in vec]
+    other = [v ^ 1 for v in vec]
+    assert packed.digits(packed.read(other)) == evaluate(f, forms, other)
+    assert [sorted(t) for t in tables] == [sorted((v, v ^ 1)) for v in vec]
+
+
+@pytest.mark.parametrize("q", [8, 7])
+def test_packed_window_syndrome_is_the_error_decoders_base_q_key(q):
+    # The error decoder's window checks, for p = 2 and odd p: the packed
+    # read is the base-q integer of their values, digit 0 most significant.
+    f = GF(q)
+    code = build_mds(5, 3, f)
+    rng = random.Random(q)
+    for width in range(1, 6):
+        checks, _, _ = _window(code, width, [()])
+        packed = Packed(f, checks)
+        for _ in range(20):
+            window = [rng.randrange(q) for _ in range((code.n - 1) * code.k + width * code.n)]
+            digits = evaluate(f, checks, window)
+            assert packed.read(window) == _base_q(q, digits)
+            assert packed.digits(packed.read(window)) == digits
 
 
 def test_matrix_json_literals_roundtrip():

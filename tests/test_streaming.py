@@ -260,7 +260,7 @@ def _per_diagonal_decode(code, tau, received, message_horizon):
     )
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F16], ids=lambda f: f"q{f.q}")
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F16, GF(251), GF(1 << 16)], ids=lambda f: f"q{f.q}")
 def test_erasure_decoder_matches_per_diagonal_oracle(field):
     # random codes, zero columns in P included, at horizons 0, 1, n and 30;
     # random patterns of every density, and bursts longer than n - k
@@ -288,14 +288,31 @@ def test_erasure_decoder_matches_per_diagonal_oracle(field):
 
 def test_erasure_decoder_rejects_conflicting_diagonal():
     # One corrupted parity symbol on a fully received diagonal of a [5,3]
-    # MDS code breaks one of its two checks.
-    code = build_mds(5, 3, F8)
-    stream = de_encode(code, _messages(F8, 6, 3, seed=12))
-    received = [list(pkt) for pkt in stream.packets]
-    # packet 5, symbol 4: parity 4 of diagonal 1
-    received[5][4] ^= 1
-    with pytest.raises(RuntimeError, match="received symbols of diagonal 1 conflict"):
-        decode_erasures(code, 4, [tuple(pkt) for pkt in received], 6)
+    # MDS code breaks one of its two checks, over GF(2^3) and GF(7).
+    cases = [
+        # packet 5, symbol 4: parity 4 of diagonal 1
+        ([(5, 4)], 1),
+        # packet 3, symbol 4: parity 4 of diagonal -1, whose coordinate 0
+        # is given as zero
+        ([(3, 4)], -1),
+        # packet 1, symbol 3: parity 3 of diagonal -2, two coordinates given
+        ([(1, 3)], -2),
+        # both diagonals conflict, and the first is named
+        ([(5, 4), (3, 4)], -1),
+    ]
+    for field in (F8, F7):
+        code = build_mds(5, 3, field)
+        stream = de_encode(code, _messages(field, 6, 3, seed=12))
+        for corrupt, first in cases:
+            received = [list(pkt) for pkt in stream.packets]
+            for t, j in corrupt:
+                received[t][j] = field.add(received[t][j], 1)
+            with pytest.raises(RuntimeError, match=f"received symbols of diagonal {first} conflict"):
+                decode_erasures(code, 4, [tuple(pkt) for pkt in received], 6)
+            # The same corruption beside an erased packet is still seen.
+            received[4] = None
+            with pytest.raises(RuntimeError, match=f"received symbols of diagonal {first} conflict"):
+                decode_erasures(code, 4, [pkt if pkt is None else tuple(pkt) for pkt in received], 6)
 
 
 @pytest.mark.parametrize("tau", [-1, -3])
