@@ -5,7 +5,9 @@ MDS via Vandermonde systematization, and interleaved-MDS codes for
 multiple burst erasures), and the exact verifier that decides whether a
 code can recover every erased message symbol within a per-symbol delay
 budget; a generator with an invertible leading block is verified in its
-systematic form (`_systematize`).
+systematic form (`_systematize`).  A code's parity symbols are one
+`matrix.Packed` reader of the columns of P, which `SystematicCode.encode`
+reads on one message and `streaming.de_encode` on every diagonal at once.
 
 Delay semantics: message symbol i of a codeword must be recovered from
 the non-erased code symbols in positions [0, min(i + tau, n-1)].  The
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .bounds import delay_tau_star  # noqa: F401  (callers import it from here too)
 from .galois import Field
-from .matrix import FieldMatrix, Form, _insert, _rref, evaluate, form, rank
+from .matrix import FieldMatrix, Packed, _insert, _rref, form, rank
 
 # Nothing here calls these two any more; the benchmark's tracer installs
 # spans at `block_code.in_span` and `block_code.punctured_parity` and
@@ -126,14 +128,16 @@ class SystematicCode:
         return tuple(list(col) for col in zip(*self.generator.data))
 
     @cached_property
-    def _parity_forms(self) -> tuple[Form, ...]:
-        """Parity symbol j as a form in the message: column j of P."""
-        return tuple(form(self.field, col) for col in zip(*self.P.data))
+    def _parity_reader(self) -> Packed:
+        """The parity symbols as one `matrix.Packed` reader of the message:
+        parity j is the form of column j of P."""
+        return Packed(self.field, [form(self.field, col) for col in zip(*self.P.data)])
 
     def encode(self, u: Sequence[int]) -> tuple[int, ...]:
         if len(u) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
-        return tuple(u) + tuple(evaluate(self.field, self._parity_forms, u))
+        parities = self._parity_reader
+        return tuple(u) + tuple(parities.digits(parities.read(u)))
 
     def to_descriptor(self) -> dict:
         return {

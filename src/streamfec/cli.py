@@ -29,7 +29,7 @@ from .channel import (
     enumerate_admissible,
 )
 from .galois import GF
-from .search import progress_to_stderr, search_nonexistence
+from .search import _SEARCH_GUARD, progress_to_stderr, search_nonexistence
 from .streaming import equivalence_sweep, simulate
 
 
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--gf", type=int, required=True)
     p.add_argument("--modulus", type=int, default=None)
-    p.add_argument("--guard", type=int, default=1 << 24)
+    p.add_argument("--guard", type=int, default=_SEARCH_GUARD)
     p.add_argument("--resume-from", type=int, default=0)
     p.add_argument("--progress", action="store_true")
     p.add_argument("--out")

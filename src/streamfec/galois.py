@@ -10,11 +10,12 @@ of their least primitive element, built with the field, so `mul` and
 
 Hot loops multiply by a constant through :meth:`Field.times`, a product
 table per constant that the field builds on first use and caches, so a
-product is one lookup; above q = 256 the table fills one value at a time,
-so a large field never tabulates values it does not see.  Filling a table
-writes the same values whoever does it, so fields stay safe to share
-between threads; their identity (p, m, modulus) never changes after
-construction.
+product is one lookup; above q = 256 the table is a `_Lazy` dict that
+fills one value at a time, so a large field never tabulates values it
+does not see (`matrix.Packed` fills its large-field tables the same
+way).  Filling a table writes the same values whoever does it, so fields
+stay safe to share between threads; their identity (p, m, modulus) never
+changes after construction.
 
 The default modulus for GF(2^m) is the lexicographically smallest
 irreducible polynomial of degree m (bit-encoded, bit i = coefficient of
@@ -23,7 +24,7 @@ x^i), so that descriptors are reproducible across machines.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 _MAX_EXTENSION_DEGREE = 16
@@ -114,19 +115,19 @@ def _log_tables(q: int, mul: Callable[[int, int], int]) -> tuple[list[int], list
     raise AssertionError("unreachable: the multiplicative group of a field is cyclic")
 
 
-class _Products(dict):
-    """v -> c * v over the field for one constant c, filled on first use:
-    `Field.times`' table above q = 256."""
+class _Lazy(dict):
+    """A table v -> fill(v) that computes each value on first use: every
+    table above q = 256, `Field.times`' products and `matrix.Packed`'s."""
 
-    __slots__ = ("field", "c")
+    __slots__ = ("fill",)
 
-    def __init__(self, field: "Field", c: int):
+    def __init__(self, fill: Callable[[int], int]):
         super().__init__()
-        self.field, self.c = field, c
+        self.fill = fill
 
     def __missing__(self, v: int) -> int:
-        p = self[v] = self.field.mul(self.c, v)
-        return p
+        value = self[v] = self.fill(v)
+        return value
 
 
 class Field:
@@ -167,7 +168,7 @@ class Field:
         self.modulus = modulus
         mul = (lambda a, b: a * b % p) if m == 1 else (lambda a, b: _poly_mulmod(a, b, modulus))
         self._exp, self._log = _log_tables(self.q, mul)
-        self._times: dict[int, list[int] | _Products] = {}
+        self._times: dict[int, list[int] | _Lazy] = {}
 
     # -- arithmetic on raw int values ------------------------------------
 
@@ -212,7 +213,7 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def times(self, c: int) -> list[int] | _Products:
+    def times(self, c: int) -> list[int] | _Lazy:
         """The products c * v as a table indexed by the value v, cached per
         constant c and shared by every caller that multiplies by c: a list,
         built when c is first asked for, up to q = 256, and for larger
@@ -222,7 +223,7 @@ class Field:
             if self.q <= _MAX_LIST_TABLE:
                 table = [self.mul(c, v) for v in range(self.q)]
             else:
-                table = _Products(self, c)
+                table = _Lazy(partial(self.mul, c))
             self._times[c] = table
         return table
 

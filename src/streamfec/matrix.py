@@ -4,13 +4,13 @@ Entries are plain int values interpreted in the owning field; every
 product is a lookup in the field's product table for its constant.
 This module and `galois` are the only ones that add field values: the
 rest of the package computes its linear maps (encoders, syndromes,
-corrections) as `form`s read by `evaluate`, one vector at a time, or by
-`evaluate_columns`, on every row of a matrix given by its columns at
-once, and adds vectors with `add`.  A set of forms that is read many
-times, at offsets into one flat vector, is a `Packed` reader: one table
-per position gives the contribution of every form at once, so a read is
-one lookup per position and returns the forms' values as one base-q
-integer (`Packed.digits` splits it).
+checks, pins, corrections) as `form`s read by `Packed` readers, and adds
+vectors with `add`.  A reader of a set of forms keeps one table per
+position that gives the contribution of every form at once, so a read
+of one vector, or of it at an offset into a longer flat one, is one
+lookup per position and returns the forms' values as one base-q integer
+(`Packed.digits` splits it, by `_digits_of`); `Packed.read_columns` reads
+every row of a matrix given by its columns at once.
 Elimination is exact, one row at a time (`_insert`), pivoting on the
 first nonzero column, so there is no tolerance anywhere.  Matrices are
 immutable; operations return new objects and are safe to share
@@ -19,9 +19,10 @@ between threads.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
 
-from .galois import _MAX_LIST_TABLE, Field
+from .galois import _MAX_LIST_TABLE, Field, _Lazy
 
 
 class FieldMatrix:
@@ -90,67 +91,19 @@ Form = tuple[tuple[int, Sequence[int]], ...]
 
 def form(field: Field, coeffs: Sequence[int], positions: Iterable[int] | None = None) -> Form:
     """The linear form v -> sum of coeffs[l] * v[positions[l]] (positions
-    default to 0, 1, ...), for `evaluate`."""
+    default to 0, 1, ...), for `Packed`."""
     if positions is None:
         positions = range(len(coeffs))
     times = field.times
     return tuple((at, times(c)) for at, c in zip(positions, coeffs) if c)
 
 
-def evaluate(field: Field, forms: Iterable[Form], vec: Sequence[int]) -> list[int]:
-    """The value of each `form` on vec over the field, in order."""
-    out = []
-    if field.p == 2:
-        for terms in forms:
-            acc = 0
-            for at, t in terms:
-                acc ^= t[vec[at]]
-            out.append(acc)
-        return out
-    p = field.p
-    for terms in forms:
-        acc = 0
-        for at, t in terms:
-            acc += t[vec[at]]
-        out.append(acc % p)
-    return out
-
-
-def evaluate_columns(field: Field, forms: Iterable[Form], columns: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The value of each `form` on every row of the matrix with the given
-    columns, all of one length: out[l][r] is `evaluate` of forms[l] on
-    row r.  Each term of a form reads its whole column at once."""
-    length = len(columns[0]) if columns else 0
-    out = []
-    if field.p == 2:
-        for terms in forms:
-            acc = [0] * length
-            for at, t in terms:
-                acc = [a ^ t[v] for a, v in zip(acc, columns[at])]
-            out.append(acc)
-        return out
-    p = field.p
-    for terms in forms:
-        acc = [0] * length
-        for at, t in terms:
-            acc = [a + t[v] for a, v in zip(acc, columns[at])]
-        out.append([a % p for a in acc])
-    return out
-
-
-class _PackedProducts(dict):
-    """A `Packed` table above q = 256: v -> the packed contribution of v,
-    filled on first use, as `Field.times` fills its products."""
-
-    __slots__ = ("parts", "xor")
-
-    def __init__(self, parts: list[tuple[int, Sequence[int]]], xor: bool):
-        super().__init__()
-        self.parts, self.xor = parts, xor
-
-    def __missing__(self, v: int) -> int:
-        acc = self[v] = _contribution(self.parts, self.xor, v)
-        return acc
+def _digits_of(value: int, base: int, width: int) -> list[int]:
+    """The `width` base-`base` digits of value, most significant first."""
+    digits = [0] * width
+    for pos in range(width - 1, -1, -1):
+        value, digits[pos] = divmod(value, base)
+    return digits
 
 
 class Packed:
@@ -159,7 +112,8 @@ class Packed:
     once, each form's in its own digit field, the first form's most
     significant.  `read` is then one lookup per position, and returns the
     base-q integer of the forms' values in order (the value of the one
-    form, for a single form).
+    form, for a single form); `read_columns` reads every row of a matrix
+    given by its columns at once.
 
     Over GF(2^m) a field is m bits and the fields combine by XOR, so the
     packed sum is that integer.  Over GF(p) every field is wide enough for
@@ -207,12 +161,27 @@ class Packed:
             out = out * p + (acc >> shift & mask) % p
         return out
 
+    def read_columns(self, columns: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The forms' values on every row of the matrix with the given
+        columns, all of one length: out[l][r] is form l's value on row r.
+        One pass per read column sums the packed contributions of every
+        row, and one pass per form splits out its digit field."""
+        acc = [0] * (len(columns[0]) if columns else 0)
+        width = self._width
+        mask = (1 << width) - 1
+        shifts = range(width * (self.count - 1), -1, -width)
+        p = self._modulus
+        if p is None:
+            for at, t in self.terms:
+                acc = [a ^ t[v] for a, v in zip(acc, columns[at])]
+            return [[a >> shift & mask for a in acc] for shift in shifts]
+        for at, t in self.terms:
+            acc = [a + t[v] for a, v in zip(acc, columns[at])]
+        return [[(a >> shift & mask) % p for a in acc] for shift in shifts]
+
     def digits(self, value: int) -> list[int]:
         """The forms' values, in order, from a value `read` returned."""
-        out = [0] * self.count
-        for l in range(self.count - 1, -1, -1):
-            value, out[l] = divmod(value, self.q)
-        return out
+        return _digits_of(value, self.q, self.count)
 
 
 def _contribution(parts: list[tuple[int, Sequence[int]]], xor: bool, v: int) -> int:
@@ -226,11 +195,11 @@ def _contribution(parts: list[tuple[int, Sequence[int]]], xor: bool, v: int) -> 
 def _packed_table(field: Field, parts: list[tuple[int, Sequence[int]]], xor: bool) -> Sequence[int]:
     """The table v -> `_contribution` of v: the one part's product table
     itself when that part is at shift 0, else a list up to q = 256 and a
-    `_PackedProducts` above."""
+    lazily filled table above."""
     if len(parts) == 1 and parts[0][0] == 0:
         return parts[0][1]
     if field.q > _MAX_LIST_TABLE:
-        return _PackedProducts(parts, xor)
+        return _Lazy(partial(_contribution, parts, xor))
     return [_contribution(parts, xor, v) for v in range(field.q)]
 
 

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 from .block_code import SystematicCode, VerifyResult, _as_support, _check_range, verify_delay_decodable
 from .channel import burst_supports
 from .galois import Field
-from .matrix import FieldMatrix, _insert
+from .matrix import FieldMatrix, _digits_of, _insert
 
 _CODEBOOK_GUARD = 1 << 20
 _SEARCH_GUARD = 1 << 24
@@ -136,14 +136,6 @@ def _build_checks(n: int, k: int, tau: int, supports: Sequence[tuple[int, ...]])
     # the checks it evaluates at each depth.
     checks.sort(key=lambda c: (len(c[1]) - len(c[2]), len(c[1]), c[0]))
     return checks
-
-
-def _digits_of(index: int, base: int, width: int) -> list[int]:
-    """The `width` base-`base` digits of index, most significant first."""
-    digits = [0] * width
-    for pos in range(width - 1, -1, -1):
-        index, digits[pos] = divmod(index, base)
-    return digits
 
 
 def _fails(field: Field, rows: list, check) -> bool:

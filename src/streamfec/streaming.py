@@ -7,9 +7,10 @@ out on diagonals: the codeword of diagonal d encodes the message symbols
 packet d + j, so each packet erasure costs every affected codeword
 exactly one symbol.  Message packets outside [0, T) are zero, so the
 encoder is causal and the n-1 trailing packets complete the last
-diagonals.  The encoder works a column at a time: parity j of every
-diagonal is one `matrix.evaluate_columns` pass over the message
-columns, each shifted to its place on the diagonals.
+diagonals.  The encoder works a column at a time: the code's parity
+reader, a `matrix.Packed`, sums the packed parities of every diagonal in
+one pass per message column, each shifted to its place on the
+diagonals, and splits out each parity's digit field in one pass more.
 
 Both decoders ask one question of one diagonal codeword at a time:
 given some of its message coordinates and the symbols received by a
@@ -60,9 +61,10 @@ checks, built once per width, over the window's known messages and
 received packets: a table lookup per symbol gives the base-q integer of
 its digits, which is the key's syndrome part as it stands.  A new key
 is decided from the key alone: its digits are unpacked from it, each
-candidate of its (width, near-past offsets) context is a set of rows
-over those digits, built once per width, the residuals are digits of
-the syndrome, and no received packet is read.
+candidate of its (width, near-past offsets) context is a set of
+one-form `matrix.Packed` readers over those digits, its checks and its
+corrections, built once per width, the residuals are digits of the
+syndrome, and no received packet is read.
 
 Both decoders read only the received stream, as a receiver does.
 `simulate`, which applies the channel realization, alone judges it and
@@ -80,8 +82,7 @@ from typing import NamedTuple, Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
-from .galois import Field
-from .matrix import Packed, _rref, add, evaluate, evaluate_columns, form
+from .matrix import Packed, _rref, add, form
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,9 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     or from T on are all zero.
 
     The stream is computed column by column: parity j of diagonal d is
-    sum_i P[i][j] u_i(d+i), so each term of parity j's form reads message
-    column i shifted by i, and `matrix.evaluate_columns` gives parity j
-    of every diagonal at once; packet t's symbol j is entry t - j of
+    sum_i P[i][j] u_i(d+i), so the code's parity reader reads message
+    column i shifted by i, and its `read_columns` gives every parity of
+    every diagonal at once; packet t's symbol j is entry t - j of
     column j."""
     f = code.field
     n, k = code.n, code.k
@@ -170,7 +171,7 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     shifted = [[0] * (k - 1 - i) + list(c) + [0] * i for i, c in enumerate(columns)]
     tail = [0] * (n - 1)
     symbols = [list(c) + tail for c in columns]
-    for s, parity in enumerate(evaluate_columns(f, code._parity_forms, shifted)):
+    for s, parity in enumerate(code._parity_reader.read_columns(shifted)):
         symbols.append([0] * (s + 1) + parity + tail[k + s :])
     return PacketStream(code=code, message_horizon=len(msgs), messages=msgs, packets=tuple(zip(*symbols)))
 
@@ -329,10 +330,15 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
 
     A candidate is (untouched, checks, corrections).  `untouched` is the
     bitmask of the digits of the diagonals the candidate leaves
-    untouched, which must all be zero; each check is a form over the
-    digits that must vanish; corrections[i] is the form giving coordinate
-    i of the correction to u(t), or None when the candidate leaves u_i(t)
-    unpinned.
+    untouched, which must all be zero; `checks` are `matrix.Packed`
+    readers of one form each over the digits, which must all read zero;
+    corrections[i] is the one-form reader giving coordinate i of the
+    correction to u(t), and `corrections` is None when the candidate
+    leaves some u_i(t) unpinned.  A one-form reader reads its form
+    through the field's product tables, which every reader shares, so a
+    candidate holds no table of its own: a reader of all its checks at
+    once would hold a table of q values per digit it reads, which over
+    GF(256) multiplies the decoder's memory several times over.
 
     Each diagonal is decoded by its syndrome: the candidate explains d
     iff s_d = H_d[:, E] e for some error e on the positions E it erases.
@@ -352,7 +358,8 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     some residual is nonzero."""
     n, k, f = code.n, code.k, code.field
     checks = []
-    rows = {offs: [0, [], [()] * k] for offs in candidates}
+    zero = Packed(f, [])
+    rows = {offs: [0, [], [zero] * k] for offs in candidates}
     residuals = 0
     start = 0
     for o in range(1 - n, width):
@@ -376,8 +383,8 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
             residuals |= 1 << start
 
         # Candidates that erase the same positions of this diagonal share
-        # its rows.
-        by_erased: dict[tuple[int, ...], tuple[tuple, tuple | None]] = {}
+        # its readers.
+        by_erased: dict[tuple[int, ...], tuple[tuple[Packed, ...], Packed | None]] = {}
         for offs, entry in rows.items():
             # The erased positions, as indices into the observation.
             erased = tuple(given + j - first for j in positions if o + j in offs)
@@ -389,8 +396,9 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
                 aug = [[c[at] for at in erased] + [int(l == m) for m in range(r)] for l, c in enumerate(full)]
                 reduced, pivots = _rref(f, aug, e)
                 pin = reduced[0] if pivots[:1] == [0] and not any(reduced[0][1:e]) else None
-                correction = None if pin is None else form(f, [f.neg(a) for a in pin[e:]], digits)
-                by_erased[erased] = tuple(form(f, row[e:], digits) for row in reduced[len(pivots) :]), correction
+                correction = None if pin is None else Packed(f, [form(f, [f.neg(a) for a in pin[e:]], digits)])
+                group = tuple(Packed(f, [form(f, row[e:], digits)]) for row in reduced[len(pivots) :])
+                by_erased[erased] = group, correction
             cand_checks, correction = by_erased[erased]
             entry[1].extend(cand_checks)
             # u_i(t), i = -o, is position i of this diagonal, erased
@@ -398,11 +406,14 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
             if 0 <= -o < k and 0 in offs:
                 entry[2][-o] = correction
         start += r
-    return checks, {offs: tuple(entry) for offs, entry in rows.items()}, residuals
+    return checks, {
+        offs: (untouched, tuple(cand_checks), None if None in corrections else tuple(corrections))
+        for offs, (untouched, cand_checks, corrections) in rows.items()
+    }, residuals
 
 
 def _decide(
-    field: Field, candidates: list[tuple[int, list, list]], residuals: int, s: list[int]
+    candidates: list[tuple[int, tuple[Packed, ...], tuple[Packed, ...] | None]], residuals: int, s: list[int]
 ) -> str | tuple[tuple[int, ...], bool]:
     """The verdict on the window syndrome with digits s, given the rows of
     its context's candidates and the residual digits of its width (see
@@ -412,11 +423,11 @@ def _decide(
     nonzero = sum(1 << at for at, v in enumerate(s) if v)
     agreed = None
     for untouched, checks, corrections in candidates:
-        if nonzero & untouched or any(evaluate(field, checks, s)):
+        if nonzero & untouched or any(c.read(s) for c in checks):
             continue
-        if None in corrections:
+        if corrections is None:
             return _AMBIGUOUS
-        g = tuple(evaluate(field, corrections, s))
+        g = tuple(c.read(s) for c in corrections)
         if agreed is None:
             agreed = g
         elif g != agreed:
@@ -507,7 +518,7 @@ def decode_errors(
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
                 ]
-            verdict = _decide(f, candidates, residuals, syndromes.digits(syndrome))
+            verdict = _decide(candidates, residuals, syndromes.digits(syndrome))
             if len(verdicts) >= _DECISION_CAP:
                 verdicts.clear()
                 shared.clear()

@@ -28,7 +28,7 @@ F2, F3, F5, F8 = GF(2), GF(3), GF(5), GF(8)
 
 def _dot(field, row, y):
     """row . y by the field's scalar add and mul: an oracle that shares no
-    product table with `matrix.evaluate`."""
+    product table with `matrix.Packed`."""
     acc = 0
     for a, b in zip(row, y):
         acc = field.add(acc, field.mul(a, b))

@@ -11,8 +11,6 @@ from streamfec.matrix import (
     FieldMatrix,
     Packed,
     add,
-    evaluate,
-    evaluate_columns,
     form,
     in_span,
     punctured_parity,
@@ -126,45 +124,23 @@ def test_punctured_parity_annihilates_punctured_codewords():
             assert all(_dot(F8, row, cw[:width]) == 0 for row in hi.data)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256, 1 << 16])
-def test_evaluate_and_add_match_dot_and_field_add(q):
-    f = GF(q)
-    rng = random.Random(q)
-    for _ in range(60):
-        vec = [rng.randrange(q) for _ in range(rng.randrange(8))]
-        coeffs, positions = [], []
-        for _ in range(rng.randrange(6) if vec else 0):
-            coeffs.append(rng.choice((0, rng.randrange(q))))
-            positions.append(rng.randrange(len(vec)))
-        # a dense row over vec with the same value as the sparse form
-        row = [0] * len(vec)
-        for c, at in zip(coeffs, positions):
-            row[at] = f.add(row[at], c)
-        whole = [rng.choice((0, rng.randrange(q))) for _ in vec]
-        forms = [form(f, coeffs, positions), form(f, whole), form(f, [])]
-        assert evaluate(f, forms, vec) == [_dot(f, row, vec), _dot(f, whole, vec), 0]
-        assert evaluate(f, [], vec) == []
-        other = [rng.randrange(q) for _ in vec]
-        assert add(f, vec, other) == [f.add(x, y) for x, y in zip(vec, other)]
-    assert form(f, [0, 0, 0]) == ()
+def _random_form(f, length, rng):
+    """A random form over positions [0, length), with zero coefficients
+    and repeated positions, and the dense row with the same value."""
+    coeffs, positions = [], []
+    for _ in range(rng.randrange(8) if length else 0):
+        coeffs.append(rng.choice((0, 1, rng.randrange(f.q))))
+        positions.append(rng.randrange(length))
+    row = [0] * length
+    for c, at in zip(coeffs, positions):
+        row[at] = f.add(row[at], c)
+    return form(f, coeffs, positions), row
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256, 1 << 16])
-def test_evaluate_columns_matches_evaluate_row_by_row(q):
-    f = GF(q)
-    rng = random.Random(q)
-    for _ in range(30):
-        rows, cols = rng.randrange(6), rng.randrange(1, 6)
-        matrix = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        forms = [
-            form(f, [rng.choice((0, rng.randrange(q))) for _ in range(cols)], rng.sample(range(cols), cols))
-            for _ in range(rng.randrange(4))
-        ]
-        forms.append(form(f, []))
-        want = [evaluate(f, forms, row) for row in matrix]
-        columns = [[row[c] for row in matrix] for c in range(cols)]
-        assert evaluate_columns(f, forms, columns) == [[values[l] for values in want] for l in range(len(forms))]
-    assert evaluate_columns(f, [], [[1, 0]]) == []
+def _form_value(f, terms, vec):
+    """A form's value on vec by the field's scalar add and mul, each
+    term's coefficient read off its product table at 1."""
+    return _dot(f, [t[1] for _, t in terms], [vec[at] for at, _ in terms])
 
 
 def _base_q(q, digits):
@@ -176,23 +152,54 @@ def _base_q(q, digits):
     return value
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256, 1 << 16])
+def test_evaluate_and_add_match_dot_and_field_add(q):
+    # one form at a time: its packed read is its value
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        vec = [rng.randrange(q) for _ in range(rng.randrange(8))]
+        sparse, row = _random_form(f, len(vec), rng)
+        whole = [rng.choice((0, rng.randrange(q))) for _ in vec]
+        for terms, dense in ((sparse, row), (form(f, whole), whole), (form(f, []), [])):
+            assert Packed(f, [terms]).read(vec) == _dot(f, dense, vec)
+        other = [rng.randrange(q) for _ in vec]
+        assert add(f, vec, other) == [f.add(x, y) for x, y in zip(vec, other)]
+    assert form(f, [0, 0, 0]) == ()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256, 1 << 16])
+def test_evaluate_columns_matches_evaluate_row_by_row(q):
+    # `read_columns` on a matrix given by its columns, zero rows included,
+    # against `read` on each row
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        rows, cols = rng.randrange(6), rng.randrange(1, 6)
+        matrix = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        forms = [_random_form(f, cols, rng)[0] for _ in range(rng.randrange(4))]
+        forms.append(form(f, []))
+        packed = Packed(f, forms)
+        want = [packed.digits(packed.read(row)) for row in matrix]
+        columns = [[row[c] for row in matrix] for c in range(cols)]
+        assert packed.read_columns(columns) == [[values[l] for values in want] for l in range(len(forms))]
+    assert Packed(f, []).read_columns([[1, 0]]) == []
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 251, 256, 1 << 16])
 def test_packed_read_matches_evaluate_digit_by_digit(q):
     # random forms, with zero coefficients and repeated positions, read
-    # at an offset into a longer vector
+    # together at an offset into a longer vector, against `_dot`
     f = GF(q)
     rng = random.Random(q)
     for _ in range(40):
         length = rng.randrange(1, 10)
-        forms = []
-        for _ in range(rng.randrange(6)):
-            positions = [rng.randrange(length) for _ in range(rng.randrange(8))]
-            forms.append(form(f, [rng.choice((0, 1, rng.randrange(q))) for _ in positions], positions))
-        packed = Packed(f, forms)
+        pairs = [_random_form(f, length, rng) for _ in range(rng.randrange(6))]
+        packed = Packed(f, [terms for terms, _ in pairs])
         vec = [rng.randrange(q) for _ in range(length)]
         offset = rng.randrange(5)
         padded = [rng.randrange(q) for _ in range(offset)] + vec + [rng.randrange(q)]
-        want = evaluate(f, forms, vec)
+        want = [_dot(f, row, vec) for _, row in pairs]
         value = packed.read(padded, offset)
         assert packed.digits(value) == want
         assert value == _base_q(q, want)
@@ -212,26 +219,27 @@ def test_packed_unreduced_sums_never_carry_over_gf251():
     ones = form(f, [1] * length)
     forms = [ones, form(f, [250] * length), ones, form(f, [1] * 2 * length, [*range(length)] * 2), ones]
     packed = Packed(f, forms)
-    want = evaluate(f, forms, vec)
-    assert want == [length * 250 % 251, length % 251, length * 250 % 251, 2 * length * 250 % 251, length * 250 % 251]
+    want = [length * 250 % 251, length % 251, length * 250 % 251, 2 * length * 250 % 251, length * 250 % 251]
+    assert [_form_value(f, terms, vec) for terms in forms] == want
     value = packed.read(vec)
     assert packed.digits(value) == want
     assert value == _base_q(251, want)
+    assert packed.read_columns([[v] for v in vec]) == [[v] for v in want]
 
 
 def test_packed_tables_fill_lazily_above_q256():
     # Over GF(2^16) each position's table holds only the values read there.
     f = GF(1 << 16)
     rng = random.Random(16)
-    forms = [form(f, [rng.randrange(1, 1 << 16) for _ in range(4)]) for _ in range(3)]
-    packed = Packed(f, forms)
+    rows = [[rng.randrange(1, 1 << 16) for _ in range(4)] for _ in range(3)]
+    packed = Packed(f, [form(f, row) for row in rows])
     tables = [t for _, t in packed.terms]
     assert len(tables) == 4 and not any(tables)
     vec = [rng.randrange(1 << 16) for _ in range(4)]
-    assert packed.digits(packed.read(vec)) == evaluate(f, forms, vec)
+    assert packed.digits(packed.read(vec)) == [_dot(f, row, vec) for row in rows]
     assert [sorted(t) for t in tables] == [[v] for v in vec]
     other = [v ^ 1 for v in vec]
-    assert packed.digits(packed.read(other)) == evaluate(f, forms, other)
+    assert packed.read_columns([[v] for v in other]) == [[_dot(f, row, other)] for row in rows]
     assert [sorted(t) for t in tables] == [sorted((v, v ^ 1)) for v in vec]
 
 
@@ -247,7 +255,7 @@ def test_packed_window_syndrome_is_the_error_decoders_base_q_key(q):
         packed = Packed(f, checks)
         for _ in range(20):
             window = [rng.randrange(q) for _ in range((code.n - 1) * code.k + width * code.n)]
-            digits = evaluate(f, checks, window)
+            digits = [_form_value(f, terms, window) for terms in checks]
             assert packed.read(window) == _base_q(q, digits)
             assert packed.digits(packed.read(window)) == digits
 

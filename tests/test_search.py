@@ -7,7 +7,7 @@ from streamfec import search
 from streamfec.block_code import SystematicCode, VerifyResult, build_mds, build_multi_burst, verify_delay_decodable
 from streamfec.channel import burst_supports
 from streamfec.galois import GF
-from streamfec.matrix import FieldMatrix, rank
+from streamfec.matrix import FieldMatrix, _digits_of, rank
 from streamfec.search import (
     brute_force_decodable,
     enumerate_codebook,
@@ -281,7 +281,7 @@ def test_search_refutes_non_divisible_targets_over_larger_fields():
 
 
 def _matrix_at(q, k, r, index):
-    return [search._digits_of(d, q, r) for d in search._digits_of(index, q**r, k)]
+    return [_digits_of(d, q, r) for d in _digits_of(index, q**r, k)]
 
 
 def _column_normalized(p):
@@ -357,7 +357,7 @@ def _row_twin_before(field, k, r, start, d):
     sizes = [base ** (k - 1 - e) for e in range(k)]
     parent = start - start % sizes[d - 1]
     for value in range((start // sizes[d]) % base, base):
-        row = search._digits_of(value, q, r)
+        row = _digits_of(value, q, r)
         a = _leading(row)
         if a > 1:
             inverse = next(c for c in range(1, q) if field.mul(a, c) == 1)

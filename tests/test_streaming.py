@@ -722,11 +722,13 @@ def test_syndrome_verdicts_match_window_candidate_loop(field):
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8], ids=lambda f: f"q{f.q}")
 def test_window_rows_decode_the_syndrome(field):
     # `_window` against the recovery core, for every support in the window
-    # on random codes: corrections[i] is None exactly when erasing the
-    # support on diagonal t-i leaves u_i(t) unpinned, and a valid window
-    # observation plus a random error on the support has a syndrome on
-    # which the support's untouched digits and checks vanish, whose
-    # correction is minus the error on u(t), and whose digits at the
+    # on random codes, through `_decide`'s verdict on the support alone,
+    # so whatever shape the candidate rows take: a valid window
+    # observation plus a random error on the support has a syndrome whose
+    # untouched digits vanish, on which the support is consistent, and
+    # which is ambiguous exactly when erasing the support on some
+    # diagonal t-i leaves u_i(t) unpinned, and otherwise corrects u(t) by
+    # minus its error, in error iff packet t is; the digits at the
     # residual mask are the error on packet t's parity symbols.
     rng = random.Random(field.q)
 
@@ -745,26 +747,31 @@ def test_window_rows_decode_the_syndrome(field):
             assert list(rows) == supports
             t = n - 1
             streams = [de_encode(code, _messages(field, t + width + n, k, rng.randrange(1 << 30))) for _ in range(3)]
-            for offs, (untouched, cand_checks, corrections) in rows.items():
+            for offs, candidate in rows.items():
+                unpinned = []
                 for i in range(k):
                     kept = [j for j in range(i, min(n, width + i)) if j - i not in offs]
                     _, pins = code.recovery((1 << i) - 1, sum(1 << j for j in kept))
-                    assert (corrections[i] is None) == (i not in pins)
+                    if i not in pins:
+                        unpinned.append(i)
                 for stream in streams:
                     errors = {o: [rng.randrange(field.q) for _ in range(n)] for o in offs}
                     window = [v for u in stream.messages[t - n + 1 : t] for v in u]
                     for o, packet in enumerate(stream.packets[t : t + width]):
                         window += [field.add(v, e) for v, e in zip(packet, errors.get(o, [0] * n))]
                     digits = [value(c, window) for c in checks]
+                    untouched = candidate[0]
                     assert not any(digits[at] for at in range(len(digits)) if untouched >> at & 1)
-                    assert not any(value(c, digits) for c in cand_checks)
-                    for i, terms in enumerate(corrections):
-                        if terms is not None:
-                            assert value(terms, digits) == field.neg(errors.get(0, [0] * k)[i])
+                    error = errors.get(0, [0] * n)
+                    verdict = streaming._decide([candidate], residuals, digits)
+                    if unpinned:
+                        assert verdict == streaming._AMBIGUOUS
+                    else:
+                        assert verdict == (tuple(field.neg(e) for e in error[:k]), any(error))
                     # packet t's symbols j >= k, from j = n-1 down, minus
                     # their parities re-encoded from the clean messages
                     marked = [v for at, v in enumerate(digits) if residuals >> at & 1]
-                    assert marked == errors.get(0, [0] * n)[k:][::-1]
+                    assert marked == error[k:][::-1]
 
 
 def test_error_decision_memo_cap_keeps_reports(monkeypatch):
