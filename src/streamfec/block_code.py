@@ -65,7 +65,7 @@ class SystematicCode:
     def _erasure_readers(self) -> dict:
         """`streaming.decode_erasures`' `recovery` answers per (given,
         received) mask pair: the checks as one `matrix.Packed` reader, and
-        each pin's position and reader, over the flat received stream."""
+        each pin's position and reader, over the zero-padded flat stream."""
         return {}
 
     @cached_property

@@ -108,7 +108,10 @@ class ErrorPattern:
 
     @classmethod
     def from_json(cls, text: str) -> "ErrorPattern":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError as exc:  # deeply nested arrays or objects
+            raise ValueError(f"error pattern JSON: {exc}")
         keys = ("horizon", "packet_size", "errors")
         missing = [key for key in keys if not isinstance(d, dict) or key not in d]
         if missing:

@@ -71,7 +71,8 @@ def _load_descriptor(path: str) -> SystematicCode:
     try:
         with open(path, encoding="utf-8") as fh:
             return SystematicCode.from_descriptor(json.load(fh))
-    except (OSError, ValueError) as exc:
+    # `json` raises RecursionError on deeply nested arrays or objects.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot load code descriptor {path}: {exc}")
 
 

@@ -12,28 +12,29 @@ reader, a `matrix.Packed`, sums the packed parities of every diagonal in
 one pass per message column, each shifted to its place on the
 diagonals, and splits out each parity's digit field in one pass more.
 
-Both decoders ask one question of one diagonal codeword at a time:
-given some of its message coordinates and the symbols received by a
-deadline, are those symbols consistent with a codeword, and which
-coordinates do they fix, from which position on?  `SystematicCode.recovery`
-answers it for one (given, received) mask pair as parity checks and
-recovery rows; it caches nothing, and each decoder keeps the answers it
-needs in a table of its own.
+Both decoders read the received stream in one layout (`_check_received`),
+where symbol j of diagonal d is at (d + n - 1)*n + j*(n + 1), and ask one
+question of one diagonal codeword at a time: given some of its message
+coordinates and the symbols received by a deadline, are those symbols
+consistent with a codeword, and which coordinates do they fix, from
+which position on?  `SystematicCode.recovery` answers it for one
+(given, received) mask pair as parity checks and recovery rows; it
+caches nothing, and each decoder keeps the answers it needs in a table
+of its own.
 
 The erasure decoder asks it of each diagonal with the coordinates before
 time 0 given as zero and every unerased symbol received; a coordinate is
 recovered at the diagonal's start plus its pin position.  A diagonal's
 received positions are a shift and a mask of the stream's arrival
 bitmask, and the answer for each mask pair is kept per code as
-`matrix.Packed` readers over the flat received stream (erased packets
-as zeros): one for the checks, and one per pin.  So a diagonal costs
-one lookup of its mask pair and one packed read of its checks, a table
-lookup per received symbol, which must read zero; a pin is read only
-for an erased message, from the last k diagonals' pins, which is all
-the decoder keeps across diagonals.  Packets recovered earlier carry no
-extra information for later ones beyond what the received symbols
-already determine, so per-diagonal solving realizes sequential
-(peeling) recovery exactly.
+`matrix.Packed` readers over the received stream: one for the checks,
+and one per pin.  So a diagonal costs one lookup of its mask pair and
+one packed read of its checks, a table lookup per received symbol, which
+must read zero; a pin is read only for an erased message, from the last
+k diagonals' pins, which is all the decoder keeps across diagonals.
+Packets recovered earlier carry no extra information for later ones
+beyond what the received symbols already determine, so per-diagonal
+solving realizes sequential (peeling) recovery exactly.
 
 The error decoder is the reference exhaustive one, and it is syndrome
 decoding.  To decode u(t) it assumes all earlier messages are known
@@ -57,14 +58,14 @@ So the decision, the correction to u(t) and whether packet t was in
 error, depends on the window only through its syndrome, and it is
 memoised under (window width, near-past error offsets, window
 syndrome).  The syndrome is one `matrix.Packed` read of the window's
-checks, built once per width, over the window's known messages and
-received packets: a table lookup per symbol gives the base-q integer of
-its digits, which is the key's syndrome part as it stands.  A new key
-is decided from the key alone: its digits are unpacked from it, each
-candidate of its (width, near-past offsets) context is a set of
-one-form `matrix.Packed` readers over those digits, its checks and its
-corrections, built once per width, the residuals are digits of the
-syndrome, and no received packet is read.
+checks, built once per width, over the received stream with each
+decoded u(t) written over packet t's message symbols: a table lookup per
+symbol gives the base-q integer of its digits, which is the key's
+syndrome part as it stands.  A new key is decided from the key alone:
+its digits are unpacked from it, each candidate of its (width, near-past
+offsets) context is a set of one-form `matrix.Packed` readers over those
+digits, its checks and its corrections, built once per width, the
+residuals are digits of the syndrome, and no received packet is read.
 
 Both decoders read only the received stream, as a receiver does.
 `simulate`, which applies the channel realization, alone judges it and
@@ -78,7 +79,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
@@ -101,24 +102,16 @@ class PacketStream:
         return len(self.packets)
 
 
-class PacketStatus(NamedTuple):
-    """Whether message t was recovered, at which packet time, and its
-    deadline: a plain immutable record, one per message and report."""
-
-    t: int
-    recovered: bool
-    time: int | None
-    deadline: int
-
-
 @dataclass(frozen=True)
 class DecodeReport:
-    """Per-packet recovery accounting for one decoded stream.  A decoder
-    reports `pattern_admissible` True, as it never sees the pattern;
-    `simulate` replaces it, and `params["model"]`, with its verdict."""
+    """One decoded stream: times[t] is the packet time at which message t
+    was recovered, or None, and its deadline is t + params["tau"].  A
+    decoder reports `pattern_admissible` True, as it never sees the
+    pattern; `simulate` replaces it, and `params["model"]`, with its
+    verdict."""
 
     params: dict
-    per_packet: tuple[PacketStatus, ...]
+    times: tuple[int | None, ...]
     pattern_admissible: bool
     ambiguities: tuple[int, ...]
     messages: tuple[tuple[int, ...] | None, ...] = dc_field(compare=False, default=())
@@ -126,9 +119,8 @@ class DecodeReport:
     @cached_property
     def failures(self) -> tuple[int, ...]:
         """The message times not recovered by their deadlines."""
-        return tuple(
-            s.t for s in self.per_packet if not (s.recovered and s.time is not None and s.time <= s.deadline)
-        )
+        tau = self.params["tau"]
+        return tuple(t for t, time in enumerate(self.times) if time is None or time > t + tau)
 
     @property
     def success(self) -> bool:
@@ -138,8 +130,8 @@ class DecodeReport:
         obj = {
             "params": self.params,
             "per_packet": [
-                {"t": s.t, "recovered": s.recovered, "time": s.time, "deadline": s.deadline}
-                for s in self.per_packet
+                {"t": t, "recovered": time is not None, "time": time, "deadline": t + self.params["tau"]}
+                for t, time in enumerate(self.times)
             ],
             "success": self.success,
             "failures": list(self.failures),
@@ -176,9 +168,20 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     return PacketStream(code=code, message_horizon=len(msgs), messages=msgs, packets=tuple(zip(*symbols)))
 
 
+def _check_tau(tau: int) -> None:
+    # Exactly int (not a bool or a float): the report prints tau.
+    if type(tau) is not int:
+        raise ValueError(f"tau must be an int, got {tau!r}")
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+
+
 def _check_received(code: SystematicCode, received: Sequence, message_horizon: int, allow_erased: bool) -> list[int]:
-    """The received stream's values, flattened in packet order with each
-    erased packet as n zeros, once it is checked: it covers packet times
+    """The received stream laid out flat, once it is checked: n-1 zero
+    packets for the times before 0, then every packet's n values in
+    packet order, an erased packet as n zeros.  Packet p starts at
+    (p + n - 1)*n, so symbol j of diagonal d is at
+    (d + n - 1)*n + j*(n + 1).  The stream covers packet times
     [0, message_horizon + n - 2], and each packet is a tuple or list of n
     field values, or None (erased) where `allow_erased`.  A malformed
     stream raises ValueError naming the first bad packet time.  The
@@ -193,7 +196,7 @@ def _check_received(code: SystematicCode, received: Sequence, message_horizon: i
         raise ValueError(f"received stream must be a tuple or list of packets, got {type(received).__name__}")
     if len(received) != message_horizon + n - 1:
         raise ValueError(f"received stream must cover {message_horizon + n - 1} packet times")
-    flat: list[int] = []
+    flat = [0] * ((n - 1) * n)
     erased = [0] * n
     for t, packet in enumerate(received):
         if packet is None and allow_erased:
@@ -217,16 +220,16 @@ def _erasure_reader(
     code: SystematicCode, given: int, avail: int
 ) -> tuple[Packed, dict[int, tuple[int, Packed]]]:
     """The `recovery` answer for a diagonal whose first `given` message
-    coordinates are zero and whose received positions are the bitmask
-    `avail`: its checks, and each pin's position and form, packed over the
-    diagonal's received symbols in the flat stream at offset d*n, where
-    its symbol j is entry j*(n+1)."""
+    coordinates, those before time 0, are given and whose received
+    positions are the bitmask `avail`: its checks, and each pin's position
+    and form, packed over the received stream read at diagonal d's offset
+    (d + n - 1)*n, where its symbol j is entry j*(n+1)."""
     n, f = code.n, code.field
     checks, pins = code.recovery((1 << given) - 1, avail)
-    at = [j * (n + 1) for j in range(n) if avail >> j & 1]
+    at = [j * (n + 1) for j in range(n) if j < given or avail >> j & 1]
     return (
-        Packed(f, [form(f, c[given:], at) for c in checks]),
-        {i: (position, Packed(f, [form(f, row[given:], at)])) for i, (position, row) in pins.items()},
+        Packed(f, [form(f, c, at) for c in checks]),
+        {i: (position, Packed(f, [form(f, row, at)])) for i, (position, row) in pins.items()},
     )
 
 
@@ -247,15 +250,13 @@ def decode_erasures(
     Diagonal d's (given, received) mask pair is read off the arrival
     bitmask by a shift; its checks and pins are built as `matrix.Packed`
     readers once per pair and code (`_erasure_reader`), and read at
-    offset d*n of the received stream flattened with erased packets as
-    zeros.  Every diagonal's checks must read zero, or the stream is not
-    a valid one and this raises RuntimeError naming the first diagonal
-    that does not.  Message t is decided right after diagonal t, the last
-    it lies on, is checked; only an erased one reads pins, those of
-    diagonals t-k+1, ..., t.
+    offset (d + n - 1)*n of the received stream.  Every diagonal's checks
+    must read zero, or the stream is not a valid one and this raises
+    RuntimeError naming the first diagonal that does not.  Message t is
+    decided right after diagonal t, the last it lies on, is checked; only
+    an erased one reads pins, those of diagonals t-k+1, ..., t.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     n, k, f = code.n, code.k, code.field
     flat = _check_received(code, received, message_horizon, allow_erased=True)
 
@@ -266,7 +267,7 @@ def decode_erasures(
     readers = code._erasure_readers
     # The pins of the last k diagonals, diagonal d's at index d % k.
     recent: list[dict[int, tuple[int, Packed]]] = [{}] * k
-    per_packet: list[PacketStatus] = []
+    times: list[int | None] = []
     messages_out: list[tuple[int, ...] | None] = []
     for d in range(1 - k, message_horizon):
         # Coordinates i with d + i < 0 are given as zero.
@@ -277,27 +278,27 @@ def decode_erasures(
         if reader is None:
             reader = readers[key] = _erasure_reader(code, given, avail)
         checks, recent[d % k] = reader
-        if checks.read(flat, d * n):
+        if checks.read(flat, (d + n - 1) * n):
             raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
         if d < 0:
             continue
         # Diagonal t = d is the last that message t lies on.
-        t, deadline = d, d + tau
+        t = d
         if avail & 1:
-            per_packet.append(PacketStatus(t, True, t, deadline))
+            times.append(t)
             messages_out.append(tuple(received[t][:k]))
             continue
         pins = [recent[(t - i) % k].get(i) for i in range(k)]
         if None in pins:
-            per_packet.append(PacketStatus(t, False, None, deadline))
+            times.append(None)
             messages_out.append(None)
             continue
-        per_packet.append(PacketStatus(t, True, t + max(position - i for i, (position, _) in enumerate(pins)), deadline))
-        messages_out.append(tuple(pin.read(flat, (t - i) * n) for i, (_, pin) in enumerate(pins)))
+        times.append(t + max(position - i for i, (position, _) in enumerate(pins)))
+        messages_out.append(tuple(pin.read(flat, (t - i + n - 1) * n) for i, (_, pin) in enumerate(pins)))
 
     return DecodeReport(
         params=_report_params(code, tau, None, message_horizon),
-        per_packet=tuple(per_packet),
+        times=tuple(times),
         pattern_admissible=True,
         ambiguities=(),
         messages=tuple(messages_out),
@@ -322,11 +323,13 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
 
     The checks are those of `code.recovery` with every window position
     received, on every diagonal d touching the window: d's full-window
-    checks H_d.  They read the window observation Y: the messages of
-    times [t-n+1, t-1] (k symbols each), then the received packets
-    [t, t+width-1] (n symbols each).  A check is a `matrix.form` over Y,
-    and the syndrome digits are the checks' values in order, so diagonal
-    d's slice is s_d = H_d y for its own observation y.
+    checks H_d.  A check is a `matrix.form` over the received stream read
+    at offset t*n, with the messages before t decoded in place: symbol j
+    of diagonal t+o is entry (o + n - 1)*n + j*(n + 1).
+    Diagonal t+o, o < 0, reads its given coordinates i < -o and its
+    symbols j >= -o, so a window never reads a parity symbol of a packet
+    before t.  The syndrome digits are the checks' values in order, so
+    diagonal d's slice is s_d = H_d y for its own observation y.
 
     A candidate is (untouched, checks, corrections).  `untouched` is the
     bitmask of the digits of the diagonals the candidate leaves
@@ -369,8 +372,7 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
         given = min(first, k)
         positions = range(first, min(n, width - o))
         full, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
-        index = [(o + i + n - 1) * k + i for i in range(given)]
-        index += [(n - 1) * k + (o + j) * n + j for j in positions]
+        index = [(o + n - 1) * n + j * (n + 1) for j in (*range(given), *positions)]
         checks += [form(f, c, index) for c in full]
         r = len(full)
         # The digits of this diagonal's syndrome slice.
@@ -456,28 +458,27 @@ def decode_errors(
 
     The decision is memoised per (code, tau, model) under (window width,
     near-past error offsets, window syndrome).  The syndrome is one
-    `matrix.Packed` read of the width's window checks over the window's
-    known messages and received packets, the base-q integer of its
-    digits.  A miss is decided from the key alone, its digits unpacked
-    from the syndrome, by syndrome decoding: on each diagonal d, a
-    candidate is consistent iff d's syndrome slice lies in the span of
-    d's full-window checks on the positions it erases, and its
-    correction to u_i(t) is minus the error that the slice then
-    determines.  The width and
-    near-past offsets fix the admissible candidates, so the key fixes the
-    verdict and the correction to u(t) exactly; it also fixes whether
-    packet t was in error, through the residuals of its parity symbols,
-    which are syndrome digits.  The memo holds at most
-    `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB with the burst sweep's
-    94-bit keys, and is cleared when full.
+    `matrix.Packed` read of the width's window checks at offset t*n of
+    the received stream, over whose message symbols each decoded u(t) is
+    written, the base-q integer of its digits.  A miss is decided from
+    the key alone, its digits unpacked from the syndrome, by syndrome
+    decoding: on each diagonal d, a candidate is consistent iff d's
+    syndrome slice lies in the span of d's full-window checks on the
+    positions it erases, and its correction to u_i(t) is minus the error
+    that the slice then determines.  The width and near-past offsets fix
+    the admissible candidates, so the key fixes the verdict and the
+    correction to u(t) exactly; it also fixes whether packet t was in
+    error, through the residuals of its parity symbols, which are
+    syndrome digits.  The memo holds at most `_DECISION_CAP` = 2^15
+    verdicts, about 2.5 MiB with the burst sweep's 94-bit keys, and is
+    cleared when full.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
     w = model.w
-    received_flat = _check_received(code, received, message_horizon, allow_erased=False)
+    flat = _check_received(code, received, message_horizon, allow_erased=False)
     last = len(received) - 1
 
     memo = code._error_decisions.get((tau, model))
@@ -487,26 +488,21 @@ def decode_errors(
     # Width and near-past offsets fill the key's low bits.
     low_bits = w + (tau + 1).bit_length()
 
-    # The decoded messages after n-1 zero packets for the times before 0,
-    # and the received stream, each flattened; window observations are
-    # slices of them.
-    known_flat = [0] * ((n - 1) * k)
     # Bit r is set iff packet t - r, 0 < r < w, was inferred in error.
     near_past = 0
-    per_packet: list[PacketStatus] = []
+    times: list[int | None] = []
     ambiguities: list[int] = []
     messages_out: list[tuple[int, ...] | None] = []
 
     for t in range(message_horizon):
-        deadline = t + tau
-        wend = min(deadline, last)
+        wend = min(t + tau, last)
         width = wend - t + 1
         if width not in windows:
             subsets = [p.support for p in enumerate_admissible(model, width)]
             checks, rows, residuals = _window(code, width, subsets)
             windows[width] = Packed(f, checks), rows, residuals
         syndromes, rows, residuals = windows[width]
-        syndrome = syndromes.read(known_flat[t * k : (t + n - 1) * k] + received_flat[t * n : (wend + 1) * n])
+        syndrome = syndromes.read(flat, t * n)
         key = syndrome << low_bits | width << w | near_past
         verdict = verdicts.get(key)
         if verdict is None:
@@ -530,19 +526,20 @@ def decode_errors(
             # u(t) is an ambiguity.  Nothing sound can be decoded from here on.
             if verdict is _AMBIGUOUS:
                 ambiguities.append(t)
-            per_packet += [PacketStatus(s, False, None, s + tau) for s in range(t, message_horizon)]
+            times += [None] * (message_horizon - t)
             messages_out += [None] * (message_horizon - t)
             break
         correction, in_error = verdict
-        value = tuple(add(f, received[t][:k], correction))
-        known_flat += value
+        # Later windows read u(t) from packet t's message symbols.
+        at = (t + n - 1) * n
+        flat[at : at + k] = value = tuple(add(f, flat[at : at + k], correction))
         messages_out.append(value)
-        per_packet.append(PacketStatus(t, True, wend, deadline))
+        times.append(wend)
         near_past = ((near_past | in_error) << 1) & ((1 << w) - 1)
 
     return DecodeReport(
         params=_report_params(code, tau, model, message_horizon),
-        per_packet=tuple(per_packet),
+        times=tuple(times),
         pattern_admissible=True,
         ambiguities=tuple(ambiguities),
         messages=tuple(messages_out),
@@ -593,8 +590,7 @@ def simulate(
     """
     if not isinstance(pattern, (ErasurePattern, ErrorPattern)):
         raise TypeError(f"unsupported pattern type {type(pattern).__name__}")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     stream = de_encode(code, messages)
     t_msgs = stream.message_horizon
     if max(pattern.support, default=-1) >= stream.packet_horizon:
@@ -616,7 +612,7 @@ def simulate(
         report = decode_errors(code, tau, received, t_msgs, model)
     admissible = model is None or model.admits(pattern)
     params = {**report.params, "model": None if model is None else model.to_dict()}
-    report = DecodeReport(params, report.per_packet, admissible, report.ambiguities, report.messages)
+    report = DecodeReport(params, report.times, admissible, report.ambiguities, report.messages)
     if admissible:
         for t, val in enumerate(report.messages):
             if val is not None and val != stream.messages[t]:
@@ -638,8 +634,7 @@ def equivalence_sweep(
     the sweep when every pattern decodes exactly.  The messages are
     encoded once and every pattern decodes that stream.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     if not model.errors:
         raise ValueError("error patterns need an error-channel model")
     f, n = code.field, code.n

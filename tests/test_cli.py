@@ -180,6 +180,22 @@ def test_malformed_descriptor_is_operational_error(tmp_path, capsys):
         main(["verify-code", "--descriptor", str(bad), "--tau", "4", "--bursts", "1", "2"])
 
 
+@pytest.mark.parametrize("command", ["verify-code", "simulate"])
+def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys, command):
+    # `json` raises RecursionError, not ValueError, at this depth.
+    run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(tmp_path / "code53.json"))
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    argv = {
+        "verify-code": f"verify-code --descriptor {tmp_path}/deep.json --tau 4 --model sw:2,5",
+        "simulate": f"simulate --descriptor {tmp_path}/code53.json --tau 4 --pattern {tmp_path}/deep.json --horizon 2",
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith(f"streamfec {command}: ") and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_bad_model_spec_is_operational_error(tmp_path, capsys):
     desc = tmp_path / "code.json"
     run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(desc))

@@ -247,15 +247,20 @@ def test_packed_tables_fill_lazily_above_q256():
 def test_packed_window_syndrome_is_the_error_decoders_base_q_key(q):
     # The error decoder's window checks, for p = 2 and odd p: the packed
     # read is the base-q integer of their values, digit 0 most significant.
+    # The window is n-1 packets before t, then `width` packets, as the
+    # decoder lays it out; no check reads a parity symbol of a packet
+    # before t, so the values equal those with these symbols zeroed.
     f = GF(q)
     code = build_mds(5, 3, f)
+    n, k = code.n, code.k
     rng = random.Random(q)
     for width in range(1, 6):
         checks, _, _ = _window(code, width, [()])
         packed = Packed(f, checks)
         for _ in range(20):
-            window = [rng.randrange(q) for _ in range((code.n - 1) * code.k + width * code.n)]
-            digits = [_form_value(f, terms, window) for terms in checks]
+            window = [rng.randrange(q) for _ in range((n - 1 + width) * n)]
+            zeroed = [0 if at < (n - 1) * n and at % n >= k else v for at, v in enumerate(window)]
+            digits = [_form_value(f, terms, zeroed) for terms in checks]
             assert packed.read(window) == _base_q(q, digits)
             assert packed.digits(packed.read(window)) == digits
 

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from streamfec.galois import GF
 from streamfec.matrix import FieldMatrix
 from streamfec.streaming import (
     DecodeReport,
-    PacketStatus,
     apply_erasures,
     apply_errors,
     de_encode,
@@ -123,7 +123,7 @@ def test_no_erasures_everything_recovered_at_arrival():
     msgs = _messages(F8, 10, 3, seed=1)
     report = simulate(code, 4, ChannelModel.sw(2, 5), ErasurePattern.from_support(10, ()), msgs)
     assert report.success
-    assert all(s.recovered and s.time == s.t for s in report.per_packet)
+    assert report.times == tuple(range(10))
     assert list(report.messages) == [tuple(u) for u in msgs]
 
 
@@ -133,11 +133,11 @@ def test_erasure_recovery_times_respect_deadlines():
     pattern = ErasurePattern.from_support(12, {0, 2, 7})
     report = simulate(code, 4, ChannelModel.sw(2, 5), pattern, msgs)
     assert report.success
-    for s in report.per_packet:
-        if s.t in (0, 2, 7):
-            assert s.t < s.time <= s.t + 4
+    for t, time in enumerate(report.times):
+        if t in (0, 2, 7):
+            assert t < time <= t + 4
         else:
-            assert s.time == s.t
+            assert time == t
 
 
 def test_erasure_failure_is_localized():
@@ -192,31 +192,40 @@ def test_report_json_shape_and_determinism():
 
 
 def test_report_failures_follow_deadlines():
-    # t fails unless it was recovered by its deadline: late, lost and
-    # on-time packets, and reports that differ only in messages are equal.
-    per_packet = (
-        PacketStatus(0, True, 0, 2),
-        PacketStatus(1, True, 4, 3),
-        PacketStatus(2, False, None, 4),
-        PacketStatus(3, True, 5, 5),
-    )
-    report = DecodeReport(params={}, per_packet=per_packet, pattern_admissible=True, ambiguities=())
+    # t fails unless it was recovered by its deadline t + tau: late, lost
+    # and on-time packets, and reports that differ only in messages are
+    # equal.
+    times = (0, 4, None, 5)
+    report = DecodeReport(params={"tau": 2}, times=times, pattern_admissible=True, ambiguities=())
     assert report.failures == (1, 2)
     assert not report.success
-    assert DecodeReport({}, per_packet[::3], True, (), messages=((1,), None)).success
-    assert report == DecodeReport({}, per_packet, True, (), messages=((0,),) * 4)
+    assert DecodeReport({"tau": 2}, (2, 3), True, (), messages=((1,), None)).success
+    assert not DecodeReport({"tau": 1}, (2, 3), True, ()).success
+    assert report == DecodeReport({"tau": 2}, times, True, (), messages=((0,),) * 4)
 
 
-def test_packet_status_is_an_immutable_record():
-    # Four fields in this order, read by name or by keyword, and no
-    # attribute can be assigned.
-    status = PacketStatus(3, True, 5, 7)
-    assert PacketStatus._fields == ("t", "recovered", "time", "deadline")
-    assert (status.t, status.recovered, status.time, status.deadline) == (3, True, 5, 7)
-    assert status == PacketStatus(t=3, recovered=True, time=5, deadline=7)
-    for name in PacketStatus._fields + ("other",):
-        with pytest.raises(AttributeError):
-            setattr(status, name, 4)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_erasure_report_bytes_are_pinned():
+    # Packets 0, 1 and 3 erased at tau = 1: messages 0 and 1 are lost,
+    # message 3 is recovered late (at 6, deadline 4), the rest on time.
+    code = build_mds(5, 3, F8)
+    stream = de_encode(code, _messages(F8, 6, 3, seed=24))
+    received = [None if t in (0, 1, 3) else p for t, p in enumerate(stream.packets)]
+    report = decode_erasures(code, 1, received, 6)
+    assert report.to_json() == (GOLDEN / "erasure_decode_report.json").read_text(encoding="utf-8")
+
+
+def test_error_report_bytes_are_pinned():
+    # An error on u_0(2) of a [5,4] stream: u(0) and u(1) decode at their
+    # deadlines, and u(2) is ambiguous, so decoding halts there.
+    code = build_mds(5, 4, F8)
+    stream = de_encode(code, _messages(F8, 6, 4, seed=25))
+    pattern = ErrorPattern.from_entries(10, 5, {2: (3, 0, 0, 0, 0)})
+    report = decode_errors(code, 4, apply_errors(stream, pattern), 6, ChannelModel.sw_err(1, 5))
+    assert report.to_json() == (GOLDEN / "error_decode_report.json").read_text(encoding="utf-8")
+    assert report.messages == ((6, 0, 3, 4), (7, 0, 4, 0), None, None, None, None)
 
 
 def _per_diagonal_decode(code, tau, received, message_horizon):
@@ -233,27 +242,26 @@ def _per_diagonal_decode(code, tau, received, message_horizon):
         y = [0] * given + [received[d + j][j] for j in recv]
         assert not any(_dot(f, c, y) for c in checks)
         diagonals[d] = (pins, y)
-    per_packet, messages = [], []
+    times, messages = [], []
     for t in range(message_horizon):
-        deadline = t + tau
         if received[t] is not None:
-            per_packet.append(PacketStatus(t, True, t, deadline))
+            times.append(t)
             messages.append(tuple(received[t][:k]))
         elif all(i in diagonals[t - i][0] for i in range(k)):
-            times, vals = [], []
+            pinned, vals = [], []
             for i in range(k):
                 pins, y = diagonals[t - i]
                 position, row = pins[i]
-                times.append(t - i + position)
+                pinned.append(t - i + position)
                 vals.append(_dot(f, row, y))
-            per_packet.append(PacketStatus(t, True, max(times), deadline))
+            times.append(max(pinned))
             messages.append(tuple(vals))
         else:
-            per_packet.append(PacketStatus(t, False, None, deadline))
+            times.append(None)
             messages.append(None)
     return DecodeReport(
         params=streaming._report_params(code, tau, None, message_horizon),
-        per_packet=tuple(per_packet),
+        times=tuple(times),
         pattern_admissible=True,
         ambiguities=(),
         messages=tuple(messages),
@@ -394,7 +402,7 @@ def test_ambiguity_halts_subsequent_decoding():
     received = apply_errors(stream, y_err)
     report = decode_errors(code, 4, received, 4, ChannelModel.sw_err(1, 5))
     assert report.failures == (0, 1, 2, 3)
-    assert all(not s.recovered for s in report.per_packet)
+    assert report.times == (None,) * 4
 
 
 def test_past_error_rules_out_candidates_in_its_window():
@@ -492,6 +500,24 @@ def test_error_decoder_rejects_negative_delay(tau):
     received = apply_errors(stream, ErrorPattern.from_entries(stream.packet_horizon, 5, {}))
     with pytest.raises(ValueError, match=f"tau must be nonnegative, got {tau}"):
         decode_errors(code, tau, received, 4, ChannelModel.sw_err(1, 5))
+
+
+@pytest.mark.parametrize("tau", [2.5, True], ids=repr)
+@pytest.mark.parametrize("entry", ["simulate", "decode_erasures", "decode_errors", "equivalence_sweep"])
+def test_tau_must_be_an_int(entry, tau):
+    # Unchecked, the report printed "tau": 2.5 with "deadline": 2.5, or
+    # "tau": true.
+    code = build_mds(5, 3, F8)
+    stream = de_encode(code, _messages(F8, 3, 3, seed=11))
+    model = ChannelModel.sw_err(1, 5)
+    calls = {
+        "simulate": lambda: simulate(code, tau, model, ErrorPattern.from_entries(7, 5, {}), stream.messages),
+        "decode_erasures": lambda: decode_erasures(code, tau, list(stream.packets), 3),
+        "decode_errors": lambda: decode_errors(code, tau, list(stream.packets), 3, model),
+        "equivalence_sweep": lambda: equivalence_sweep(code, model, tau, 3, seed=1),
+    }
+    with pytest.raises(ValueError, match=f"^tau must be an int, got {re.escape(repr(tau))}$"):
+        calls[entry]()
 
 
 # Malformed packets at time 2, each with the line that names it.  Unchecked,
@@ -651,18 +677,18 @@ def _window_candidate_decode(code, tau, received, message_horizon, model):
     support in the window [t, wend] that is admissible with the near-past
     inferred errors is erased on every diagonal touching the window, and
     the diagonal's own recovery checks and pins are applied to its
-    received symbols.  Returns (per_packet, failures, ambiguities,
-    messages) as `decode_errors` reports them."""
+    received symbols.  Returns (times, failures, ambiguities, messages)
+    as `decode_errors` reports them."""
     n, k, f, w = code.n, code.k, code.field, model.w
     last = len(received) - 1
     subsets = [offs for size in range(tau + 2) for offs in combinations(range(tau + 1), size)]
     known = {}
-    past, per_packet, failures, ambiguities, messages = [], [], [], [], []
+    past, times, failures, ambiguities, messages = [], [], [], [], []
     halted = False
     for t in range(message_horizon):
         deadline = t + tau
         if halted:
-            per_packet.append(PacketStatus(t, False, None, deadline))
+            times.append(None)
             failures.append(t)
             messages.append(None)
             continue
@@ -688,19 +714,19 @@ def _window_candidate_decode(code, tau, received, message_horizon, model):
         if len(set(consistent)) != 1 or None in consistent[0]:
             if consistent:
                 ambiguities.append(t)
-            per_packet.append(PacketStatus(t, False, None, deadline))
+            times.append(None)
             failures.append(t)
             messages.append(None)
             halted = True
             continue
         known[t] = consistent[0]
         messages.append(consistent[0])
-        per_packet.append(PacketStatus(t, True, wend, deadline))
+        times.append(wend)
         # packet t carries u(t) and parity j of diagonal t-j for j >= k
         sent = [code.encode([known[t - j + i][i] if t - j + i >= 0 else 0 for i in range(k)])[j] for j in range(k, n)]
         if tuple(received[t]) != consistent[0] + tuple(sent):
             past.append(t)
-    return tuple(per_packet), tuple(failures), tuple(ambiguities), tuple(messages)
+    return tuple(times), tuple(failures), tuple(ambiguities), tuple(messages)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8], ids=lambda f: f"q{f.q}")
@@ -712,7 +738,7 @@ def test_syndrome_verdicts_match_window_candidate_loop(field):
     reports = [decode_errors(_fresh(code), *rest) for code, *rest in cases] + [decode_errors(*case) for case in cases]
     for report, (code, tau, received, horizon, model) in zip(reports, cases + cases):
         expected = _window_candidate_decode(code, tau, received, horizon, model)
-        assert (report.per_packet, report.failures, report.ambiguities, report.messages) == expected
+        assert (report.times, report.failures, report.ambiguities, report.messages) == expected
     # all three verdicts occur: exact, ambiguous, no consistent candidate
     assert any(r.success for r in reports)
     assert any(r.ambiguities for r in reports)
@@ -724,8 +750,9 @@ def test_window_rows_decode_the_syndrome(field):
     # `_window` against the recovery core, for every support in the window
     # on random codes, through `_decide`'s verdict on the support alone,
     # so whatever shape the candidate rows take: a valid window
-    # observation plus a random error on the support has a syndrome whose
-    # untouched digits vanish, on which the support is consistent, and
+    # observation, with random values on the parity symbols of the
+    # packets before t, which no window may read, plus a random error on
+    # the support has a syndrome whose untouched digits vanish, on which the support is consistent, and
     # which is ambiguous exactly when erasing the support on some
     # diagonal t-i leaves u_i(t) unpinned, and otherwise corrects u(t) by
     # minus its error, in error iff packet t is; the digits at the
@@ -756,7 +783,11 @@ def test_window_rows_decode_the_syndrome(field):
                         unpinned.append(i)
                 for stream in streams:
                     errors = {o: [rng.randrange(field.q) for _ in range(n)] for o in offs}
-                    window = [v for u in stream.messages[t - n + 1 : t] for v in u]
+                    # Packets t-n+1, ..., t-1 as the decoder holds them:
+                    # decoded messages, and parity symbols no check reads.
+                    window = []
+                    for u in stream.messages[t - n + 1 : t]:
+                        window += list(u) + [rng.randrange(field.q) for _ in range(n - k)]
                     for o, packet in enumerate(stream.packets[t : t + width]):
                         window += [field.add(v, e) for v, e in zip(packet, errors.get(o, [0] * n))]
                     digits = [value(c, window) for c in checks]
