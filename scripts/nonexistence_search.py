@@ -10,10 +10,13 @@ GF(3), up to 3^24) come up empty, and so do the z=3 [9,3] space with
 b=2 at delay 7 over GF(2) and GF(3) and the binary b∤k spaces up to
 [13,7] with z=2, b=3 (2^42 candidates), which the prefix-pruned search
 refutes in the first coefficient rows.  Over q > 2 the search also
-skips candidates that scaling a parity column or a coefficient row maps
-to an earlier candidate judged alike: one whose column's first nonzero
-entry, or whose row's leading nonzero digit, is above 1.  The divisible
-[8,4] case has an explicit construction.
+skips candidates that a symmetry maps to an earlier candidate judged
+alike, by three rules: scaling a parity column (a column's first
+nonzero entry above 1), scaling a coefficient row (a row's leading
+nonzero digit above 1) and, over GF(4), x -> x^2 on every entry (a
+row lowered by it under rows it fixes), each passing a whole run of
+such rows in one move.  The divisible [8,4] case has an explicit
+construction.
 
 Three rows have b | k and still no code: [12,6] and [14,8] with z=3,
 b=2 over GF(2), and [12,8] with z=2, b=2 over GF(4) (4^32 candidates,

@@ -13,7 +13,10 @@ table per constant that the field builds on first use and caches, so a
 product is one lookup; above q = 256 the table is a `_Lazy` dict that
 fills one value at a time, so a large field never tabulates values it
 does not see (`matrix.Packed` fills its large-field tables the same
-way).  Filling a table writes the same values whoever does it, so fields
+way).  :meth:`Field.frobenius` tabulates the automorphism x -> x^p the
+same way: the identity over a prime field, squaring over GF(2^m), which
+keeps every sum and product, so it maps a matrix to one of the same
+rank.  Filling a table writes the same values whoever does it, so fields
 stay safe to share between threads; their identity (p, m, modulus) never
 changes after construction.
 
@@ -138,7 +141,7 @@ class Field:
     product table of a constant.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_times")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_times", "_frobenius")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
         if m < 1:
@@ -169,6 +172,7 @@ class Field:
         mul = (lambda a, b: a * b % p) if m == 1 else (lambda a, b: _poly_mulmod(a, b, modulus))
         self._exp, self._log = _log_tables(self.q, mul)
         self._times: dict[int, list[int] | _Lazy] = {}
+        self._frobenius: list[int] | _Lazy | None = None
 
     # -- arithmetic on raw int values ------------------------------------
 
@@ -226,6 +230,18 @@ class Field:
                 table = _Lazy(partial(self.mul, c))
             self._times[c] = table
         return table
+
+    def frobenius(self) -> list[int] | _Lazy:
+        """The field automorphism x -> x^p as a table indexed by the value
+        x, built on first use and cached: a list up to q = 256, and for
+        larger fields a dict that fills each value on first use, as in
+        `times`.  It is the identity over a prime field."""
+        if self._frobenius is None:
+            if self.q <= _MAX_LIST_TABLE:
+                self._frobenius = [self.pow(a, self.p) for a in range(self.q)]
+            else:
+                self._frobenius = _Lazy(lambda a: self.pow(a, self.p))
+        return self._frobenius
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

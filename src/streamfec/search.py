@@ -17,22 +17,28 @@ check keeps a memo of its verdicts for one scan, keyed by those digits:
 the elimination runs once per distinct projection, not once per node
 (up to `_VERDICT_CAP` verdicts held, then every memo is cleared).  The
 cursor steps as an odometer over the digits of the index: moving past
-a subtree adds 1 to its row's last digit and carries upward, and the
+a node adds 1 to its row's last digit, moving past a run of siblings
+adds 1 to the last digit they share, and either carries upward; the
 scan resumes at the shallowest row that changed.
 
-Over q > 2 the scan also skips nodes by the diagonal symmetry
-P -> D_r P D_c, where that is exact.  Scaling a parity column by a
-nonzero constant applies an invertible diagonal map to every projected
-row; scaling a coefficient row multiplies one projected row by a
-nonzero constant, and [I | D_r P] is [I | P] with systematic
-coordinates scaled.  Neither changes a span test, so each keeps every
-check's verdict and the reference verifier's.  A node is skipped when
-its new row is not column-normalized or not row-normalized, and only
-when the scaled twin's subtree starts at or after the resume cursor.
-Each skip thus maps a candidate W to one judged alike in [start, W),
-so the two rules compose: the first survivor is never skipped, and a
-resumed scan returns the first witness at or after its start, exactly
-as the unscaled scan does, with the same cursors.
+Over q > 2 the scan also skips nodes by symmetries of the code space
+that keep every verdict.  Scaling a parity column by a nonzero constant
+applies an invertible diagonal map to every projected row; scaling a
+coefficient row multiplies one projected row by a nonzero constant, and
+[I | D_r P] is [I | P] with systematic coordinates scaled.  Over
+GF(2^m) the field automorphism x -> x^2, applied to every entry of P,
+maps each projection to one of the same rank.  None of the three
+changes a span test, so each keeps every check's verdict and the
+reference verifier's.  A node is skipped when its new row is not
+column-normalized or not row-normalized, or when rows above it are
+fixed by x -> x^2 and its row is not the least of itself and its
+image, and only when the image's subtree starts at or after the resume
+cursor.  Later siblings skipped by the same rule form a run, passed in
+one move where the least image in the run starts at or after the
+cursor.  Each skip thus maps a candidate W to one judged alike in
+[start, W), so the rules compose: the first survivor is never skipped,
+and a resumed scan returns the first witness at or after its start,
+exactly as the scan without them does, with the same cursors.
 """
 
 from __future__ import annotations
@@ -152,14 +158,67 @@ def _fails(field: Field, rows: list, check) -> bool:
     return _insert(field, basis, target, width) is None
 
 
-def _twin_drop(field: Field, row: list[int], weights: list[int]) -> int:
-    """The row's value minus the value of its twin a^-1 * row, for a row
-    whose leading nonzero digit a is above 1, and 0 for any other row."""
-    a = next(filter(None, row), 0)
-    if a <= 1:
-        return 0
-    inverse = field.times(field.inv(a))
-    return sum((x - inverse[x]) * w for x, w in zip(row, weights))
+def _twins(field: Field, row: list[int], state: int, weights: list[int]) -> tuple[tuple, int]:
+    """The symmetry rules at a node whose row is `row`, under `state`:
+    bit c + 1 set for each fresh column c (zero in the rows above), and
+    bit 0 while the Frobenius map fixes the rows above.  Returns (plan,
+    the state below the node).  The plan holds (col, least, image), by
+    col, for each rule that maps the node to an earlier sibling: the
+    rule's run is the node and every later sibling that keeps the row's
+    first col digits, `image` is the value of the node's image row, and
+    `least` that of the least image of a node in the run: the row's
+    digits before the image's first changed digit, that digit of the
+    image, then zeros."""
+    q = field.q
+    value = excess = 0
+    nonzero = 1  # the state's Frobenius bit, set again below
+    lead = scaled = None
+    for c, (x, w) in enumerate(zip(row, weights)):
+        if x:
+            value += x * w
+            nonzero |= 2 << c
+            if lead is None:
+                lead = c
+            if x > 1 and state >> c + 1 & 1:
+                if scaled is None:
+                    scaled = c
+                excess += (x - 1) * w
+    plan = []
+    # Columns: scale each fresh column whose digit is above 1 to 1.
+    if scaled is not None:
+        w = weights[scaled]
+        plan.append((scaled, value - value % (q * w) + w, value - excess))
+    # Rows: divide by the leading nonzero digit when it is above 1.
+    if lead is not None and row[lead] > 1:
+        inverse = field.times(field.inv(row[lead]))
+        plan.append((lead, weights[lead], sum(inverse[x] * w for x, w in zip(row, weights))))
+    # Frobenius: x -> x^p on every digit, while it fixes the rows above.
+    fixed = state & 1
+    if fixed:
+        phi = field.frobenius()
+        for c, x in enumerate(row):
+            if phi[x] != x:
+                fixed = 0
+                if phi[x] < x:
+                    w = weights[c]
+                    image = sum(phi[y] * v for y, v in zip(row, weights))
+                    plan.append((c + 1, value - value % (q * w) + phi[x] * w, image))
+                break
+    plan.sort()
+    return tuple(plan), state & ~nonzero | fixed
+
+
+def _resumed_col(plan: tuple, gap: int, size: int, r: int) -> int | None:
+    """A resumed scan's move at a node whose parent subtree starts `gap`
+    before the start, with subtrees of `size`: the run column of the
+    first rule whose least image starts at or after the start, else r
+    (one sibling) if some rule's image does, else None (scan the node)."""
+    for col, least, _ in plan:
+        if least * size >= gap:
+            return col
+    if any(image * size >= gap for _, _, image in plan):
+        return r
+    return None
 
 
 def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=None) -> int | None:
@@ -175,9 +234,10 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     The cursor is an odometer over the k*r base-q digits of the index,
     kept both as `rows` (each row's digits) and as `packed` (every digit
     in its own field of `width` bits, so `packed` is the index itself
-    when q is a power of 2).  Moving past the node at depth d zeroes the
-    digits below row d and adds 1 to row d's last digit, carrying upward;
-    the next node is at the shallowest row that changed.
+    when q is a power of 2).  A move zeroes the digits below one digit
+    and adds 1 to it, carrying upward: row d's last digit to move past
+    one node at depth d.  The next node is at the shallowest row that
+    changed.
 
     A check's verdict depends only on the digits it reads: row i and the
     msg_js rows at its coords.  `packed` masked to those digits is its
@@ -186,22 +246,33 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     only; together they hold at most `_VERDICT_CAP` verdicts, and all are
     cleared when full.
 
-    For q > 2 the cursor also moves past a node that a scaling maps into
-    an earlier sibling v', by two rules.  Columns: the fresh columns at
-    depth d are those zero in rows 0..d-1, and v' is the node's row with
-    every fresh digit above 1 set to 1; scaling those columns maps each
-    candidate W below the node to one below v'.  Rows: when the row's
-    leading nonzero digit a is above 1, v' = a^-1 * row; scaling row d
-    maps W to one below v'.  The row fixes v', so how far v' lies below
-    the row is memoised for this call under the row's digits in
-    `packed`, filled on first visit (at most `_VERDICT_CAP` held, then
-    cleared); no table of all q^r rows is built.  Either way every
-    check, and the reference verifier, judge W and its image alike.  So when v''s subtree starts
-    at or after `start`, the image lies in [start, W) and the subtree is
-    skipped; otherwise (a resumed scan whose cursor passed v') the node
-    is scanned.  A skipped W thus always has an image judged alike in
-    [start, W), so the first survivor, and with it every cursor, is the
-    one the unscaled scan finds."""
+    For q > 2 the cursor also moves past a node that a symmetry maps
+    into an earlier sibling v' judged alike, by three rules (`_twins`).
+    Columns: the fresh columns at depth d are those zero in rows
+    0..d-1, and v' is the node's row with every fresh digit above 1 set
+    to 1; scaling those columns maps each candidate W below the node to
+    one below v'.  Rows: when the row's leading nonzero digit a is above
+    1, v' = a^-1 * row; scaling row d maps W to one below v'.
+    Frobenius: over GF(2^m), while x -> x^2 fixes rows 0..d-1 and maps
+    row d to a lexicographically smaller v', it maps W to one below v'.
+    Each rule maps alike every later sibling that keeps the row's digits
+    before its first fresh digit above 1 (columns), before its leading
+    digit (rows), or up to the first digit the map lowers (Frobenius),
+    so the cursor passes that run in one move: it adds 1 to the last
+    digit the run keeps, or to row d-1's last digit when it keeps none.
+    The rules depend only on the row, on which columns are fresh and on
+    whether rows 0..d-1 are fixed, so `_twins`' answer is memoised under
+    those for this call (at most `_VERDICT_CAP` held, then cleared).
+
+    Every check, and the reference verifier, judge W and its image
+    alike.  So when the least image in the run has its subtree at or
+    after `start`, the run is skipped; otherwise (a resumed scan whose
+    cursor passed it) only the node, if its own image's subtree starts
+    at or after `start`; otherwise the node is scanned.  A skipped W
+    thus always has an image judged alike in [start, W), which may be
+    skipped in turn by any rule, but not forever, so the three rules
+    compose: the first survivor, and with it every cursor, is the one
+    the scan without them finds."""
     q, base = field.q, field.q**r
     top = q - 1
     width = top.bit_length()
@@ -217,44 +288,47 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
                 mask |= digit << offsets[j] + width * (r - 1 - c)
         at_depth[max((i, *msg_js))].append((check, mask, {}))
     memos = [memo for checks_at in at_depth for _, _, memo in checks_at]
-    # Per row, keyed by its digit fields in `packed`: its value minus its
-    # twin's (`_twin_drop`), filled on first visit.
-    drops: dict[int, int] = {}
-    row_bits = (1 << width * r) - 1
     held = 0
     sizes = [base ** (k - 1 - d) for d in range(k)]
     weights = [q ** (r - 1 - c) for c in range(r)]
+    # spans[col] * sizes[d]: the candidates under row d's first col digits
+    spans = [q ** (r - col) for col in range(r + 1)]
     rows = [_digits_of(value, q, r) for value in _digits_of(start, base, k)]
     packed = 0
     for row in rows:
         for x in row:
             packed = packed << width | x
-    # fresh[d]: the columns zero in rows[:d]; GF(2) has nothing to scale.
-    fresh: list = [None] * (k + 1)
+    # GF(2) has nothing to scale, and its Frobenius map is the identity.
     scaled = q > 2
-    fresh[0] = range(r) if scaled else ()
+    # states[d]: `_twins`' state for rows[:d]; every column is fresh at
+    # depth 0, and the Frobenius rule is on unless the map is the identity.
+    phi = field.frobenius()
+    twisted = any(phi[x] != x for x in range(q))
+    states = [(1 << r + 1) - 2 | twisted] * (k + 1)
+    twins: dict[int, tuple[tuple, int]] = {}
+    row_bits = (1 << width * r) - 1
     idx, depth = start, 0
     # Invariant: every check at a depth below `depth` passes on rows[:depth],
-    # and fresh[:depth + 1] belongs to rows[:depth].
+    # and states[:depth + 1] belongs to rows[:depth].
     while idx < stop:
         for d in range(depth, k):
-            row = rows[d]
-            cols = fresh[d]
-            if cols:
-                excess = sum((row[c] - 1) * weights[c] for c in cols if row[c] > 1)
-                if excess and idx - idx % sizes[d] - excess * sizes[d] >= start:
-                    break
-                cols = [c for c in cols if not row[c]]
-            fresh[d + 1] = cols
             if scaled:
-                key = packed >> offsets[d] & row_bits
-                drop = drops.get(key)
-                if drop is None:
-                    if len(drops) >= _VERDICT_CAP:
-                        drops.clear()
-                    drop = drops[key] = _twin_drop(field, row, weights)
-                if drop and idx - idx % sizes[d] - drop * sizes[d] >= start:
-                    break
+                key = (packed >> offsets[d] & row_bits) << r + 1 | states[d]
+                twin = twins.get(key)
+                if twin is None:
+                    if len(twins) >= _VERDICT_CAP:
+                        twins.clear()
+                    twin = twins[key] = _twins(field, rows[d], states[d], weights)
+                plan, states[d + 1] = twin
+                if plan:
+                    size = sizes[d]
+                    gap = start - (idx - idx % (size * base))
+                    col = plan[0][0] if gap <= 0 else _resumed_col(plan, gap, size, r)
+                    if col is not None:
+                        size *= spans[col]
+                        bit = offsets[d] + width * (r - col)
+                        d, c = (d, col - 1) if col else (d - 1, r - 1)
+                        break
             for check, mask, memo in at_depth[d]:
                 key = packed & mask
                 verdict = memo.get(key)
@@ -269,21 +343,24 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
                     break
             else:
                 continue  # every check passes: go one row deeper
-            break  # a check fails: move past the subtree
+            # a check fails: move past the subtree
+            size, bit, c = sizes[d], offsets[d], r - 1
+            break
         else:
             return idx
-        nxt = min(idx - idx % sizes[d] + sizes[d], stop)
+        # Move past [idx, nxt): add 1 to row d's digit c, at `bit`.
+        nxt = min(idx - idx % size + size, stop)
         if progress is not None:
             for cursor in range(idx - idx % 65536 + 65536, nxt + 1, 65536):
                 progress(cursor)
         idx = nxt
         if idx < stop:
-            below = packed & (1 << offsets[d]) - 1
-            if below:  # only a resumed scan starts inside a subtree
+            below = packed & (1 << bit) - 1
+            if below:  # a run, or a resumed scan inside a subtree
                 packed -= below
+                rows[d][c + 1 :] = [0] * (r - 1 - c)
                 for e in range(d + 1, k):
                     rows[e] = [0] * r
-            bit, c = offsets[d], r - 1
             while rows[d][c] == top:
                 rows[d][c] = 0
                 packed -= top << bit

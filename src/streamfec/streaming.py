@@ -176,6 +176,14 @@ def _check_tau(tau: int) -> None:
         raise ValueError(f"tau must be nonnegative, got {tau}")
 
 
+def _check_message_horizon(message_horizon: int) -> None:
+    # Exactly int (not a bool or a float): it sizes the stream.
+    if type(message_horizon) is not int:
+        raise ValueError(f"message_horizon must be an int, got {message_horizon!r}")
+    if message_horizon < 0:
+        raise ValueError(f"message_horizon must be nonnegative, got {message_horizon}")
+
+
 def _check_received(code: SystematicCode, received: Sequence, message_horizon: int, allow_erased: bool) -> list[int]:
     """The received stream laid out flat, once it is checked: n-1 zero
     packets for the times before 0, then every packet's n values in
@@ -188,10 +196,7 @@ def _check_received(code: SystematicCode, received: Sequence, message_horizon: i
     stream itself must be a tuple or list, and message_horizon exactly an
     int (not a bool or a float)."""
     n = code.n
-    if type(message_horizon) is not int:
-        raise ValueError(f"message_horizon must be an int, got {message_horizon!r}")
-    if message_horizon < 0:
-        raise ValueError(f"message_horizon must be nonnegative, got {message_horizon}")
+    _check_message_horizon(message_horizon)
     if not isinstance(received, (tuple, list)):
         raise ValueError(f"received stream must be a tuple or list of packets, got {type(received).__name__}")
     if len(received) != message_horizon + n - 1:
@@ -635,6 +640,7 @@ def equivalence_sweep(
     encoded once and every pattern decodes that stream.
     """
     _check_tau(tau)
+    _check_message_horizon(message_horizon)
     if not model.errors:
         raise ValueError("error patterns need an error-channel model")
     f, n = code.field, code.n

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,30 @@ def test_gf256_frobenius(a, b):
     f = GF(256)
     s = f.add(a, b)
     assert f.mul(s, s) == f.add(f.mul(a, a), f.mul(b, b))
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 65536])
+def test_frobenius_table_is_a_field_automorphism(q):
+    # x -> x^2 over GF(2^m): additive and multiplicative on every pair up
+    # to q = 16 and on sampled pairs of GF(2^16), fixing 0 and 1, a
+    # permutation of the field and not the identity
+    f = GF(q)
+    phi = f.frobenius()
+    rng = random.Random(q)
+    pairs = product(range(q), repeat=2) if q <= 16 else ((rng.randrange(q), rng.randrange(q)) for _ in range(3000))
+    for a, b in pairs:
+        assert phi[f.add(a, b)] == f.add(phi[a], phi[b]), (a, b)
+        assert phi[f.mul(a, b)] == f.mul(phi[a], phi[b]), (a, b)
+    assert phi[0] == 0 and phi[1] == 1
+    images = [phi[a] for a in range(q)]
+    assert sorted(images) == list(range(q))
+    assert images != list(range(q))
+    assert f.frobenius() is phi
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_frobenius_table_is_the_identity_over_prime_fields(q):
+    assert list(GF(q).frobenius()) == list(range(q))
 
 
 @given(a=st.integers(1, 255))

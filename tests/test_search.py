@@ -205,6 +205,13 @@ def test_kernel_matches_flat_scan_over_gf7_and_gf8():
     assert survivors >= 50
 
 
+def test_kernel_matches_flat_scan_over_gf16():
+    # x -> x^2 moves 14 of GF(16)'s values, so the Frobenius rule skips
+    # more nodes here than over GF(4) or GF(8)
+    survivors, ticked = _match_flat_scan(random.Random(19), (16,), 80, 1 << 16)
+    assert survivors >= 40 and ticked >= 1
+
+
 def _record_projections(monkeypatch) -> list:
     """Wrap `search._fails` to record, per call, a check's memo key in
     plain terms: the check with row i and its msg_js rows projected onto
@@ -471,6 +478,91 @@ def test_first_witness_is_row_normalized():
             witnesses += 1
             assert all(_leading(row) <= 1 for row in res["witness"].P.to_lists()), (q, n, k, z, b, tau)
     assert witnesses >= 20
+
+
+def test_first_witness_is_frobenius_minimal():
+    # property: over GF(2^m), x -> x^2 on every entry keeps every verdict,
+    # so the first witness from start 0 is no larger than its image
+    rng = random.Random(47)
+    shapes = [
+        (q, z, b, k)
+        for q in (4, 8)
+        for z in (1, 2)
+        for b in (1, 2, 3)
+        for k in (2, 3)
+        if q ** (k * z * b) <= 1 << 24
+    ]
+    witnesses = moved = 0
+    for _ in range(80):
+        q, z, b, k = rng.choice(shapes)
+        n = k + z * b
+        tau = rng.randrange(k, n)
+        res = search_nonexistence(n, k, z, b, tau, GF(q))
+        if res["found"]:
+            phi = GF(q).frobenius()
+            entries = [x for row in res["witness"].P.to_lists() for x in row]
+            image = [phi[x] for x in entries]
+            witnesses += 1
+            moved += image != entries
+            assert entries <= image, (q, n, k, z, b, tau)
+    assert witnesses >= 30 and moved >= 5
+
+
+def _index(q, rows):
+    """The candidate index of the coefficient rows, row-major in base q."""
+    value = 0
+    for row in rows:
+        for x in row:
+            value = value * q + x
+    return value
+
+
+# Resumed starts in the [7,3] spaces with z=2, b=2, as rows 0..d (the rest
+# zero), each inside a run of siblings that a scan from 0 skips, or at a
+# Frobenius twin or its image: [1, 0, 2, 1] is in the column run of
+# [1, 0, 2, 0] and [2, 0, 1, 0] in the row and column run to the end of
+# the space; [0, q-1, 0, 1] is in the row and column run of [0, 2, 0, 0],
+# and [0, 0, q-1, 1], under rows with no fresh column, in the row run of
+# [0, 0, 2, 0]; over GF(4), x -> x^2 maps [1, 0, 3, 0] to [1, 0, 2, 0],
+# with row 0 fixed.
+RESUMED_STARTS = [
+    [[1, 0, 2, 1]],
+    [[2, 0, 1, 0]],
+    [[1, 0, 1, 0], [0, -1, 0, 1]],
+    [[1, 0, 1, 0], [1, 0, 3, 0]],
+    [[1, 0, 1, 0], [1, 0, 2, 0]],
+    [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, -1, 1]],
+]
+
+
+@pytest.mark.parametrize("prefix", RESUMED_STARTS, ids=str)
+@pytest.mark.parametrize("q", [4, 5])
+def test_scans_resumed_in_a_skipped_run_match_flat_scan(q, prefix):
+    # A run is skipped only where its least image starts at or after the
+    # start, and a node only where its own image does, so a scan resumed
+    # inside a run must enter the nodes whose images it has passed.
+    field, n, k, r = GF(q), 7, 3, 4
+    rows = [[x % q for x in row] for row in prefix] + [[0] * r] * (k - len(prefix))
+    total = q ** (k * r)
+    # At tau = 6 witnesses are dense: chained scans from the start find
+    # the flat oracle's next 8 witnesses, with the same cursors.
+    checks = search._build_checks(n, k, 6, burst_supports(n, 2, 2))
+    start = _index(q, rows)
+    for _ in range(8):
+        ticks = []
+        got = search._scan(field, k, r, checks, start, total, ticks.append)
+        assert (got, ticks) == _flat_scan(field, n, k, checks, start, total), (start, got)
+        start = got + 1
+    # At tau = 5 there is none: a scan from 6000 before a multiple of 2^16
+    # inside the start's row-0 node reports that multiple.
+    checks = search._build_checks(n, k, 5, burst_supports(n, 2, 2))
+    if len(prefix) == 1:
+        tick = (_index(q, rows) + 6000) // 65536 * 65536 + 65536
+        start, stop = tick - 6000, tick + 1000
+        assert _matrix_at(q, k, r, start)[0] == rows[0]
+        ticks = []
+        got = search._scan(field, k, r, checks, start, stop, ticks.append)
+        assert (got, ticks) == _flat_scan(field, n, k, checks, start, stop) == (None, [tick])
 
 
 def test_search_resume_cursor():

@@ -571,16 +571,20 @@ def test_decoders_reject_stream_of_wrong_length(decoder):
             decode_errors(code, 4, received, 3, ChannelModel.sw_err(1, 5))
 
 
-@pytest.mark.parametrize("decoder", ["erasures", "errors"])
+@pytest.mark.parametrize("decoder", ["erasures", "errors", "sweep"])
 def test_decoders_reject_negative_message_horizon(decoder):
     # An empty stream covers -4 + 5 - 1 = 0 packet times, so without the
-    # check a [5,3] decode at horizon -4 reported success.
+    # check a [5,3] decode at horizon -4 reported success; the sweep
+    # raised a ValueError that named the pattern enumeration's horizon.
     code = build_mds(5, 3, F8)
+    model = ChannelModel.sw_err(1, 5)
+    calls = {
+        "erasures": lambda: decode_erasures(code, 4, [], -4),
+        "errors": lambda: decode_errors(code, 4, [], -4, model),
+        "sweep": lambda: equivalence_sweep(code, model, 4, -4, seed=1),
+    }
     with pytest.raises(ValueError, match="^message_horizon must be nonnegative, got -4$"):
-        if decoder == "erasures":
-            decode_erasures(code, 4, [], -4)
-        else:
-            decode_errors(code, 4, [], -4, ChannelModel.sw_err(1, 5))
+        calls[decoder]()
 
 
 @pytest.mark.parametrize("decoder", ["erasures", "errors"])
@@ -594,17 +598,21 @@ def test_decoders_reject_received_that_is_no_tuple_or_list(decoder, received):
             decode_errors(code, 4, received, 3, ChannelModel.sw_err(1, 5))
 
 
-@pytest.mark.parametrize("decoder", ["erasures", "errors"])
-@pytest.mark.parametrize("horizon", [3.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("decoder", ["erasures", "errors", "sweep"])
+@pytest.mark.parametrize("horizon", [3.5, 3.0, True, "3", None, 2.5])
 def test_decoders_reject_message_horizon_that_is_no_int(decoder, horizon):
-    # 3.5 once asked for a stream of 7.5 packet times, and True passed as 1.
+    # 3.5 once asked for a stream of 7.5 packet times, and True passed as
+    # 1; the sweep raised TypeError from range() on 2.5.
     code = build_mds(5, 3, F8)
     received = list(de_encode(code, [[1, 2, 3]]).packets)
+    model = ChannelModel.sw_err(1, 5)
+    calls = {
+        "erasures": lambda: decode_erasures(code, 4, received, horizon),
+        "errors": lambda: decode_errors(code, 4, received, horizon, model),
+        "sweep": lambda: equivalence_sweep(code, model, 4, horizon, seed=1),
+    }
     with pytest.raises(ValueError, match=re.escape(f"message_horizon must be an int, got {horizon!r}")):
-        if decoder == "erasures":
-            decode_erasures(code, 4, received, horizon)
-        else:
-            decode_errors(code, 4, received, horizon, ChannelModel.sw_err(1, 5))
+        calls[decoder]()
 
 
 def _random_error_decodes(field, seed):
