@@ -12,7 +12,7 @@ reads on one message and `streaming.de_encode` on every diagonal at once.
 Delay semantics: message symbol i of a codeword must be recovered from
 the non-erased code symbols in positions [0, min(i + tau, n-1)].  The
 verifier asks `SystematicCode.recovery`'s elimination, the same one both
-stream decoders ask, which received position first fixes u_i: symbol i
+stream decoders ask, which unerased position first fixes u_i: symbol i
 is recoverable iff that pin position exists and is within its deadline.
 """
 
@@ -63,9 +63,9 @@ class SystematicCode:
 
     @cached_property
     def _erasure_readers(self) -> dict:
-        """`streaming.decode_erasures`' `recovery` answers per (given,
-        received) mask pair: the checks as one `matrix.Packed` reader, and
-        each pin's position and reader, over the zero-padded flat stream."""
+        """`streaming.decode_erasures`' `recovery` answers per observed
+        mask: the checks as one `matrix.Packed` reader, and each pin's
+        position and reader, over the zero-padded flat stream."""
         return {}
 
     @cached_property
@@ -74,48 +74,46 @@ class SystematicCode:
         return {}
 
     def recovery(
-        self, known: int, avail: int
+        self, avail: int
     ) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, tuple[int, ...]]]]:
-        """What one codeword reveals from the message coordinates in the
-        bitmask `known` and the code symbols at the positions in the
-        bitmask `avail`, observed as y = (given coordinates, received
-        symbols), each in ascending order.
+        """What one codeword reveals from its code symbols at the positions
+        in the bitmask `avail`, observed as y in ascending position order.
+        A known message coordinate i is the systematic symbol at position
+        i, observed there.
 
         Returns (checks, pins): y is consistent with some codeword iff
         c . y == 0 for every row c of checks; pins[i] = (position, row)
-        for each coordinate i outside `known` that y fixes, with
-        u_i == row . y and position the smallest received position whose
-        prefix, together with the given coordinates, fixes u_i.  Nothing
-        is cached here: the verifier asks each question once, and the
-        stream decoders keep the answers in forms of their own.
+        for each coordinate i that y fixes, with u_i == row . y and
+        position the smallest observed position whose prefix fixes u_i,
+        i itself for an observed systematic symbol.  Nothing is cached
+        here: the verifier asks each question once, and the stream
+        decoders keep the answers in forms of their own.
 
         Each observation is eliminated once: `matrix._insert` adds it to a
-        reduced row echelon basis keyed by pivot coordinate, the given
-        coordinates first and then the received positions in ascending
-        order, and the pins are read after each received position.  The
+        reduced row echelon basis keyed by pivot coordinate, in ascending
+        position order, and the pins are read after each position.  The
         basis after a prefix is the reduced form of that prefix, so u_i is
         pinned exactly when its basis row first reads u_i alone.  A row
         that reduces to zero on the coordinates is a check, and no later
         step touches it, so the checks come in the order of the
         observations that produce them."""
-        # A given coordinate i is the systematic symbol at position i, so
-        # every observation is a generator column.  Each row also records
+        # Exactly int in [0, 2^n): the sign bits of -1 would observe all.
+        if type(avail) is not int or not 0 <= avail < 1 << self.n:
+            raise ValueError(f"avail must be an int in [0, 2^{self.n}), got {avail!r}")
+        # Every observation is a generator column.  Each row also records
         # which combination of observations it is, so a reduced row reads
         # off as u . (its column part) == (its record) . y.
         k, columns = self.k, self._generator_columns
-        given = [i for i in range(k) if known >> i & 1]
-        obs = given + [j for j in range(self.n) if avail >> j & 1]
+        obs = [j for j in range(self.n) if avail >> j & 1]
         basis: dict[int, list[int]] = {}
         checks = []
         pins: dict[int, tuple[int, tuple[int, ...]]] = {}
-        unpinned = [i for i in range(k) if not known >> i & 1]
+        unpinned = list(range(k))
         for l, j in enumerate(obs):
             row = columns[j] + [0] * len(obs)
             row[k + l] = 1
             if _insert(self.field, basis, row, k) is None:
                 checks.append(tuple(row[k:]))
-            if l < len(given):
-                continue
             for i in unpinned:
                 pivot_row = basis.get(i)
                 if pivot_row is not None and not any(pivot_row[i + 1 : k]):
@@ -263,7 +261,7 @@ def _first_miss(code: SystematicCode, tau: int, patterns: Iterable) -> VerifyRes
         erased = [i for i in _check_range(support, n) if i < k]
         if not erased:
             continue
-        _, pins = code.recovery(0, (1 << n) - 1 - sum(1 << j for j in support))
+        _, pins = code.recovery((1 << n) - 1 - sum(1 << j for j in support))
         for i in erased:
             # no pin position exceeds n-1, so i + tau stands for the deadline
             if i not in pins or pins[i][0] > i + tau:

@@ -14,22 +14,22 @@ diagonals, and splits out each parity's digit field in one pass more.
 
 Both decoders read the received stream in one layout (`_check_received`),
 where symbol j of diagonal d is at (d + n - 1)*n + j*(n + 1), and ask one
-question of one diagonal codeword at a time: given some of its message
-coordinates and the symbols received by a deadline, are those symbols
-consistent with a codeword, and which coordinates do they fix, from
-which position on?  `SystematicCode.recovery` answers it for one
-(given, received) mask pair as parity checks and recovery rows; it
-caches nothing, and each decoder keeps the answers it needs in a table
-of its own.
+question of one diagonal codeword at a time: are the symbols observed at
+some of its positions consistent with a codeword, and which coordinates
+do they fix, from which position on?  A known message coordinate is its
+systematic symbol, observed where the stream holds it.
+`SystematicCode.recovery` answers the question for one mask of observed
+positions as parity checks and recovery rows; it caches nothing, and
+each decoder keeps the answers it needs in a table of its own.
 
-The erasure decoder asks it of each diagonal with the coordinates before
-time 0 given as zero and every unerased symbol received; a coordinate is
-recovered at the diagonal's start plus its pin position.  A diagonal's
-received positions are a shift and a mask of the stream's arrival
-bitmask, and the answer for each mask pair is kept per code as
+The erasure decoder asks it of each diagonal with every unerased symbol
+observed, the coordinates before time 0 as the zeros of the n-1 padding
+packets; a coordinate is recovered at the diagonal's start plus its pin
+position.  A diagonal's mask is a shift and a mask of the stream's
+arrival bitmask, and the answer for each mask is kept per code as
 `matrix.Packed` readers over the received stream: one for the checks,
-and one per pin.  So a diagonal costs one lookup of its mask pair and
-one packed read of its checks, a table lookup per received symbol, which
+and one per pin.  So a diagonal costs one lookup of its mask and one
+packed read of its checks, a table lookup per observed symbol, which
 must read zero; a pin is read only for an erased message, from the last
 k diagonals' pins, which is all the decoder keeps across diagonals.
 Packets recovered earlier carry no extra information for later ones
@@ -221,17 +221,14 @@ def _check_received(code: SystematicCode, received: Sequence, message_horizon: i
     return flat
 
 
-def _erasure_reader(
-    code: SystematicCode, given: int, avail: int
-) -> tuple[Packed, dict[int, tuple[int, Packed]]]:
-    """The `recovery` answer for a diagonal whose first `given` message
-    coordinates, those before time 0, are given and whose received
-    positions are the bitmask `avail`: its checks, and each pin's position
-    and form, packed over the received stream read at diagonal d's offset
+def _erasure_reader(code: SystematicCode, avail: int) -> tuple[Packed, dict[int, tuple[int, Packed]]]:
+    """The `recovery` answer for a diagonal whose observed positions are
+    the bitmask `avail`: its checks, and each pin's position and form,
+    packed over the received stream read at diagonal d's offset
     (d + n - 1)*n, where its symbol j is entry j*(n+1)."""
     n, f = code.n, code.field
-    checks, pins = code.recovery((1 << given) - 1, avail)
-    at = [j * (n + 1) for j in range(n) if j < given or avail >> j & 1]
+    checks, pins = code.recovery(avail)
+    at = [j * (n + 1) for j in range(n) if avail >> j & 1]
     return (
         Packed(f, [form(f, c, at) for c in checks]),
         {i: (position, Packed(f, [form(f, row, at)])) for i, (position, row) in pins.items()},
@@ -252,22 +249,24 @@ def decode_erasures(
     report records the earliest packet time at which each message packet
     became fully determined.
 
-    Diagonal d's (given, received) mask pair is read off the arrival
-    bitmask by a shift; its checks and pins are built as `matrix.Packed`
-    readers once per pair and code (`_erasure_reader`), and read at
-    offset (d + n - 1)*n of the received stream.  Every diagonal's checks
-    must read zero, or the stream is not a valid one and this raises
-    RuntimeError naming the first diagonal that does not.  Message t is
-    decided right after diagonal t, the last it lies on, is checked; only
-    an erased one reads pins, those of diagonals t-k+1, ..., t.
+    Diagonal d's observed mask is read off the arrival bitmask by a
+    shift, the zero packets before time 0 counted as arrived; its checks
+    and pins are built as `matrix.Packed` readers once per mask and code
+    (`_erasure_reader`), and read at offset (d + n - 1)*n of the received
+    stream.  Every diagonal's checks must read zero, or the stream is not
+    a valid one and this raises RuntimeError naming the first diagonal
+    that does not.  Message t is decided right after diagonal t, the last
+    it lies on, is checked; only an erased one reads pins, those of
+    diagonals t-k+1, ..., t.
     """
     _check_tau(tau)
     n, k, f = code.n, code.k, code.field
     flat = _check_received(code, received, message_horizon, allow_erased=True)
 
-    # Bit k-1+t is set iff packet t arrived, so diagonal d's received
-    # positions are a shift and a mask of it, for d < 0 too.
-    arrived = int("".join("0" if pkt is None else "1" for pkt in reversed(received)) or "0", 2) << k - 1
+    # Bit k-1+t is set iff packet t arrived, so diagonal d's observed
+    # positions are a shift and a mask of it, for d < 0 too: the packets
+    # before time 0 arrived, as the zeros of the padding.
+    arrived = int("".join("0" if pkt is None else "1" for pkt in reversed(received)) + "1" * (k - 1), 2)
     full = (1 << n) - 1
     readers = code._erasure_readers
     # The pins of the last k diagonals, diagonal d's at index d % k.
@@ -275,13 +274,10 @@ def decode_erasures(
     times: list[int | None] = []
     messages_out: list[tuple[int, ...] | None] = []
     for d in range(1 - k, message_horizon):
-        # Coordinates i with d + i < 0 are given as zero.
-        given = -d if d < 0 else 0
         avail = arrived >> d + k - 1 & full
-        key = avail << k | given
-        reader = readers.get(key)
+        reader = readers.get(avail)
         if reader is None:
-            reader = readers[key] = _erasure_reader(code, given, avail)
+            reader = readers[avail] = _erasure_reader(code, avail)
         checks, recent[d % k] = reader
         if checks.read(flat, (d + n - 1) * n):
             raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
@@ -327,14 +323,15 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     digits of the window syndrome, and the residuals of packet t.
 
     The checks are those of `code.recovery` with every window position
-    received, on every diagonal d touching the window: d's full-window
+    observed, on every diagonal d touching the window: d's full-window
     checks H_d.  A check is a `matrix.form` over the received stream read
     at offset t*n, with the messages before t decoded in place: symbol j
     of diagonal t+o is entry (o + n - 1)*n + j*(n + 1).
-    Diagonal t+o, o < 0, reads its given coordinates i < -o and its
-    symbols j >= -o, so a window never reads a parity symbol of a packet
-    before t.  The syndrome digits are the checks' values in order, so
-    diagonal d's slice is s_d = H_d y for its own observation y.
+    Diagonal t+o, o < 0, observes its message positions j < min(-o, k),
+    decoded in place, and its symbols j >= -o, so a window never reads a
+    parity symbol of a packet before t.  The syndrome digits are the
+    checks' values in order, so diagonal d's slice is s_d = H_d y for its
+    own observation y.
 
     A candidate is (untouched, checks, corrections).  `untouched` is the
     bitmask of the digits of the diagonals the candidate leaves
@@ -360,8 +357,8 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     residuals is the bitmask of packet t's residuals, one digit per
     symbol j >= k of packet t: its received value minus parity j
     re-encoded from the messages of diagonal t-j, all of them before t.
-    That diagonal has every coordinate given and reads its position j
-    first, so the residual is its slice's first digit.  Every candidate
+    That diagonal observes every message position and then its position
+    j, so the residual is its slice's first digit.  Every candidate
     reads them alike, and packet t was in error iff the correction or
     some residual is nonzero."""
     n, k, f = code.n, code.k, code.field
@@ -371,22 +368,22 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     residuals = 0
     start = 0
     for o in range(1 - n, width):
-        # Diagonal t+o knows its first `given` coordinates (those before
-        # time t) and reads its symbols at `positions` in the window.
+        # Diagonal t+o observes its message positions before time t and
+        # its positions in the window, from max(-o, 0) on.
         first = max(-o, 0)
-        given = min(first, k)
-        positions = range(first, min(n, width - o))
-        full, _ = code.recovery((1 << given) - 1, sum(1 << j for j in positions))
-        index = [(o + n - 1) * n + j * (n + 1) for j in (*range(given), *positions)]
+        avail = (1 << min(first, k)) - 1 | (1 << min(n, width - o)) - (1 << first)
+        full, _ = code.recovery(avail)
+        observed = [j for j in range(n) if avail >> j & 1]
+        index = [(o + n - 1) * n + j * (n + 1) for j in observed]
         checks += [form(f, c, index) for c in full]
         r = len(full)
         # The digits of this diagonal's syndrome slice.
         digits = range(start, start + r)
-        if given == k:
-            # Diagonal t+o, o <= -k, has every message coordinate given,
-            # so `recovery` reduces its first received position -o, a
-            # symbol of packet t, to zero on them at once: its check, the
-            # slice's first, is that symbol minus its re-encoded parity.
+        if -o >= k:
+            # Diagonal t+o, o <= -k, observes every message position, so
+            # `recovery` reduces its next position -o, a symbol of packet
+            # t, to zero on them at once: its check, the slice's first, is
+            # that symbol minus its re-encoded parity.
             residuals |= 1 << start
 
         # Candidates that erase the same positions of this diagonal share
@@ -394,7 +391,7 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
         by_erased: dict[tuple[int, ...], tuple[tuple[Packed, ...], Packed | None]] = {}
         for offs, entry in rows.items():
             # The erased positions, as indices into the observation.
-            erased = tuple(given + j - first for j in positions if o + j in offs)
+            erased = tuple(l for l, j in enumerate(observed) if o + j in offs)
             if not erased:
                 entry[0] |= ((1 << r) - 1) << start
                 continue

@@ -354,38 +354,38 @@ def test_delay_tau_star_examples():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3)])
 def test_recovery_matches_codebook(n, k, q):
-    """Every (prefix known, avail) query of a random, typically non-MDS
-    code, decided independently by enumerating the codebook."""
+    """Every observed mask of a random, typically non-MDS code, decided
+    independently by enumerating the codebook.  A known message
+    coordinate is its systematic position in the mask, so every known set
+    is covered, not only prefixes."""
     f = GF(q)
     rng = random.Random(10 * n + q)
     code = SystematicCode(f, n, k, FieldMatrix(f, [[rng.randrange(q) for _ in range(n - k)] for _ in range(k)]))
     book = enumerate_codebook(code)
     for avail in range(1 << n):
         positions = [j for j in range(n) if avail >> j & 1]
-        for g in range(k + 1):
-            checks, pins = code.recovery((1 << g) - 1, avail)
-            assert set(pins) <= set(range(g, k))
-            zero_given = [(u, c) for u, c in book if not any(u[:g])]
-            for i in range(g, k):
-                # u_i is fixed by a prefix iff no codeword that is zero on
-                # the given coordinates and on the prefix has u_i != 0
-                fixed_at = [
-                    p
-                    for p in positions
-                    if all(u[i] == 0 for u, c in zero_given if not any(c[j] for j in positions if j <= p))
-                ]
-                assert pins.get(i, (None,))[0] == (fixed_at[0] if fixed_at else None)
-            observed = set()
-            for u, c in book:
-                y = u[:g] + tuple(c[j] for j in positions)
-                observed.add(y)
-                assert all(_dot(f, row, y) == 0 for row in checks)
-                for i, (p, row) in pins.items():
-                    assert _dot(f, row, y) == u[i]
-                    assert not any(row[g + l] for l, j in enumerate(positions) if j > p)
-            for _ in range(20):
-                y = tuple(rng.randrange(q) for _ in range(g + len(positions)))
-                assert all(_dot(f, row, y) == 0 for row in checks) == (y in observed)
+        checks, pins = code.recovery(avail)
+        assert set(pins) <= set(range(k))
+        for i in range(k):
+            # u_i is fixed by a prefix iff no codeword that is zero on the
+            # prefix has u_i != 0
+            fixed_at = [
+                p for p in positions if all(u[i] == 0 for u, c in book if not any(c[j] for j in positions if j <= p))
+            ]
+            assert pins.get(i, (None,))[0] == (fixed_at[0] if fixed_at else None)
+            if avail >> i & 1:
+                assert pins[i][0] == i
+        observed = set()
+        for u, c in book:
+            y = tuple(c[j] for j in positions)
+            observed.add(y)
+            assert all(_dot(f, row, y) == 0 for row in checks)
+            for i, (p, row) in pins.items():
+                assert _dot(f, row, y) == u[i]
+                assert not any(row[l] for l, j in enumerate(positions) if j > p)
+        for _ in range(20):
+            y = tuple(rng.randrange(q) for _ in range(len(positions)))
+            assert all(_dot(f, row, y) == 0 for row in checks) == (y in observed)
 
 
 def _column_rref(field, rows, limit):
@@ -408,23 +408,20 @@ def _column_rref(field, rows, limit):
     return rows, pivots
 
 
-def _recover_by_full_elimination(code, known, avail):
+def _recover_by_full_elimination(code, avail):
     """`SystematicCode.recovery` as a whole-matrix elimination after every
-    received position: the observations are generator columns with an
+    observed position: the observations are generator columns with an
     identity record, and a pin is read off the first reduced form whose
     row for u_i has no later coordinate."""
     k = code.k
     columns = list(zip(*code.generator.data))
-    given = [i for i in range(k) if known >> i & 1]
     positions = [j for j in range(code.n) if avail >> j & 1]
-    obs = given + positions
-    aug = [list(columns[j]) + [int(l == c) for c in range(len(obs))] for l, j in enumerate(obs)]
-    rows, pivots = _column_rref(code.field, aug[: len(given)], k)
-    pins = {}
-    for row_in, j in zip(aug[len(given) :], positions):
+    aug = [list(columns[j]) + [int(l == c) for c in range(len(positions))] for l, j in enumerate(positions)]
+    rows, pivots, pins = [], [], {}
+    for row_in, j in zip(aug, positions):
         rows, pivots = _column_rref(code.field, rows + [row_in], k)
         for row, c in zip(rows, pivots):
-            if c not in pins and not known >> c & 1 and not any(row[c + 1 : k]):
+            if c not in pins and not any(row[c + 1 : k]):
                 pins[c] = (j, tuple(row[k:]))
     return [tuple(row[k:]) for row in rows[len(pivots) :]], pins
 
@@ -432,8 +429,8 @@ def _recover_by_full_elimination(code, known, avail):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
 def test_incremental_recovery_matches_full_elimination(q):
     """Each observation eliminated once gives the pins, rows included, and
-    the checks of re-eliminating the whole matrix per received position,
-    for every (known prefix, avail) query of random codes with n <= 6."""
+    the checks of re-eliminating the whole matrix per observed position,
+    for every observed mask of random codes with n <= 6."""
     f = GF(q)
     rng = random.Random(q)
     for n in range(2, 7):
@@ -442,11 +439,43 @@ def test_incremental_recovery_matches_full_elimination(q):
                 p = FieldMatrix(f, [[rng.randrange(q) for _ in range(n - k)] for _ in range(k)])
                 code = SystematicCode(f, n, k, p)
                 for avail in range(1 << n):
-                    for g in range(k + 1):
-                        checks, pins = code.recovery((1 << g) - 1, avail)
-                        want_checks, want_pins = _recover_by_full_elimination(code, (1 << g) - 1, avail)
-                        assert pins == want_pins
-                        assert sorted(checks) == sorted(want_checks)
+                    checks, pins = code.recovery(avail)
+                    want_checks, want_pins = _recover_by_full_elimination(code, avail)
+                    assert pins == want_pins
+                    assert sorted(checks) == sorted(want_checks)
+
+
+@pytest.mark.parametrize("avail", [-1, 1 << 5, True, 2.0], ids=repr)
+def test_recovery_rejects_a_mask_that_is_no_position_set(avail):
+    # -1 would observe every position through its infinite sign bits, and
+    # 1 << 5 none of the five.
+    with pytest.raises(ValueError, match=rf"^avail must be an int in \[0, 2\^5\), got {avail!r}$"):
+        build_mds(5, 3, F8).recovery(avail)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16])
+def test_recovery_checks_and_pins_on_larger_random_codes(q):
+    """Past codebook sizes: on random codes with n <= 10, zero columns of
+    P included, an observation of m positions whose generator columns
+    have rank r gives m - r checks, and observing more positions pins each
+    coordinate pinned before, at a position no later."""
+    f = GF(q)
+    rng = random.Random(1000 + q)
+    for _ in range(8):
+        n = rng.randrange(2, 11)
+        k = rng.randrange(1, n)
+        columns = [[0] * k if rng.random() < 0.25 else [rng.randrange(q) for _ in range(k)] for _ in range(n - k)]
+        code = SystematicCode(f, n, k, FieldMatrix(f, [list(row) for row in zip(*columns)]))
+        for _ in range(30):
+            avail = rng.randrange(1 << n)
+            wider = avail | rng.randrange(1 << n)
+            checks, pins = code.recovery(avail)
+            positions = [j for j in range(n) if avail >> j & 1]
+            r = rank(code.generator.submatrix(range(k), positions)) if positions else 0
+            assert len(checks) == len(positions) - r
+            _, wider_pins = code.recovery(wider)
+            for i, (position, _) in pins.items():
+                assert wider_pins[i][0] <= position
 
 
 # -- descriptors -------------------------------------------------------------

@@ -230,15 +230,16 @@ def test_error_report_bytes_are_pinned():
 
 def _per_diagonal_decode(code, tau, received, message_horizon):
     """The erasure decoder one diagonal at a time: `code.recovery` on the
-    diagonal's given and received positions, read by scalar dot products.
-    An oracle for the mask-keyed decoder."""
+    diagonal's positions before time 0, observed as zero, and its received
+    positions, read by scalar dot products.  An oracle for the mask-keyed
+    decoder."""
     n, k, f = code.n, code.k, code.field
     last = len(received) - 1
     diagonals = {}
     for d in range(-(k - 1), message_horizon):
         given = max(-d, 0)
         recv = [j for j in range(given, min(n, last - d + 1)) if received[d + j] is not None]
-        checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
+        checks, pins = code.recovery((1 << given) - 1 | sum(1 << j for j in recv))
         y = [0] * given + [received[d + j][j] for j in recv]
         assert not any(_dot(f, c, y) for c in checks)
         diagonals[d] = (pins, y)
@@ -284,6 +285,9 @@ def test_erasure_decoder_matches_per_diagonal_oracle(field):
             supports = [{t for t in range(last) if rng.random() < density} for density in (0.1, 0.3, 0.6)]
             start = rng.randrange(last)
             supports.append(set(range(start, min(start + n - k + 1, last))))
+            # A burst from time 0: the diagonals before time 0 lose their
+            # symbols at times 0..n-k and keep their zeros before time 0.
+            supports.append(set(range(min(n - k + 1, last))))
             for support in supports:
                 pattern = ErasurePattern.from_support(last, support)
                 tau = rng.randrange(n + 1)
@@ -711,7 +715,7 @@ def _window_candidate_decode(code, tau, received, message_horizon, model):
             for d in range(t - n + 1, wend + 1):
                 given = min(max(t - d, 0), k)
                 recv = [j for j in range(max(t - d, 0), min(n, wend - d + 1)) if d + j not in cand]
-                checks, pins = code.recovery((1 << given) - 1, sum(1 << j for j in recv))
+                checks, pins = code.recovery((1 << given) - 1 | sum(1 << j for j in recv))
                 y = [known[d + i][i] if d + i >= 0 else 0 for i in range(given)] + [received[d + j][j] for j in recv]
                 if any(_dot(f, c, y) for c in checks):
                     break
@@ -786,7 +790,7 @@ def test_window_rows_decode_the_syndrome(field):
                 unpinned = []
                 for i in range(k):
                     kept = [j for j in range(i, min(n, width + i)) if j - i not in offs]
-                    _, pins = code.recovery((1 << i) - 1, sum(1 << j for j in kept))
+                    _, pins = code.recovery((1 << i) - 1 | sum(1 << j for j in kept))
                     if i not in pins:
                         unpinned.append(i)
                 for stream in streams:
