@@ -230,10 +230,7 @@ def build_multi_burst(k: int, z: int, b: int, field: Field) -> SystematicCode:
     )
 
 
-def _as_support(pattern) -> tuple[int, ...]:
-    support = getattr(pattern, "support", None)
-    if support is not None:
-        return tuple(sorted(support))
+def _as_support(pattern: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(pattern)))
 
 
@@ -274,8 +271,9 @@ def verify_delay_decodable(code: SystematicCode, tau: int, patterns: Iterable) -
 
     True iff for every pattern and every erased message position i, the
     unerased positions up to min(i + tau, n-1) fix u_i.  On failure the
-    lexicographically smallest failing (support, i) pair is returned;
-    patterns are normalized to sorted supports before checking.
+    lexicographically smallest failing (support, i) pair is returned.
+    Each pattern is a support, an iterable of erased positions, and is
+    normalized to a sorted tuple before checking.
     """
     if not code.k <= tau <= code.n - 1:
         raise ValueError(f"tau must satisfy k <= tau <= n-1, got {tau}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 
@@ -34,17 +35,22 @@ class ErasurePattern:
     flags: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Exactly int, as in `Field.check`: `to_csv` prints True or 1.0.
+        if type(self.horizon) is not int:
+            raise ValueError(f"horizon must be an int, got {self.horizon!r}")
         if len(self.flags) != self.horizon:
             raise ValueError("flag sequence length must equal the horizon")
-        if any(f not in (0, 1) for f in self.flags):
+        if not {*self.flags} <= {0, 1} or not {*map(type, self.flags)} <= {int}:
             raise ValueError("flags must be 0 or 1")
 
     @classmethod
     def from_support(cls, horizon: int, support: Iterable[int]) -> "ErasurePattern":
-        s = set(support)
-        if s and (min(s) < 0 or max(s) >= horizon):
-            raise ValueError("support outside horizon")
-        return cls(horizon, tuple(1 if t in s else 0 for t in range(horizon)))
+        flags = [0] * horizon
+        for t in support:
+            if not 0 <= t < horizon:
+                raise ValueError("support outside horizon")
+            flags[t] = 1
+        return cls(horizon, tuple(flags))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -143,6 +149,9 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         got = f"got z={self.z}, b={self.b}, w={self.w}"
+        # Exactly int, as in `Field.check`: the rate and JSON print them.
+        if {type(self.z), type(self.b), type(self.w)} != {int}:
+            raise ValueError(f"{self.kind} model needs integer z, b and w, {got}")
         if self.z < 1 or self.b < 1:
             raise ValueError(f"{self.kind} model needs z >= 1 and b >= 1, {got}")
         if (2 if self.errors else 1) * self.z * self.b >= self.w:
@@ -278,14 +287,7 @@ def enumerate_admissible(
     if support_bound is not None and support_bound < 0:
         raise ValueError(f"support bound must be nonnegative, got {support_bound}")
     top = horizon - 1 if support_bound is None else min(support_bound, horizon - 1)
-
-    def pattern(support: tuple[int, ...]) -> ErasurePattern:
-        flags = [0] * horizon
-        for t in support:
-            flags[t] = 1
-        return ErasurePattern(horizon, tuple(flags))
-
-    return map(pattern, _supports(model.z, model.b, model.w, top))
+    return map(partial(ErasurePattern.from_support, horizon), _supports(model.z, model.b, model.w, top))
 
 
 def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:

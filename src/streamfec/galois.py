@@ -8,17 +8,16 @@ of their least primitive element, built with the field, so `mul` and
 :meth:`Field.check` validates one at API boundaries, and
 :meth:`Field.check_all` a whole sequence.
 
-Hot loops multiply by a constant through :meth:`Field.times`, a product
-table per constant that the field builds on first use and caches, so a
-product is one lookup; above q = 256 the table is a `_Lazy` dict that
-fills one value at a time, so a large field never tabulates values it
-does not see (`matrix.Packed` fills its large-field tables the same
-way).  :meth:`Field.frobenius` tabulates the automorphism x -> x^p the
-same way: the identity over a prime field, squaring over GF(2^m), which
-keeps every sum and product, so it maps a matrix to one of the same
-rank.  Filling a table writes the same values whoever does it, so fields
-stay safe to share between threads; their identity (p, m, modulus) never
-changes after construction.
+Every table indexed by the field's values comes from :meth:`Field.table`:
+a list up to q = 256, above it a `_Lazy` dict that fills one value at a
+time, so a large field never tabulates values it does not see.
+:meth:`Field.times` caches one per constant, the product table that hot
+loops multiply through, and :meth:`Field.frobenius` one of the
+automorphism x -> x^p: the identity over a prime field, squaring over
+GF(2^m), which keeps every sum and product, so it maps a matrix to one
+of the same rank.  Filling a table writes the same values whoever does
+it, so fields stay safe to share between threads; their identity
+(p, m, modulus) never changes after construction.
 
 The default modulus for GF(2^m) is the lexicographically smallest
 irreducible polynomial of degree m (bit-encoded, bit i = coefficient of
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 
 _MAX_EXTENSION_DEGREE = 16
 _MAX_PRIME = 256
-# `Field.times` tabulates every product by a constant up to this order.
+# `Field.table` lists every value up to this order, and fills lazily above.
 _MAX_LIST_TABLE = 256
 
 
@@ -120,7 +119,7 @@ def _log_tables(q: int, mul: Callable[[int, int], int]) -> tuple[list[int], list
 
 class _Lazy(dict):
     """A table v -> fill(v) that computes each value on first use: every
-    table above q = 256, `Field.times`' products and `matrix.Packed`'s."""
+    `Field.table` above q = 256."""
 
     __slots__ = ("fill",)
 
@@ -218,30 +217,29 @@ class Field:
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def times(self, c: int) -> list[int] | _Lazy:
-        """The products c * v as a table indexed by the value v, cached per
-        constant c and shared by every caller that multiplies by c: a list,
-        built when c is first asked for, up to q = 256, and for larger
-        fields a dict that fills each value on first use."""
+        """The products c * v as a `table` indexed by the value v, built
+        when c is first asked for and cached per constant c, shared by
+        every caller that multiplies by c."""
         table = self._times.get(c)
         if table is None:
-            if self.q <= _MAX_LIST_TABLE:
-                table = [self.mul(c, v) for v in range(self.q)]
-            else:
-                table = _Lazy(partial(self.mul, c))
-            self._times[c] = table
+            table = self._times[c] = self.table(partial(self.mul, c))
         return table
 
     def frobenius(self) -> list[int] | _Lazy:
         """The field automorphism x -> x^p as a table indexed by the value
-        x, built on first use and cached: a list up to q = 256, and for
-        larger fields a dict that fills each value on first use, as in
-        `times`.  It is the identity over a prime field."""
+        x, a `table` built on first use and cached.  It is the identity
+        over a prime field."""
         if self._frobenius is None:
-            if self.q <= _MAX_LIST_TABLE:
-                self._frobenius = [self.pow(a, self.p) for a in range(self.q)]
-            else:
-                self._frobenius = _Lazy(lambda a: self.pow(a, self.p))
+            self._frobenius = self.table(partial(self.pow, e=self.p))
         return self._frobenius
+
+    def table(self, fill: Callable[[int], int]) -> list[int] | _Lazy:
+        """The table v -> fill(v) over the field's values, uncached: a list
+        up to q = 256, and for larger fields a dict that fills each value
+        on first use."""
+        if self.q <= _MAX_LIST_TABLE:
+            return list(map(fill, range(self.q)))
+        return _Lazy(fill)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -307,7 +305,5 @@ def GF(q: int, modulus: int | None = None) -> Field:
     if q >= 2 and q & (q - 1) == 0:  # power of two
         return _cached_field(2, q.bit_length() - 1, modulus)
     if q < _MAX_PRIME and _is_prime(q):
-        if modulus is not None:
-            raise ValueError("prime fields take no modulus polynomial")
-        return _cached_field(q, 1, None)
+        return _cached_field(q, 1, modulus)
     raise ValueError(f"unsupported field order {q}: need 2^m (m <= 16) or a prime < 256")

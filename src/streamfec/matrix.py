@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterable, Sequence
 
-from .galois import _MAX_LIST_TABLE, Field, _Lazy
+from .galois import Field
 
 
 class FieldMatrix:
@@ -121,7 +121,7 @@ class Packed:
     sum never carries between fields, and the read reduces each field mod
     p once.  A position that only one form
     reads, in the lowest field, reuses that term's `Field.times` table;
-    above q = 256 every other table fills one value at a time."""
+    every other is a `Field.table`."""
 
     __slots__ = ("terms", "count", "q", "_width", "_modulus")
 
@@ -194,13 +194,10 @@ def _contribution(parts: list[tuple[int, Sequence[int]]], xor: bool, v: int) -> 
 
 def _packed_table(field: Field, parts: list[tuple[int, Sequence[int]]], xor: bool) -> Sequence[int]:
     """The table v -> `_contribution` of v: the one part's product table
-    itself when that part is at shift 0, else a list up to q = 256 and a
-    lazily filled table above."""
+    itself when that part is at shift 0, else a `Field.table`."""
     if len(parts) == 1 and parts[0][0] == 0:
         return parts[0][1]
-    if field.q > _MAX_LIST_TABLE:
-        return _Lazy(partial(_contribution, parts, xor))
-    return [_contribution(parts, xor, v) for v in range(field.q)]
+    return field.table(partial(_contribution, parts, xor))
 
 
 def add(field: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -168,20 +168,12 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     return PacketStream(code=code, message_horizon=len(msgs), messages=msgs, packets=tuple(zip(*symbols)))
 
 
-def _check_tau(tau: int) -> None:
-    # Exactly int (not a bool or a float): the report prints tau.
-    if type(tau) is not int:
-        raise ValueError(f"tau must be an int, got {tau!r}")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-
-
-def _check_message_horizon(message_horizon: int) -> None:
-    # Exactly int (not a bool or a float): it sizes the stream.
-    if type(message_horizon) is not int:
-        raise ValueError(f"message_horizon must be an int, got {message_horizon!r}")
-    if message_horizon < 0:
-        raise ValueError(f"message_horizon must be nonnegative, got {message_horizon}")
+def _check_count(name: str, value: int) -> None:
+    # Exactly int (not a bool or a float): the report prints both counts.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _check_received(code: SystematicCode, received: Sequence, message_horizon: int, allow_erased: bool) -> list[int]:
@@ -196,7 +188,7 @@ def _check_received(code: SystematicCode, received: Sequence, message_horizon: i
     stream itself must be a tuple or list, and message_horizon exactly an
     int (not a bool or a float)."""
     n = code.n
-    _check_message_horizon(message_horizon)
+    _check_count("message_horizon", message_horizon)
     if not isinstance(received, (tuple, list)):
         raise ValueError(f"received stream must be a tuple or list of packets, got {type(received).__name__}")
     if len(received) != message_horizon + n - 1:
@@ -259,7 +251,7 @@ def decode_erasures(
     it lies on, is checked; only an erased one reads pins, those of
     diagonals t-k+1, ..., t.
     """
-    _check_tau(tau)
+    _check_count("tau", tau)
     n, k, f = code.n, code.k, code.field
     flat = _check_received(code, received, message_horizon, allow_erased=True)
 
@@ -475,7 +467,7 @@ def decode_errors(
     verdicts, about 2.5 MiB with the burst sweep's 94-bit keys, and is
     cleared when full.
     """
-    _check_tau(tau)
+    _check_count("tau", tau)
     if not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
@@ -592,7 +584,7 @@ def simulate(
     """
     if not isinstance(pattern, (ErasurePattern, ErrorPattern)):
         raise TypeError(f"unsupported pattern type {type(pattern).__name__}")
-    _check_tau(tau)
+    _check_count("tau", tau)
     stream = de_encode(code, messages)
     t_msgs = stream.message_horizon
     if max(pattern.support, default=-1) >= stream.packet_horizon:
@@ -636,8 +628,8 @@ def equivalence_sweep(
     the sweep when every pattern decodes exactly.  The messages are
     encoded once and every pattern decodes that stream.
     """
-    _check_tau(tau)
-    _check_message_horizon(message_horizon)
+    _check_count("tau", tau)
+    _check_count("message_horizon", message_horizon)
     if not model.errors:
         raise ValueError("error patterns need an error-channel model")
     f, n = code.field, code.n

@@ -333,3 +333,28 @@ def test_model_validation():
     assert ChannelModel.mbsw_err(1, 1, 3) == ChannelModel.sw_err(1, 3)
     assert ChannelModel.sw_err(1, 5).erasure_equivalent == ChannelModel.sw(2, 5)
     assert ChannelModel.mbsw_err(1, 2, 7).erasure_equivalent == ChannelModel.mbsw(2, 2, 7)
+
+
+@pytest.mark.parametrize(
+    "horizon, flags",
+    [(3, (1, 0, True)), (3, (1, 0, 1.0)), (3, (0, 2, 0)), (3.0, (0, 1, 0)), (True, (1,))],
+)
+def test_erasure_pattern_needs_an_int_horizon_and_0_1_flags(horizon, flags):
+    # A bool or float would print as True or 1.0 in `to_csv`, which
+    # `from_csv` cannot read back.
+    with pytest.raises(ValueError, match="must be an int|must be 0 or 1"):
+        ErasurePattern(horizon, flags)
+
+
+def test_from_support_keeps_its_range_check():
+    assert ErasurePattern.from_support(4, [2, 0, 2]).flags == (1, 0, 1, 0)
+    for support in ([4], [-1], [0, 4]):
+        with pytest.raises(ValueError, match="support outside horizon"):
+            ErasurePattern.from_support(4, support)
+
+
+@pytest.mark.parametrize("z, b, w", [(1.5, 1, 5), (True, 1, 5), (1, 1.0, 5), (1, 1, 5.0), (2, True, 7)])
+def test_model_needs_integer_parameters(z, b, w):
+    # 1.5 printed "a": 1.5 and a rate bound of 3.5/5; True printed "a": true.
+    with pytest.raises(ValueError, match="needs integer z, b and w"):
+        ChannelModel(z, b, w)

@@ -191,6 +191,19 @@ def test_product_tables_match_mul_sampled_gf65536():
     assert len(f.times(3)) <= 3000
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 256])
+def test_table_lists_every_value_up_to_256(q):
+    table = GF(q).table(lambda v: 3 * v + 1)
+    assert type(table) is list and table == [3 * v + 1 for v in range(q)]
+
+
+def test_table_over_gf65536_holds_only_the_values_read():
+    seen = []
+    table = Field(2, 16).table(lambda v: seen.append(v) or v ^ 5)
+    assert [table[v] for v in (7, 60000, 7)] == [2, 60005, 2]
+    assert dict(table) == {7: 2, 60000: 60005} and seen == [7, 60000]
+
+
 def test_descriptor_roundtrip():
     for f in (GF(2), GF(7), GF(8), GF(256)):
         assert Field.from_dict(f.to_dict()) == f

@@ -5,6 +5,7 @@ import pytest
 
 from streamfec import search
 from streamfec.block_code import SystematicCode, VerifyResult, build_mds, build_multi_burst, verify_delay_decodable
+from streamfec.bounds import delay_tau_star
 from streamfec.channel import burst_supports
 from streamfec.galois import GF
 from streamfec.matrix import FieldMatrix, _digits_of, rank
@@ -123,6 +124,38 @@ def test_search_agrees_with_reference_verifier_everywhere():
         idx += 1
     res = search_nonexistence(n, k, z, b, tau, F3)
     assert res["found"] and res["candidates_checked"] == first_survivor + 1
+
+
+def test_checks_decide_like_the_verifier_on_random_codes():
+    # "no `_build_checks` check fails on P's rows" is the verifier's
+    # verdict on the burst family, on seeded random codes of every (z, b)
+    # cell.  Random codes seldom pass the larger cells, so each cell also
+    # gets an MDS code at tau = n-1 and, where b | k fits in n <= 11, the
+    # multi-burst construction at tau*.
+    rng = random.Random(27)
+    fields = [GF(q) for q in (2, 3, 4, 5, 7, 8)]
+    cells = [(z, b) for z in (1, 2, 3) for b in (1, 2, 3)]
+    cases = []
+    for z, b in cells * 50:
+        f = rng.choice(fields)
+        n = rng.randint(2, 11)
+        k = rng.randint(1, n - 1)
+        p = FieldMatrix(f, [[rng.randrange(f.q) for _ in range(n - k)] for _ in range(k)])
+        cases.append((SystematicCode(field=f, n=n, k=k, P=p), rng.randrange(k, n), z, b))
+    for z, b in cells:
+        n = z * b + (2 if z * b + 2 <= F8.q else 1)
+        cases.append((build_mds(n, n - z * b, F8), n - 1, z, b))
+        if b * (z + 1) <= 11:
+            cases.append((build_multi_burst(b, z, b, GF(4)), delay_tau_star(b, z, b), z, b))
+    outcomes = {cell: set() for cell in cells}
+    for code, tau, z, b in cases:
+        supports = burst_supports(code.n, z, b)
+        rows = code.P.to_lists()
+        checks = search._build_checks(code.n, code.k, tau, supports)
+        passes = not any(search._fails(code.field, rows, check) for check in checks)
+        assert passes == verify_delay_decodable(code, tau, supports).ok, (code, tau, z, b)
+        outcomes[z, b].add(passes)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def test_search_determinism():

@@ -35,3 +35,21 @@ def test_field_internals_read_only_by_arithmetic_layer(path):
         if isinstance(node, ast.Attribute) and node.attr in ("p", "_exp", "_log")
     ]
     assert not reads, f"{path.name} reads field internals at {reads}"
+
+
+OUTSIDE_GALOIS = [path for path in SOURCES if path.name != "galois.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_GALOIS, ids=lambda path: path.name)
+def test_table_rule_named_only_in_galois(path):
+    # `Field.table` is the one place that chooses between a list and a
+    # lazily filled table, so no other module names either side of it.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        # a Name's id, an Attribute's attr, an imported alias's name
+        if (name := getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None))
+        in ("_Lazy", "_MAX_LIST_TABLE")
+    ]
+    assert not names, f"{path.name} names the table rule at {names}"
