@@ -44,7 +44,6 @@ from .search import (
 )
 from .streaming import (
     DecodeReport,
-    PacketStream,
     apply_erasures,
     apply_errors,
     de_encode,

@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bounds import delay_tau_star  # noqa: F401  (callers import it from here too)
+from .channel import _check_int
 from .galois import Field
 from .matrix import FieldMatrix, Packed, _insert, _rref, form, rank
 
@@ -244,6 +245,9 @@ class VerifyResult:
 
 
 def _check_range(support: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # Exactly int: True would stand for 1, and 1.0 fail in a shift.
+    if not {*map(type, support)} <= {int}:
+        raise ValueError(f"pattern support {support} must hold ints")
     if support and not 0 <= support[0] <= support[-1] < n:
         raise ValueError(f"pattern support {support} out of range for length {n}")
     return support
@@ -275,6 +279,7 @@ def verify_delay_decodable(code: SystematicCode, tau: int, patterns: Iterable) -
     Each pattern is a support, an iterable of erased positions, and is
     normalized to a sorted tuple before checking.
     """
+    _check_int("tau", tau)
     if not code.k <= tau <= code.n - 1:
         raise ValueError(f"tau must satisfy k <= tau <= n-1, got {tau}")
     return _first_miss(code, tau, patterns)
@@ -293,6 +298,7 @@ def verify_delay_decodable_general(g: FieldMatrix, tau: int, patterns: Iterable)
     depends only on code symbols 0..i and vice versa, and the deadlines
     grow with i.
     """
+    _check_int("tau", tau)
     return _first_miss(_systematize(g), tau, patterns)
 
 

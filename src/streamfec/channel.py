@@ -23,21 +23,36 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+from .galois import Field
+
+
+def _check_int(name: str, value: int) -> None:
+    # Exactly int, as in `Field.check`: CSV, JSON and reports print it.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_count(name: str, value: int) -> None:
+    _check_int(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
 class ErasurePattern:
-    """Erasure flags e_0 .. e_{T-1}; flag(t) is 0 beyond the horizon."""
+    """Erasure flags e_0 .. e_{T-1}, a tuple of exact ints 0 or 1."""
 
     horizon: int
     flags: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Exactly int, as in `Field.check`: `to_csv` prints True or 1.0.
-        if type(self.horizon) is not int:
-            raise ValueError(f"horizon must be an int, got {self.horizon!r}")
+        _check_int("horizon", self.horizon)
+        if type(self.flags) is not tuple:
+            raise ValueError(f"flags must be a tuple, got {type(self.flags).__name__}")
         if len(self.flags) != self.horizon:
             raise ValueError("flag sequence length must equal the horizon")
         if not {*self.flags} <= {0, 1} or not {*map(type, self.flags)} <= {int}:
@@ -45,6 +60,7 @@ class ErasurePattern:
 
     @classmethod
     def from_support(cls, horizon: int, support: Iterable[int]) -> "ErasurePattern":
+        _check_int("horizon", horizon)
         flags = [0] * horizon
         for t in support:
             if not 0 <= t < horizon:
@@ -52,14 +68,9 @@ class ErasurePattern:
             flags[t] = 1
         return cls(horizon, tuple(flags))
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(t for t, f in enumerate(self.flags) if f)
-
-    def flag(self, t: int) -> int:
-        if 0 <= t < self.horizon:
-            return self.flags[t]
-        return 0
 
     def to_csv(self) -> str:
         return ",".join(str(f) for f in self.flags)
@@ -74,46 +85,46 @@ class ErasurePattern:
 @dataclass(frozen=True)
 class ErrorPattern:
     """Additive packet errors e(0) .. e(T-1), each a length-n vector of
-    field values; the zero vector means no error at that time."""
+    field values as a tuple of exact ints; the zero vector means no error
+    at that time.  `apply_errors` checks the values against the field."""
 
     horizon: int
     packet_size: int
     packets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.packets) != self.horizon:
+        _check_int("horizon", self.horizon)
+        _check_int("packet_size", self.packet_size)
+        packets = self.packets
+        if type(packets) is not tuple or {*map(type, packets)} - {tuple} or {*map(type, chain(*packets))} - {int}:
+            raise ValueError("error packets must be a tuple of tuples of ints")
+        if len(packets) != self.horizon:
             raise ValueError("packet sequence length must equal the horizon")
-        if any(len(p) != self.packet_size for p in self.packets):
+        if any(len(p) != self.packet_size for p in packets):
             raise ValueError("every packet must have the declared size")
 
     @classmethod
     def from_entries(cls, horizon: int, packet_size: int, entries: dict[int, Sequence[int]]) -> "ErrorPattern":
+        _check_int("horizon", horizon)
+        _check_int("packet_size", packet_size)
         for t in entries:
             if t not in range(horizon):
                 raise ValueError(f"error entry time {t!r} outside [0, {horizon})")
-        packets = []
-        for t in range(horizon):
-            if t in entries:
-                packets.append(tuple(entries[t]))
-            else:
-                packets.append((0,) * packet_size)
-        return cls(horizon, packet_size, tuple(packets))
+        zero = (0,) * packet_size
+        return cls(horizon, packet_size, tuple(tuple(entries[t]) if t in entries else zero for t in range(horizon)))
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(t for t, p in enumerate(self.packets) if any(p))
-
-    def packet(self, t: int) -> tuple[int, ...]:
-        if 0 <= t < self.horizon:
-            return self.packets[t]
-        return (0,) * self.packet_size
 
     def to_json(self) -> str:
         items = [{"t": t, "packet": list(p)} for t, p in enumerate(self.packets) if any(p)]
         return json.dumps({"horizon": self.horizon, "packet_size": self.packet_size, "errors": items})
 
     @classmethod
-    def from_json(cls, text: str) -> "ErrorPattern":
+    def from_json(cls, text: str, field: Field) -> "ErrorPattern":
+        """The pattern a JSON text holds, its packet values first checked
+        against `field` in time order by `Field.check_all`."""
         try:
             d = json.loads(text)
         except RecursionError as exc:  # deeply nested arrays or objects
@@ -133,6 +144,7 @@ class ErrorPattern:
             if not new_t or not isinstance(item.get("packet"), list):
                 raise ValueError(f"malformed error entry {item!r}: need a distinct t in [0, horizon) and a packet")
             entries[t] = item["packet"]
+        field.check_all([v for t in sorted(entries) for v in entries[t]])
         return cls.from_entries(horizon, packet_size, entries)
 
 
@@ -282,10 +294,9 @@ def enumerate_admissible(
     in lexicographic order of their flag sequences (0 before 1).
     `support_bound` restricts the support to [0, support_bound].
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    if support_bound is not None and support_bound < 0:
-        raise ValueError(f"support bound must be nonnegative, got {support_bound}")
+    _check_count("horizon", horizon)
+    if support_bound is not None:
+        _check_count("support bound", support_bound)
     top = horizon - 1 if support_bound is None else min(support_bound, horizon - 1)
     return map(partial(ErasurePattern.from_support, horizon), _supports(model.z, model.b, model.w, top))
 
@@ -296,6 +307,8 @@ def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:
     per-codeword erasure family for a length-n code facing (z,b)-bursts:
     the (z, b, n) window constraint, whose first window spans the code.
     """
+    if {type(n), type(z), type(b)} != {int}:
+        raise ValueError(f"burst family needs integer n, z and b, got n={n}, z={z}, b={b}")
     if z < 1 or b < 1:
         raise ValueError(f"burst family needs z >= 1 and b >= 1, got z={z}, b={b}")
     return sorted(_supports(z, b, n, n - 1))
@@ -308,10 +321,7 @@ def error_to_erasure(e: ErrorPattern, e_tilde: ErrorPattern) -> ErasurePattern:
     """
     if e.horizon != e_tilde.horizon or e.packet_size != e_tilde.packet_size:
         raise ValueError("error patterns must share horizon and packet size")
-    flags = tuple(
-        1 if e.packets[t] != e_tilde.packets[t] else 0 for t in range(e.horizon)
-    )
-    return ErasurePattern(e.horizon, flags)
+    return ErasurePattern(e.horizon, tuple(int(p != q) for p, q in zip(e.packets, e_tilde.packets)))
 
 
 def erasure_to_error_split(pattern: ErasurePattern, packet_size: int) -> tuple[ErrorPattern, ErrorPattern]:
@@ -320,14 +330,9 @@ def erasure_to_error_split(pattern: ErasurePattern, packet_size: int) -> tuple[E
     pattern, odd-indexed to the second, each as a unit packet on
     coordinate 0.  If the input is admissible in a (2a, w) erasure
     model, both halves are admissible in the (a, w) error model."""
-    support = pattern.support
     unit = (1,) + (0,) * (packet_size - 1)
-    first = {t: unit for idx, t in enumerate(support) if idx % 2 == 0}
-    second = {t: unit for idx, t in enumerate(support) if idx % 2 == 1}
-    return (
-        ErrorPattern.from_entries(pattern.horizon, packet_size, first),
-        ErrorPattern.from_entries(pattern.horizon, packet_size, second),
-    )
+    half = partial(ErrorPattern.from_entries, pattern.horizon, packet_size)
+    return half(dict.fromkeys(pattern.support[::2], unit)), half(dict.fromkeys(pattern.support[1::2], unit))
 
 
 def periodic_mbsw_pattern(z: int, b: int, w: int, periods: int) -> ErasurePattern:
@@ -343,8 +348,4 @@ def periodic_mbsw_pattern(z: int, b: int, w: int, periods: int) -> ErasurePatter
     if periods < 1:
         raise ValueError("need at least one period")
     period = w - 1 + b
-    flags = []
-    for _ in range(periods):
-        flags.extend([1] * (z * b))
-        flags.extend([0] * (period - z * b))
-    return ErasurePattern(period * periods, tuple(flags))
+    return ErasurePattern(period * periods, ((1,) * (z * b) + (0,) * (period - z * b)) * periods)

@@ -28,7 +28,7 @@ from .channel import (
     burst_supports,
     enumerate_admissible,
 )
-from .galois import GF
+from .galois import GF, Field
 from .search import _SEARCH_GUARD, progress_to_stderr, search_nonexistence
 from .streaming import equivalence_sweep, simulate
 
@@ -110,20 +110,20 @@ def _cmd_verify_code(args) -> int:
     return 0
 
 
-def _read_pattern(path: str):
+def _read_pattern(path: str, field: Field):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     # JSON text is an error pattern, whatever its top level holds, and
     # `ErrorPattern.from_json` says what a list lacks.
     if text.lstrip().startswith(("{", "[")):
-        return ErrorPattern.from_json(text)
+        return ErrorPattern.from_json(text, field)
     return ErasurePattern.from_csv(text)
 
 
 def _cmd_simulate(args) -> int:
     code = _load_descriptor(args.descriptor)
     model = _parse_model(args.model) if args.model else None
-    pattern = _read_pattern(args.pattern)
+    pattern = _read_pattern(args.pattern, code.field)
     if args.horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {args.horizon}")
     rng = random.Random(args.seed)

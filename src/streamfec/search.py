@@ -48,7 +48,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .block_code import SystematicCode, VerifyResult, _as_support, _check_range, verify_delay_decodable
-from .channel import burst_supports
+from .channel import _check_int, burst_supports
 from .galois import Field
 from .matrix import FieldMatrix, _digits_of, _insert
 
@@ -83,9 +83,10 @@ def brute_force_decodable(
     Erased message symbol i is recoverable within delay tau iff every
     codeword that agrees with the transmitted one on the non-erased
     positions up to min(i+tau, n-1) agrees on u_i; by linearity it
-    suffices that every codeword vanishing there has u_i = 0.  A support
-    outside [0, n-1] raises ValueError, as in the verifier.
+    suffices that every codeword vanishing there has u_i = 0.  A non-int
+    tau, or a support point that is not an int in [0, n-1], raises ValueError.
     """
+    _check_int("tau", tau)
     n, k = code.n, code.k
     support = set(_check_range(_as_support(pattern), n))
     if codebook is None:

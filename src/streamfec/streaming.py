@@ -67,9 +67,12 @@ offsets) context is a set of one-form `matrix.Packed` readers over those
 digits, its checks and its corrections, built once per width, the
 residuals are digits of the syndrome, and no received packet is read.
 
-Both decoders read only the received stream, as a receiver does.
-`simulate`, which applies the channel realization, alone judges it and
-sets the report's `pattern_admissible` and `params["model"]`.
+The stream is its tuple of packets, and a channel realization is
+applied at its pattern's support: `apply_erasures` and `apply_errors`
+copy the packets and rewrite only the pattern's times inside the stream.
+Both decoders read only the received stream, as a receiver does;
+`simulate`, which applies the realization, alone judges it and sets the
+report's `pattern_admissible` and `params["model"]`.
 """
 
 from __future__ import annotations
@@ -82,24 +85,8 @@ from itertools import product
 from typing import Sequence
 
 from .block_code import SystematicCode
-from .channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
+from .channel import ChannelModel, ErasurePattern, ErrorPattern, _check_count, enumerate_admissible, windows_ok
 from .matrix import Packed, _rref, add, form
-
-
-@dataclass(frozen=True)
-class PacketStream:
-    """Encoded stream: message packets for t in [0, T-1] plus the n-1
-    trailing coded packets (zero-padded messages) that complete the last
-    diagonals, so every in-horizon message has parities to decode from."""
-
-    code: SystematicCode
-    message_horizon: int
-    messages: tuple[tuple[int, ...], ...]
-    packets: tuple[tuple[int, ...], ...]
-
-    @property
-    def packet_horizon(self) -> int:
-        return len(self.packets)
 
 
 @dataclass(frozen=True)
@@ -141,11 +128,11 @@ class DecodeReport:
         return json.dumps(obj, indent=2)
 
 
-def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> PacketStream:
-    """Diagonal embedding: diagonal d carries the codeword of (u_0(d),
-    u_1(d+1), ..., u_{k-1}(d+k-1)), with message packets outside [0, T)
-    zero, and its symbol j goes into packet d + j.  Diagonals before 1-k
-    or from T on are all zero.
+def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The stream's T + n - 1 packets, a tuple of n-symbol tuples: diagonal
+    d carries the codeword of (u_0(d), ..., u_{k-1}(d+k-1)), with message
+    packets outside [0, T) zero, and its symbol j goes into packet d + j.
+    Diagonals before 1-k or from T on are all zero.
 
     The stream is computed column by column: parity j of diagonal d is
     sum_i P[i][j] u_i(d+i), so the code's parity reader reads message
@@ -165,15 +152,7 @@ def de_encode(code: SystematicCode, messages: Sequence[Sequence[int]]) -> Packet
     symbols = [list(c) + tail for c in columns]
     for s, parity in enumerate(code._parity_reader.read_columns(shifted)):
         symbols.append([0] * (s + 1) + parity + tail[k + s :])
-    return PacketStream(code=code, message_horizon=len(msgs), messages=msgs, packets=tuple(zip(*symbols)))
-
-
-def _check_count(name: str, value: int) -> None:
-    # Exactly int (not a bool or a float): the report prints both counts.
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return tuple(zip(*symbols))
 
 
 def _check_received(code: SystematicCode, received: Sequence, message_horizon: int, allow_erased: bool) -> list[int]:
@@ -551,19 +530,28 @@ def _report_params(code: SystematicCode, tau: int, model: ChannelModel | None, t
     }
 
 
-def apply_erasures(stream: PacketStream, pattern: ErasurePattern) -> list[tuple[int, ...] | None]:
-    return [None if pattern.flag(t) else stream.packets[t] for t in range(stream.packet_horizon)]
+def apply_erasures(packets: Sequence, pattern: ErasurePattern) -> list[tuple[int, ...] | None]:
+    """A copy of the packets with None at each erasure time; times past
+    the stream are ignored."""
+    received = list(packets)
+    for t in pattern.support:
+        if t < len(received):
+            received[t] = None
+    return received
 
 
-def apply_errors(stream: PacketStream, pattern: ErrorPattern) -> list[tuple[int, ...]]:
-    """The received packets: each packet plus its error packet, and the
-    packet itself where the error packet is zero."""
-    f = stream.code.field
-    out = []
-    for t, pkt in enumerate(stream.packets):
-        err = pattern.packet(t)
-        out.append(tuple(add(f, pkt, err)) if any(err) else pkt)
-    return out
+def apply_errors(code: SystematicCode, packets: Sequence, pattern: ErrorPattern) -> list[tuple[int, ...]]:
+    """A copy of the packets with each packet at a nonzero error packet's
+    time replaced by their sum over the code's field; times past the
+    stream are ignored.  Each error packet must be n field values."""
+    if pattern.packet_size != code.n:
+        raise ValueError("error packet size must equal the code length")
+    code.field.check_all([v for t in pattern.support for v in pattern.packets[t]])
+    received = list(packets)
+    for t in pattern.support:
+        if t < len(received):
+            received[t] = tuple(add(code.field, received[t], pattern.packets[t]))
+    return received
 
 
 def simulate(
@@ -579,37 +567,32 @@ def simulate(
     stream; this judges the pattern against the declared model (None
     admits every pattern) and puts the verdict and the model on the
     report.  When the pattern is admissible, decoded values are checked
-    against the encoded messages; a mismatch would be an implementation
-    defect and raises.
+    against the messages; a mismatch would be an implementation defect
+    and raises.
     """
     if not isinstance(pattern, (ErasurePattern, ErrorPattern)):
         raise TypeError(f"unsupported pattern type {type(pattern).__name__}")
     _check_count("tau", tau)
-    stream = de_encode(code, messages)
-    t_msgs = stream.message_horizon
-    if max(pattern.support, default=-1) >= stream.packet_horizon:
-        raise ValueError(
-            f"pattern support {pattern.support} reaches past the last packet time {stream.packet_horizon - 1}"
-        )
+    messages = tuple(map(tuple, messages))
+    packets = de_encode(code, messages)
+    if max(pattern.support, default=-1) >= len(packets):
+        raise ValueError(f"pattern support {pattern.support} reaches past the last packet time {len(packets) - 1}")
     if isinstance(pattern, ErasurePattern):
         if model is not None and model.errors:
             raise ValueError(f"erasure patterns need an erasure-channel model, got {model.kind}")
-        received = apply_erasures(stream, pattern)
-        report = decode_erasures(code, tau, received, t_msgs)
+        received = apply_erasures(packets, pattern)
+        report = decode_erasures(code, tau, received, len(messages))
     else:
         if model is None or not model.errors:
             raise ValueError("error patterns need an error-channel model")
-        if pattern.packet_size != code.n:
-            raise ValueError("error packet size must equal the code length")
-        code.field.check_all([v for packet in pattern.packets for v in packet])
-        received = apply_errors(stream, pattern)
-        report = decode_errors(code, tau, received, t_msgs, model)
+        received = apply_errors(code, packets, pattern)
+        report = decode_errors(code, tau, received, len(messages), model)
     admissible = model is None or model.admits(pattern)
     params = {**report.params, "model": None if model is None else model.to_dict()}
     report = DecodeReport(params, report.times, admissible, report.ambiguities, report.messages)
     if admissible:
         for t, val in enumerate(report.messages):
-            if val is not None and val != stream.messages[t]:
+            if val is not None and val != messages[t]:
                 raise RuntimeError(
                     f"decoded value for packet {t} disagrees with the encoded message; "
                     "this is an implementation defect"
@@ -634,16 +617,15 @@ def equivalence_sweep(
         raise ValueError("error patterns need an error-channel model")
     f, n = code.field, code.n
     rng = random.Random(seed)
-    messages = [[rng.randrange(f.q) for _ in range(code.k)] for _ in range(message_horizon)]
-    stream = de_encode(code, messages)
+    messages = tuple(tuple(rng.randrange(f.q) for _ in range(code.k)) for _ in range(message_horizon))
+    packets = de_encode(code, messages)
     values = [tuple(s if j == pos else 0 for j in range(n)) for pos in range(n) for s in range(1, f.q)]
-    horizon = message_horizon + n - 1
     patterns = exact = ambiguities = 0
     for p in enumerate_admissible(model, message_horizon):
         for combo in product(values, repeat=len(p.support)):
-            pattern = ErrorPattern.from_entries(horizon, n, dict(zip(p.support, combo)))
-            report = decode_errors(code, tau, apply_errors(stream, pattern), message_horizon, model)
+            pattern = ErrorPattern.from_entries(message_horizon, n, dict(zip(p.support, combo)))
+            report = decode_errors(code, tau, apply_errors(code, packets, pattern), message_horizon, model)
             patterns += 1
-            exact += report.success and report.messages == stream.messages
+            exact += report.success and report.messages == messages
             ambiguities += len(report.ambiguities)
     return {"patterns": patterns, "exact": exact, "ambiguities": ambiguities}

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from functools import partial
 from itertools import combinations, product
 
@@ -21,7 +22,7 @@ from streamfec.block_code import (
 from streamfec.channel import burst_supports
 from streamfec.galois import GF
 from streamfec.matrix import FieldMatrix, rank
-from streamfec.search import enumerate_codebook
+from streamfec.search import brute_force_decodable, enumerate_codebook
 
 F2, F3, F5, F8 = GF(2), GF(3), GF(5), GF(8)
 
@@ -279,6 +280,32 @@ def test_verify_fails_immediately_without_parity():
     res = verify_delay_decodable(code, 4, [(0,)])
     assert not res.ok
     assert res.counterexample == ((0,), 0)
+
+
+@pytest.mark.parametrize("tau", [3.5, 4.0, True], ids=repr)
+def test_verifiers_need_an_int_tau(tau):
+    # 3.5 returned a verdict and 4.0 passed as 4.
+    code = build_mds(5, 3, F8)
+    calls = (
+        lambda: verify_delay_decodable(code, tau, [(0, 1)]),
+        lambda: verify_delay_decodable_general(code.generator, tau, [(0, 1)]),
+        lambda: brute_force_decodable(code, tau, (0, 1)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^tau must be an int, got {tau!r}$"):
+            call()
+
+
+@pytest.mark.parametrize("support", [(True, 3), (0, 1.0)], ids=repr)
+def test_verifiers_need_int_support_points(support):
+    # (True, 3) was verified as (1, 3), and (0, 1.0) raised TypeError
+    # from a shift.
+    code = build_mds(5, 3, F8)
+    message = f"^pattern support {re.escape(repr(support))} must hold ints$"
+    with pytest.raises(ValueError, match=message):
+        verify_delay_decodable(code, 4, [support])
+    with pytest.raises(ValueError, match=message):
+        brute_force_decodable(code, 4, support)
 
 
 def test_verify_tau_out_of_range():

@@ -19,6 +19,7 @@ from streamfec.channel import (
     windows_ok,
 )
 from streamfec.bounds import rate_bound
+from streamfec.galois import GF
 
 
 def _pat(*flags):
@@ -317,7 +318,7 @@ def test_erasure_pattern_csv_roundtrip():
 
 def test_error_pattern_json_roundtrip():
     e = ErrorPattern.from_entries(6, 3, {2: (0, 5, 0), 4: (1, 0, 2)})
-    assert ErrorPattern.from_json(e.to_json()) == e
+    assert ErrorPattern.from_json(e.to_json(), GF(8)) == e
 
 
 def test_model_validation():
@@ -351,6 +352,57 @@ def test_from_support_keeps_its_range_check():
     for support in ([4], [-1], [0, 4]):
         with pytest.raises(ValueError, match="support outside horizon"):
             ErasurePattern.from_support(4, support)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ErrorPattern(2.0, 1, ((0,), (1,))), "^horizon must be an int, got 2.0$"),
+        (lambda: ErrorPattern(2, True, ((0,), (1,))), "^packet_size must be an int, got True$"),
+        (lambda: ErrorPattern(2, 1, ((0,), (True,))), "^error packets must be a tuple of tuples of ints$"),
+        (lambda: ErrorPattern(2, 1, ((0,), (1.0,))), "^error packets must be a tuple of tuples of ints$"),
+        (lambda: ErrorPattern(2, 1, [(0,), (1,)]), "^error packets must be a tuple of tuples of ints$"),
+        (lambda: ErrorPattern(2, 1, ((0,), [1])), "^error packets must be a tuple of tuples of ints$"),
+        (lambda: ErasurePattern(2, [0, 1]), "^flags must be a tuple, got list$"),
+    ],
+)
+def test_patterns_hold_exact_ints_and_tuples(build, message):
+    # A float horizon printed "horizon": 2.0 and a bool packet value
+    # printed true in `to_json`, which `from_json` refused; a list field
+    # made the frozen pattern unhashable.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_valid_patterns_hash_and_round_trip():
+    e = ErrorPattern(2, 1, ((0,), (1,)))
+    assert hash(e) == hash(ErrorPattern.from_json(e.to_json(), GF(2)))
+    assert hash(ErasurePattern(2, (0, 1))) == hash(ErasurePattern.from_csv("0,1"))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ErasurePattern.from_support(2.5, ()), "^horizon must be an int, got 2.5$"),
+        (lambda: ErrorPattern.from_entries(2.0, 1, {1: (1,)}), "^horizon must be an int, got 2.0$"),
+        (lambda: ErrorPattern.from_entries(2, 1.0, {}), "^packet_size must be an int, got 1.0$"),
+        (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 2.5), "^horizon must be an int, got 2.5$"),
+        (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 3.0), "^horizon must be an int, got 3.0$"),
+        (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 3, True), "^support bound must be an int, got True$"),
+        (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 3, 1.5), "^support bound must be an int, got 1.5$"),
+        # the messages that were there before stay as they were
+        (lambda: enumerate_admissible(ChannelModel.sw(1, 3), -2), "^horizon must be nonnegative, got -2$"),
+        (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 3, -1), "^support bound must be nonnegative, got -1$"),
+        (lambda: burst_supports(3.0, 1, 1), r"^burst family needs integer n, z and b, got n=3.0, z=1, b=1$"),
+        (lambda: burst_supports(3, 1.0, 1), r"^burst family needs integer n, z and b, got n=3, z=1.0, b=1$"),
+        (lambda: burst_supports(3, 1, True), r"^burst family needs integer n, z and b, got n=3, z=1, b=True$"),
+        (lambda: burst_supports(3, 0, 1), r"^burst family needs z >= 1 and b >= 1, got z=0, b=1$"),
+    ],
+)
+def test_pattern_builders_and_enumeration_take_exact_ints(build, message):
+    # Each raised TypeError, or read True as 1, or returned float times.
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("z, b, w", [(1.5, 1, 5), (True, 1, 5), (1, 1.0, 5), (1, 1, 5.0), (2, True, 7)])

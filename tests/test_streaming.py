@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -37,20 +38,20 @@ def _messages(field, t_max, k, seed):
 
 def test_all_zero_messages_encode_to_zero_stream():
     code = build_mds(5, 2, F8)
-    stream = de_encode(code, [[0, 0]] * 6)
-    assert all(pkt == (0,) * 5 for pkt in stream.packets)
+    packets = de_encode(code, [[0, 0]] * 6)
+    assert all(pkt == (0,) * 5 for pkt in packets)
 
 
 def test_single_message_symbol_diagonal_layout():
     # one nonzero symbol in u(0): the systematic copy at time 0 plus the
     # three parities marching down the diagonal, scaled by the P row
     code = build_mds(5, 2, F8)
-    stream = de_encode(code, [[3, 0]] + [[0, 0]] * 5)
+    packets = de_encode(code, [[3, 0]] + [[0, 0]] * 5)
     p_row = code.P.data[0]
     expect = {(0, 0): 3}
     for s in range(3):
         expect[(2 + s, s + 2)] = F8.mul(3, p_row[s])
-    for t, pkt in enumerate(stream.packets):
+    for t, pkt in enumerate(packets):
         for j, v in enumerate(pkt):
             assert v == expect.get((t, j), 0)
 
@@ -85,7 +86,7 @@ def test_de_encode_matches_generator_column_formula(field):
     for code in codes:
         for horizon in (0, 1, code.n, code.n + 4):
             msgs = _messages(field, horizon, code.k, seed=rng.randrange(1 << 30))
-            assert de_encode(code, msgs).packets == _generator_column_stream(code, msgs)
+            assert de_encode(code, msgs) == _generator_column_stream(code, msgs)
 
 
 def test_encoder_causality():
@@ -96,8 +97,8 @@ def test_encoder_causality():
     s1 = de_encode(code, base)
     s2 = de_encode(code, changed)
     for t in range(6):
-        assert s1.packets[t] == s2.packets[t]
-    assert s1.packets[6] != s2.packets[6]
+        assert s1[t] == s2[t]
+    assert s1[6] != s2[6]
 
 
 def test_encoder_validates_message_shape():
@@ -113,6 +114,65 @@ def test_encoder_validates_message_values(bad):
     code = build_mds(5, 3, F8)
     with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a value of GF"):
         de_encode(code, [[1, 2, 3], [0, bad, 9], [4, 5]])
+
+
+# -- applying a channel realization ----------------------------------------------
+
+
+def _received_time_by_time(field, packets, pattern):
+    """The received stream read one packet time at a time: packet t meets
+    flag t or error packet t of the pattern, and times past the pattern's
+    horizon are clean."""
+    received = []
+    for t, packet in enumerate(packets):
+        if t >= pattern.horizon:
+            received.append(packet)
+        elif isinstance(pattern, ErasurePattern):
+            received.append(None if pattern.flags[t] else packet)
+        else:
+            received.append(tuple(field.add(v, e) for v, e in zip(packet, pattern.packets[t])))
+    return received
+
+
+@pytest.mark.parametrize(
+    "horizon, support",
+    [(6, (1, 4)), (14, (0, 9)), (14, (2, 11)), (10, ()), (0, ())],
+    ids=["shorter", "longer-inside", "past-the-stream", "clean", "empty"],
+)
+def test_apply_matches_a_time_by_time_reference(horizon, support):
+    # A [5,3] stream of 6 messages has 10 packets, times 0..9.  The public
+    # `apply_*` ignore times past the stream, and `simulate` refuses them.
+    rng = random.Random(horizon + len(support))
+    code = build_mds(5, 3, F8)
+    msgs = _messages(F8, 6, 3, seed=horizon)
+    packets = de_encode(code, msgs)
+    entries = {t: tuple(rng.randrange(1, F8.q) for _ in range(5)) for t in support}
+    patterns = (
+        (ErasurePattern.from_support(horizon, support), ChannelModel.sw(2, 5), apply_erasures),
+        (ErrorPattern.from_entries(horizon, 5, entries), ChannelModel.sw_err(1, 5), partial(apply_errors, code)),
+    )
+    for pattern, model, apply in patterns:
+        received = apply(list(packets), pattern)
+        assert received == _received_time_by_time(F8, packets, pattern)
+        # Clean packets come back as the same tuples.
+        assert all(received[t] is packets[t] for t in range(len(packets)) if t not in support)
+        if max(support, default=-1) >= len(packets):
+            with pytest.raises(ValueError, match=r"^pattern support \(2, 11\) reaches past the last packet time 9$"):
+                simulate(code, 4, model, pattern, msgs)
+        else:
+            simulate(code, 4, model, pattern, msgs)
+
+
+def test_apply_errors_checks_the_pattern_against_the_code():
+    # Unchecked, 3-symbol error packets on a [5,3] stream cut each
+    # packet they hit to 3 symbols, and a value past the field was added
+    # in; only `simulate` refused them.
+    code = build_mds(5, 3, F8)
+    packets = de_encode(code, _messages(F8, 2, 3, seed=1))
+    with pytest.raises(ValueError, match="^error packet size must equal the code length$"):
+        apply_errors(code, packets, ErrorPattern.from_entries(6, 3, {1: (1, 1, 1)}))
+    with pytest.raises(ValueError, match=r"^8 is not a value of GF\(8"):
+        apply_errors(code, packets, ErrorPattern.from_entries(6, 5, {1: (0, 8, 0, 0, 0)}))
 
 
 # -- erasure decoding -----------------------------------------------------------
@@ -211,8 +271,8 @@ def test_erasure_report_bytes_are_pinned():
     # Packets 0, 1 and 3 erased at tau = 1: messages 0 and 1 are lost,
     # message 3 is recovered late (at 6, deadline 4), the rest on time.
     code = build_mds(5, 3, F8)
-    stream = de_encode(code, _messages(F8, 6, 3, seed=24))
-    received = [None if t in (0, 1, 3) else p for t, p in enumerate(stream.packets)]
+    packets = de_encode(code, _messages(F8, 6, 3, seed=24))
+    received = [None if t in (0, 1, 3) else p for t, p in enumerate(packets)]
     report = decode_erasures(code, 1, received, 6)
     assert report.to_json() == (GOLDEN / "erasure_decode_report.json").read_text(encoding="utf-8")
 
@@ -221,9 +281,9 @@ def test_error_report_bytes_are_pinned():
     # An error on u_0(2) of a [5,4] stream: u(0) and u(1) decode at their
     # deadlines, and u(2) is ambiguous, so decoding halts there.
     code = build_mds(5, 4, F8)
-    stream = de_encode(code, _messages(F8, 6, 4, seed=25))
+    packets = de_encode(code, _messages(F8, 6, 4, seed=25))
     pattern = ErrorPattern.from_entries(10, 5, {2: (3, 0, 0, 0, 0)})
-    report = decode_errors(code, 4, apply_errors(stream, pattern), 6, ChannelModel.sw_err(1, 5))
+    report = decode_errors(code, 4, apply_errors(code, packets, pattern), 6, ChannelModel.sw_err(1, 5))
     assert report.to_json() == (GOLDEN / "error_decode_report.json").read_text(encoding="utf-8")
     assert report.messages == ((6, 0, 3, 4), (7, 0, 4, 0), None, None, None, None)
 
@@ -280,8 +340,8 @@ def test_erasure_decoder_matches_per_diagonal_oracle(field):
         p = FieldMatrix(field, [[rng.choice((0, rng.randrange(field.q))) for _ in range(n - k)] for _ in range(k)])
         code = SystematicCode(field=field, n=n, k=k, P=p)
         for horizon in (0, 1, n, 30):
-            stream = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
-            last = stream.packet_horizon
+            packets = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
+            last = len(packets)
             supports = [{t for t in range(last) if rng.random() < density} for density in (0.1, 0.3, 0.6)]
             start = rng.randrange(last)
             supports.append(set(range(start, min(start + n - k + 1, last))))
@@ -291,7 +351,7 @@ def test_erasure_decoder_matches_per_diagonal_oracle(field):
             for support in supports:
                 pattern = ErasurePattern.from_support(last, support)
                 tau = rng.randrange(n + 1)
-                received = apply_erasures(stream, pattern)
+                received = apply_erasures(packets, pattern)
                 got = decode_erasures(code, tau, received, horizon)
                 want = _per_diagonal_decode(code, tau, received, horizon)
                 assert got.to_json() == want.to_json()
@@ -314,9 +374,9 @@ def test_erasure_decoder_rejects_conflicting_diagonal():
     ]
     for field in (F8, F7):
         code = build_mds(5, 3, field)
-        stream = de_encode(code, _messages(field, 6, 3, seed=12))
+        packets = de_encode(code, _messages(field, 6, 3, seed=12))
         for corrupt, first in cases:
-            received = [list(pkt) for pkt in stream.packets]
+            received = [list(pkt) for pkt in packets]
             for t, j in corrupt:
                 received[t][j] = field.add(received[t][j], 1)
             with pytest.raises(RuntimeError, match=f"received symbols of diagonal {first} conflict"):
@@ -332,9 +392,9 @@ def test_erasure_decoder_rejects_negative_delay(tau):
     # At tau = -1 every message of a clean stream would be reported as a
     # deadline miss.
     code = build_mds(5, 3, F8)
-    stream = de_encode(code, _messages(F8, 3, 3, seed=11))
+    packets = de_encode(code, _messages(F8, 3, 3, seed=11))
     with pytest.raises(ValueError, match=f"tau must be nonnegative, got {tau}"):
-        decode_erasures(code, tau, list(stream.packets), 3)
+        decode_erasures(code, tau, list(packets), 3)
 
 
 # -- error decoding ---------------------------------------------------------------
@@ -383,8 +443,8 @@ def test_code_below_doubled_budget_yields_ambiguity():
     e, e_tilde = erasure_to_error_split(failing, n)
     assert e.support == (0,) and e_tilde.support == (1,)
     msgs = [[0] * k] * 4
-    stream = de_encode(code, msgs)
-    received = apply_errors(stream, e)
+    packets = de_encode(code, msgs)
+    received = apply_errors(code, packets, e)
     report = decode_errors(code, 4, received, 4, ChannelModel.sw_err(1, 5))
     assert report.ambiguities == (0,)
     assert not report.success
@@ -393,17 +453,17 @@ def test_code_below_doubled_budget_yields_ambiguity():
     p_col = [code.P[i, 0] for i in range(k)]
     beta = F8.neg(F8.div(p_col[0], p_col[1]))
     alt = [[1, 0, 0, 0], [0, beta, 0, 0], [0] * 4, [0] * 4]
-    alt_stream = de_encode(code, alt)
-    assert alt_stream.packets[0] == (1, 0, 0, 0, 0) == received[0]
-    assert all(alt_stream.packets[t] == (0,) * n == received[t] for t in range(2, 8))
-    assert tuple(t for t in range(8) if alt_stream.packets[t] != received[t]) == e_tilde.support
+    alt_packets = de_encode(code, alt)
+    assert alt_packets[0] == (1, 0, 0, 0, 0) == received[0]
+    assert all(alt_packets[t] == (0,) * n == received[t] for t in range(2, 8))
+    assert tuple(t for t in range(8) if alt_packets[t] != received[t]) == e_tilde.support
 
 
 def test_ambiguity_halts_subsequent_decoding():
     code = build_mds(5, 4, F8)
     y_err = ErrorPattern.from_entries(8, 5, {0: (3, 0, 0, 0, 0)})
-    stream = de_encode(code, [[0] * 4] * 4)
-    received = apply_errors(stream, y_err)
+    packets = de_encode(code, [[0] * 4] * 4)
+    received = apply_errors(code, packets, y_err)
     report = decode_errors(code, 4, received, 4, ChannelModel.sw_err(1, 5))
     assert report.failures == (0, 1, 2, 3)
     assert report.times == (None,) * 4
@@ -419,7 +479,7 @@ def test_past_error_rules_out_candidates_in_its_window():
     pattern = ErrorPattern.from_entries(8, 4, {0: (1, 0, 1, 0), 3: (0, 1, 0, 0)})
     model = ChannelModel.sw_err(1, 3)
     assert model.admits(pattern)
-    report = decode_errors(code, 1, apply_errors(de_encode(code, msgs), pattern), 5, model)
+    report = decode_errors(code, 1, apply_errors(code, de_encode(code, msgs), pattern), 5, model)
     assert report.success and not report.ambiguities
     assert list(report.messages) == [(1,)] * 5
 
@@ -433,7 +493,7 @@ def test_past_parity_error_rules_out_candidates_in_its_window():
     pattern = ErrorPattern.from_entries(8, 4, {0: (0, 0, 1, 0), 3: (0, 1, 0, 0)})
     model = ChannelModel.sw_err(1, 3)
     assert model.admits(pattern)
-    report = decode_errors(code, 1, apply_errors(de_encode(code, msgs), pattern), 5, model)
+    report = decode_errors(code, 1, apply_errors(code, de_encode(code, msgs), pattern), 5, model)
     assert report.success and not report.ambiguities
     assert list(report.messages) == [(1,)] * 5
 
@@ -446,7 +506,7 @@ def test_over_budget_error_pattern_is_flagged_but_simulated():
     # take the wrong value for an implementation defect.
     code = build_mds(5, 3, F8)
     msgs = _messages(F8, 8, 3, seed=13)
-    unit = de_encode(code, [[1, 0, 0]] + [[0, 0, 0]] * 7).packets
+    unit = de_encode(code, [[1, 0, 0]] + [[0, 0, 0]] * 7)
     pattern = ErrorPattern.from_entries(12, 5, {3: unit[3], 4: unit[4]})
     report = simulate(code, 4, ChannelModel.sw_err(1, 5), pattern, msgs)
     assert not report.pattern_admissible
@@ -465,15 +525,15 @@ def test_simulate_reports_the_decoders_report_and_its_own_verdict():
     for model in models:
         for _ in range(30):
             msgs = _messages(F8, 6, 3, seed=rng.randrange(1 << 30))
-            stream = de_encode(code, msgs)
-            support = [t for t in range(stream.packet_horizon) if rng.random() < 0.2]
+            packets = de_encode(code, msgs)
+            support = [t for t in range(len(packets)) if rng.random() < 0.2]
             if model is not None and model.errors:
                 entries = {t: tuple(rng.randrange(F8.q) for _ in range(5)) for t in support}
-                pattern = ErrorPattern.from_entries(stream.packet_horizon, 5, entries)
-                bare = decode_errors(code, 4, apply_errors(stream, pattern), 6, model)
+                pattern = ErrorPattern.from_entries(len(packets), 5, entries)
+                bare = decode_errors(code, 4, apply_errors(code, packets, pattern), 6, model)
             else:
-                pattern = ErasurePattern.from_support(stream.packet_horizon, support)
-                bare = decode_erasures(code, 4, apply_erasures(stream, pattern), 6)
+                pattern = ErasurePattern.from_support(len(packets), support)
+                bare = decode_erasures(code, 4, apply_erasures(packets, pattern), 6)
                 assert bare.params["model"] is None
             assert bare.pattern_admissible
             report = simulate(code, 4, model, pattern, msgs)
@@ -490,9 +550,9 @@ def test_simulate_reports_the_decoders_report_and_its_own_verdict():
 
 def test_error_decoder_requires_error_model():
     code = build_mds(5, 3, F8)
-    stream = de_encode(code, [[0] * 3] * 3)
+    packets = de_encode(code, [[0] * 3] * 3)
     with pytest.raises(ValueError):
-        decode_errors(code, 4, stream.packets, 3, ChannelModel.sw(2, 5))
+        decode_errors(code, 4, packets, 3, ChannelModel.sw(2, 5))
 
 
 @pytest.mark.parametrize("tau", [-1, -3])
@@ -500,8 +560,8 @@ def test_error_decoder_rejects_negative_delay(tau):
     # At tau = -1 the decoder would trust packet t before it arrives and
     # report every message recovered at t - 1.
     code = build_mds(5, 3, F8)
-    stream = de_encode(code, _messages(F8, 4, 3, seed=11))
-    received = apply_errors(stream, ErrorPattern.from_entries(stream.packet_horizon, 5, {}))
+    packets = de_encode(code, _messages(F8, 4, 3, seed=11))
+    received = apply_errors(code, packets, ErrorPattern.from_entries(len(packets), 5, {}))
     with pytest.raises(ValueError, match=f"tau must be nonnegative, got {tau}"):
         decode_errors(code, tau, received, 4, ChannelModel.sw_err(1, 5))
 
@@ -512,12 +572,13 @@ def test_tau_must_be_an_int(entry, tau):
     # Unchecked, the report printed "tau": 2.5 with "deadline": 2.5, or
     # "tau": true.
     code = build_mds(5, 3, F8)
-    stream = de_encode(code, _messages(F8, 3, 3, seed=11))
+    msgs = _messages(F8, 3, 3, seed=11)
+    packets = de_encode(code, msgs)
     model = ChannelModel.sw_err(1, 5)
     calls = {
-        "simulate": lambda: simulate(code, tau, model, ErrorPattern.from_entries(7, 5, {}), stream.messages),
-        "decode_erasures": lambda: decode_erasures(code, tau, list(stream.packets), 3),
-        "decode_errors": lambda: decode_errors(code, tau, list(stream.packets), 3, model),
+        "simulate": lambda: simulate(code, tau, model, ErrorPattern.from_entries(7, 5, {}), msgs),
+        "decode_erasures": lambda: decode_erasures(code, tau, list(packets), 3),
+        "decode_errors": lambda: decode_errors(code, tau, list(packets), 3, model),
         "equivalence_sweep": lambda: equivalence_sweep(code, model, tau, 3, seed=1),
     }
     with pytest.raises(ValueError, match=f"^tau must be an int, got {re.escape(repr(tau))}$"):
@@ -554,8 +615,8 @@ MALFORMED_CASES = [
 def test_decoders_reject_malformed_received(decoder, name):
     bad, message = MALFORMED_PACKETS[name]
     code = build_mds(5, 3, F8)
-    stream = de_encode(code, [[1, 2, 3], [4, 5, 6], [7, 0, 1]])
-    received = list(stream.packets)
+    packets = de_encode(code, [[1, 2, 3], [4, 5, 6], [7, 0, 1]])
+    received = list(packets)
     received[2] = bad(received[2])
     with pytest.raises(ValueError, match=message):
         if decoder == "erasures":
@@ -567,7 +628,7 @@ def test_decoders_reject_malformed_received(decoder, name):
 @pytest.mark.parametrize("decoder", ["erasures", "errors"])
 def test_decoders_reject_stream_of_wrong_length(decoder):
     code = build_mds(5, 3, F8)
-    received = list(de_encode(code, [[1, 2, 3]] * 3).packets)[:-1]
+    received = list(de_encode(code, [[1, 2, 3]] * 3))[:-1]
     with pytest.raises(ValueError, match="received stream must cover 7 packet times"):
         if decoder == "erasures":
             decode_erasures(code, 4, received, 3)
@@ -608,7 +669,7 @@ def test_decoders_reject_message_horizon_that_is_no_int(decoder, horizon):
     # 3.5 once asked for a stream of 7.5 packet times, and True passed as
     # 1; the sweep raised TypeError from range() on 2.5.
     code = build_mds(5, 3, F8)
-    received = list(de_encode(code, [[1, 2, 3]]).packets)
+    received = list(de_encode(code, [[1, 2, 3]]))
     model = ChannelModel.sw_err(1, 5)
     calls = {
         "erasures": lambda: decode_erasures(code, 4, received, horizon),
@@ -632,14 +693,14 @@ def _random_error_decodes(field, seed):
 
     def case(code, model, tau, horizon, rate, symbols):
         n, k = code.n, code.k
-        stream = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
+        packets = de_encode(code, _messages(field, horizon, k, seed=rng.randrange(1 << 30)))
         entries = {
             t: tuple(rng.randrange(field.q) if j in symbols else 0 for j in range(n))
             for t in range(horizon + n - 1)
             if rng.random() < rate
         }
         pattern = ErrorPattern.from_entries(horizon + n - 1, n, entries)
-        return code, tau, apply_errors(stream, pattern), horizon, model
+        return code, tau, apply_errors(code, packets, pattern), horizon, model
 
     for n, k in ((2, 1), (3, 2), (4, 2), (5, 4)):
         p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
@@ -785,7 +846,10 @@ def test_window_rows_decode_the_syndrome(field):
             checks, rows, residuals = streaming._window(code, width, supports)
             assert list(rows) == supports
             t = n - 1
-            streams = [de_encode(code, _messages(field, t + width + n, k, rng.randrange(1 << 30))) for _ in range(3)]
+            streams = []
+            for _ in range(3):
+                msgs = _messages(field, t + width + n, k, rng.randrange(1 << 30))
+                streams.append((msgs, de_encode(code, msgs)))
             for offs, candidate in rows.items():
                 unpinned = []
                 for i in range(k):
@@ -793,14 +857,14 @@ def test_window_rows_decode_the_syndrome(field):
                     _, pins = code.recovery((1 << i) - 1 | sum(1 << j for j in kept))
                     if i not in pins:
                         unpinned.append(i)
-                for stream in streams:
+                for msgs, packets in streams:
                     errors = {o: [rng.randrange(field.q) for _ in range(n)] for o in offs}
                     # Packets t-n+1, ..., t-1 as the decoder holds them:
                     # decoded messages, and parity symbols no check reads.
                     window = []
-                    for u in stream.messages[t - n + 1 : t]:
+                    for u in msgs[t - n + 1 : t]:
                         window += list(u) + [rng.randrange(field.q) for _ in range(n - k)]
-                    for o, packet in enumerate(stream.packets[t : t + width]):
+                    for o, packet in enumerate(packets[t : t + width]):
                         window += [field.add(v, e) for v, e in zip(packet, errors.get(o, [0] * n))]
                     digits = [value(c, window) for c in checks]
                     untouched = candidate[0]
