@@ -63,6 +63,7 @@ class ErasurePattern:
         _check_int("horizon", horizon)
         flags = [0] * horizon
         for t in support:
+            _check_int("support time", t)
             if not 0 <= t < horizon:
                 raise ValueError("support outside horizon")
             flags[t] = 1
@@ -108,6 +109,7 @@ class ErrorPattern:
         _check_int("horizon", horizon)
         _check_int("packet_size", packet_size)
         for t in entries:
+            _check_int("error entry time", t)
             if t not in range(horizon):
                 raise ValueError(f"error entry time {t!r} outside [0, {horizon})")
         zero = (0,) * packet_size

@@ -47,25 +47,31 @@ S is consistent when, on every diagonal, s_d lies in the column span of
 H_d[:, E], E being the positions S erases, and it fixes u(t) when s_d
 also determines the error on each coordinate of u(t).  All consistent
 candidates must agree on u(t); disagreement (or an underdetermined u(t))
-is reported as an ambiguity, never silently resolved.  Packet t was in
-error iff u(t) needed a correction or some symbol j >= k of it differs
-from parity j of diagonal t-j.  That diagonal's messages are all before
-t, so the difference, its residual, is the first check `recovery` gives
-on its observation: a residual is its diagonal's first syndrome digit,
-and nothing is re-encoded.
+is reported as an ambiguity, never silently resolved.
+
+A window diagonal observes every message position whenever it observes
+a parity, so its checks are the residuals of its observed parities:
+parity j of packet p minus parity j re-encoded from the messages of
+diagonal p-j.  The window syndrome is therefore the n-k residuals of
+each window packet, and nothing else.  The decoder reads a packet's
+residuals once, when the packet enters the window, with one
+`matrix.Packed` read (`_residual_reader`, built once per memo) over
+the received stream, over whose message symbols each decoded u(t) is
+written; a nonzero correction re-reads the residuals of the window
+packets that read u(t).  The syndrome is the base-q^(n-k) integer of
+the window's packets, packet t most significant, so it slides by one
+packet per message.  Packet t was in error iff u(t) needed a correction
+or one of its own residuals, the syndrome's first n-k digits, is
+nonzero.
 
 So the decision, the correction to u(t) and whether packet t was in
 error, depends on the window only through its syndrome, and it is
 memoised under (window width, near-past error offsets, window
-syndrome).  The syndrome is one `matrix.Packed` read of the window's
-checks, built once per width, over the received stream with each
-decoded u(t) written over packet t's message symbols: a table lookup per
-symbol gives the base-q integer of its digits, which is the key's
-syndrome part as it stands.  A new key is decided from the key alone:
-its digits are unpacked from it, each candidate of its (width, near-past
-offsets) context is a set of one-form `matrix.Packed` readers over those
-digits, its checks and its corrections, built once per width, the
-residuals are digits of the syndrome, and no received packet is read.
+syndrome).  A new key is decided from the key alone: its digits are
+unpacked from it, each candidate of its (width, near-past offsets)
+context is a set of one-form `matrix.Packed` readers over those digits,
+its checks and its corrections, built once per width, and no received
+packet is read.
 
 The stream is its tuple of packets, and a channel realization is
 applied at its pattern's support: `apply_erasures` and `apply_errors`
@@ -86,7 +92,7 @@ from typing import Sequence
 
 from .block_code import SystematicCode
 from .channel import ChannelModel, ErasurePattern, ErrorPattern, _check_count, enumerate_admissible, windows_ok
-from .matrix import Packed, _rref, add, form
+from .matrix import Packed, _digits_of, _rref, add, form
 
 
 @dataclass(frozen=True)
@@ -206,6 +212,24 @@ def _erasure_reader(code: SystematicCode, avail: int) -> tuple[Packed, dict[int,
     )
 
 
+def _residual_reader(code: SystematicCode) -> Packed:
+    """The parity residuals of one packet p, as one reader of n-k forms
+    over the received stream read at offset p*n, where packet p starts at
+    entry (n-1)*n: residual j-k, in ascending j, is packet p's symbol j
+    minus parity j re-encoded from the messages of diagonal p-j,
+    y_j(p) - sum_i P[i][j] u_i(p-j+i), with u_i(p-j+i) at entry
+    (n-1-j+i)*n + i."""
+    f, n, k = code.field, code.n, code.k
+    base = (n - 1) * n
+    return Packed(
+        f,
+        [
+            form(f, [f.neg(v) for v in col] + [1], [base - (j - i) * n + i for i in range(k)] + [base + j])
+            for j, col in zip(range(k, n), zip(*code.P.data))
+        ],
+    )
+
+
 def decode_erasures(
     code: SystematicCode,
     tau: int,
@@ -288,21 +312,22 @@ _NO_CANDIDATE = "no consistent candidate"
 _AMBIGUOUS = "ambiguous"
 
 
-def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> tuple[list, dict, int]:
-    """The syndrome checks of a width-slot window [t, t+width-1], each
-    candidate error support (offsets in the window) as rows over the
-    digits of the window syndrome, and the residuals of packet t.
+def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> dict:
+    """Each candidate error support (offsets in the window) of a
+    width-slot window [t, t+width-1], as rows over the digits of the
+    window syndrome: the n-k parity residuals of each window packet
+    (`_residual_reader`), packet t's first, so residual
+    j-k of packet t+a is digit a*(n-k) + j-k.
 
-    The checks are those of `code.recovery` with every window position
-    observed, on every diagonal d touching the window: d's full-window
-    checks H_d.  A check is a `matrix.form` over the received stream read
-    at offset t*n, with the messages before t decoded in place: symbol j
-    of diagonal t+o is entry (o + n - 1)*n + j*(n + 1).
-    Diagonal t+o, o < 0, observes its message positions j < min(-o, k),
-    decoded in place, and its symbols j >= -o, so a window never reads a
-    parity symbol of a packet before t.  The syndrome digits are the
-    checks' values in order, so diagonal d's slice is s_d = H_d y for its
-    own observation y.
+    Diagonal d = t+o, for o in [1-n, width), is checked by the
+    `code.recovery` answer for its window observation: its message
+    positions before time t, decoded in place, and its positions in the
+    window, so a window never reads a parity symbol of a packet before t.
+    That observation holds every message position whenever it holds a
+    parity, so its checks are, in ascending j, the residuals of its
+    observed parities j: packet t+o+j's, digit (o+j)*(n-k) + j-k.  This
+    diagonal's checks H_d, as rows over its observation y, give its
+    slice s_d = H_d y of the syndrome.
 
     A candidate is (untouched, checks, corrections).  `untouched` is the
     bitmask of the digits of the diagonals the candidate leaves
@@ -323,21 +348,10 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     offset 0 is erased, u_i(t) is E's first column on diagonal t-i; its
     error is determined, as mu . s_d, iff the pivot row of that column
     is (1, 0, ..., 0) on E, with record mu, and the correction is then
-    -mu . s_d.
-
-    residuals is the bitmask of packet t's residuals, one digit per
-    symbol j >= k of packet t: its received value minus parity j
-    re-encoded from the messages of diagonal t-j, all of them before t.
-    That diagonal observes every message position and then its position
-    j, so the residual is its slice's first digit.  Every candidate
-    reads them alike, and packet t was in error iff the correction or
-    some residual is nonzero."""
+    -mu . s_d."""
     n, k, f = code.n, code.k, code.field
-    checks = []
     zero = Packed(f, [])
     rows = {offs: [0, [], [zero] * k] for offs in candidates}
-    residuals = 0
-    start = 0
     for o in range(1 - n, width):
         # Diagonal t+o observes its message positions before time t and
         # its positions in the window, from max(-o, 0) on.
@@ -345,17 +359,9 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
         avail = (1 << min(first, k)) - 1 | (1 << min(n, width - o)) - (1 << first)
         full, _ = code.recovery(avail)
         observed = [j for j in range(n) if avail >> j & 1]
-        index = [(o + n - 1) * n + j * (n + 1) for j in observed]
-        checks += [form(f, c, index) for c in full]
-        r = len(full)
         # The digits of this diagonal's syndrome slice.
-        digits = range(start, start + r)
-        if -o >= k:
-            # Diagonal t+o, o <= -k, observes every message position, so
-            # `recovery` reduces its next position -o, a symbol of packet
-            # t, to zero on them at once: its check, the slice's first, is
-            # that symbol minus its re-encoded parity.
-            residuals |= 1 << start
+        digits = [(o + j) * (n - k) + j - k for j in observed if j >= k]
+        slice_mask = sum(1 << at for at in digits)
 
         # Candidates that erase the same positions of this diagonal share
         # its readers.
@@ -364,11 +370,11 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
             # The erased positions, as indices into the observation.
             erased = tuple(l for l, j in enumerate(observed) if o + j in offs)
             if not erased:
-                entry[0] |= ((1 << r) - 1) << start
+                entry[0] |= slice_mask
                 continue
             if erased not in by_erased:
                 e = len(erased)
-                aug = [[c[at] for at in erased] + [int(l == m) for m in range(r)] for l, c in enumerate(full)]
+                aug = [[c[at] for at in erased] + [int(l == m) for m in range(len(full))] for l, c in enumerate(full)]
                 reduced, pivots = _rref(f, aug, e)
                 pin = reduced[0] if pivots[:1] == [0] and not any(reduced[0][1:e]) else None
                 correction = None if pin is None else Packed(f, [form(f, [f.neg(a) for a in pin[e:]], digits)])
@@ -380,21 +386,21 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
             # exactly when offset 0 is.
             if 0 <= -o < k and 0 in offs:
                 entry[2][-o] = correction
-        start += r
-    return checks, {
+    return {
         offs: (untouched, tuple(cand_checks), None if None in corrections else tuple(corrections))
         for offs, (untouched, cand_checks, corrections) in rows.items()
-    }, residuals
+    }
 
 
 def _decide(
-    candidates: list[tuple[int, tuple[Packed, ...], tuple[Packed, ...] | None]], residuals: int, s: list[int]
+    candidates: list[tuple[int, tuple[Packed, ...], tuple[Packed, ...] | None]], r: int, s: list[int]
 ) -> str | tuple[tuple[int, ...], bool]:
     """The verdict on the window syndrome with digits s, given the rows of
-    its context's candidates and the residual digits of its width (see
-    `_window`): _NO_CANDIDATE, _AMBIGUOUS, or (g, in_error), with u(t)
-    equal to received u(t) + g, and in_error telling whether packet t was
-    in error: g is nonzero or some parity residual is."""
+    its context's candidates (see `_window`), whose first r = n-k digits
+    are packet t's parity residuals: _NO_CANDIDATE, _AMBIGUOUS, or
+    (g, in_error), with u(t) equal to received u(t) + g, and in_error
+    telling whether packet t was in error: g is nonzero or some parity
+    residual is."""
     nonzero = sum(1 << at for at, v in enumerate(s) if v)
     agreed = None
     for untouched, checks, corrections in candidates:
@@ -409,7 +415,7 @@ def _decide(
             return _AMBIGUOUS
     if agreed is None:
         return _NO_CANDIDATE
-    return agreed, any(agreed) or bool(nonzero & residuals)
+    return agreed, any(agreed) or any(s[:r])
 
 
 def decode_errors(
@@ -430,21 +436,23 @@ def decode_errors(
     ambiguity record and decoding halts there.
 
     The decision is memoised per (code, tau, model) under (window width,
-    near-past error offsets, window syndrome).  The syndrome is one
-    `matrix.Packed` read of the width's window checks at offset t*n of
-    the received stream, over whose message symbols each decoded u(t) is
-    written, the base-q integer of its digits.  A miss is decided from
-    the key alone, its digits unpacked from the syndrome, by syndrome
-    decoding: on each diagonal d, a candidate is consistent iff d's
-    syndrome slice lies in the span of d's full-window checks on the
-    positions it erases, and its correction to u_i(t) is minus the error
-    that the slice then determines.  The width and near-past offsets fix
-    the admissible candidates, so the key fixes the verdict and the
+    near-past error offsets, window syndrome).  The syndrome is the
+    window packets' parity residuals, packet t's first, as one base-q
+    integer: each packet's n-k residuals are read once, by
+    `_residual_reader` at offset p*n of the received stream, when packet p
+    enters the window; the key then slides by one packet per message, and
+    a nonzero correction, written over packet t's message symbols,
+    re-reads the residuals that read it.  A miss is decided from the key
+    alone, its digits unpacked from the syndrome, by syndrome decoding:
+    on each diagonal d, a candidate is consistent iff d's syndrome slice
+    lies in the span of d's full-window checks on the positions it
+    erases, and its correction to u_i(t) is minus the error that the
+    slice then determines.  The width and near-past offsets fix the
+    admissible candidates, so the key fixes the verdict and the
     correction to u(t) exactly; it also fixes whether packet t was in
-    error, through the residuals of its parity symbols, which are
-    syndrome digits.  The memo holds at most `_DECISION_CAP` = 2^15
-    verdicts, about 2.5 MiB with the burst sweep's 94-bit keys, and is
-    cleared when full.
+    error, through packet t's residuals, the syndrome's first n-k digits.
+    The memo holds at most `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB
+    with the burst sweep's 94-bit keys, and is cleared when full.
     """
     _check_count("tau", tau)
     if not model.errors:
@@ -456,26 +464,36 @@ def decode_errors(
 
     memo = code._error_decisions.get((tau, model))
     if memo is None:
-        memo = code._error_decisions[tau, model] = ({}, {}, {}, {})
-    windows, contexts, verdicts, shared = memo
+        memo = code._error_decisions[tau, model] = ({}, {}, {}, {}, _residual_reader(code), [1])
+    windows, contexts, verdicts, shared, reader, power = memo
+    residuals = reader.read
+    # The syndrome of [t, wend] is base Q = q^(n-k), packet p's residuals
+    # its digit wend - p; power[e] = Q^e, up to the widest window's width.
+    r = n - k
+    Q = f.q**r
+    while len(power) <= min(tau, last) + 1:
+        power.append(power[-1] * Q)
     # Width and near-past offsets fill the key's low bits.
     low_bits = w + (tau + 1).bit_length()
 
-    # Bit r is set iff packet t - r, 0 < r < w, was inferred in error.
+    # Bit d is set iff packet t - d, 0 < d < w, was inferred in error.
     near_past = 0
     times: list[int | None] = []
     ambiguities: list[int] = []
     messages_out: list[tuple[int, ...] | None] = []
 
+    wend = -1
+    syndrome = 0
     for t in range(message_horizon):
-        wend = min(t + tau, last)
+        # Packet t-1 leaves the window, and the packets up to t+tau enter
+        # it while the stream lasts.
+        syndrome %= power[wend - t + 1]
+        while wend < t + tau and wend < last:
+            wend += 1
+            syndrome = syndrome * Q + residuals(flat, wend * n)
         width = wend - t + 1
         if width not in windows:
-            subsets = [p.support for p in enumerate_admissible(model, width)]
-            checks, rows, residuals = _window(code, width, subsets)
-            windows[width] = Packed(f, checks), rows, residuals
-        syndromes, rows, residuals = windows[width]
-        syndrome = syndromes.read(flat, t * n)
+            windows[width] = _window(code, width, [p.support for p in enumerate_admissible(model, width)])
         key = syndrome << low_bits | width << w | near_past
         verdict = verdicts.get(key)
         if verdict is None:
@@ -483,11 +501,12 @@ def decode_errors(
             # (width, near-past offsets) context, tested on its syndrome.
             candidates = contexts.get((width, near_past))
             if candidates is None:
-                near = [-r for r in range(w - 1, 0, -1) if near_past >> r & 1]
+                rows = windows[width]
+                near = [-d for d in range(w - 1, 0, -1) if near_past >> d & 1]
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
                 ]
-            verdict = _decide(candidates, residuals, syndromes.digits(syndrome))
+            verdict = _decide(candidates, r, _digits_of(syndrome, f.q, width * r))
             if len(verdicts) >= _DECISION_CAP:
                 verdicts.clear()
                 shared.clear()
@@ -503,10 +522,18 @@ def decode_errors(
             messages_out += [None] * (message_horizon - t)
             break
         correction, in_error = verdict
-        # Later windows read u(t) from packet t's message symbols.
         at = (t + n - 1) * n
-        flat[at : at + k] = value = tuple(add(f, flat[at : at + k], correction))
-        messages_out.append(value)
+        if any(correction):
+            # Later windows read u(t) from packet t's message symbols,
+            # through the residuals of packets t+1, ..., t+n-1.
+            flat[at : at + k] = add(f, flat[at : at + k], correction)
+            top = min(t + n - 1, wend)
+            kept = syndrome % power[wend - top]
+            syndrome //= power[wend - t]
+            for p in range(t + 1, top + 1):
+                syndrome = syndrome * Q + residuals(flat, p * n)
+            syndrome = syndrome * power[wend - top] + kept
+        messages_out.append(tuple(flat[at : at + k]))
         times.append(wend)
         near_past = ((near_past | in_error) << 1) & ((1 << w) - 1)
 

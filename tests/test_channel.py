@@ -386,6 +386,11 @@ def test_valid_patterns_hash_and_round_trip():
         (lambda: ErasurePattern.from_support(2.5, ()), "^horizon must be an int, got 2.5$"),
         (lambda: ErrorPattern.from_entries(2.0, 1, {1: (1,)}), "^horizon must be an int, got 2.0$"),
         (lambda: ErrorPattern.from_entries(2, 1.0, {}), "^packet_size must be an int, got 1.0$"),
+        (lambda: ErasurePattern.from_support(3, [1.0]), "^support time must be an int, got 1.0$"),
+        (lambda: ErasurePattern.from_support(3, [True]), "^support time must be an int, got True$"),
+        (lambda: ErasurePattern.from_support(3, (0, 2.0)), "^support time must be an int, got 2.0$"),
+        (lambda: ErrorPattern.from_entries(3, 1, {1.0: (1,)}), "^error entry time must be an int, got 1.0$"),
+        (lambda: ErrorPattern.from_entries(3, 1, {True: (1,)}), "^error entry time must be an int, got True$"),
         (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 2.5), "^horizon must be an int, got 2.5$"),
         (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 3.0), "^horizon must be an int, got 3.0$"),
         (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 3, True), "^support bound must be an int, got True$"),
@@ -393,6 +398,8 @@ def test_valid_patterns_hash_and_round_trip():
         # the messages that were there before stay as they were
         (lambda: enumerate_admissible(ChannelModel.sw(1, 3), -2), "^horizon must be nonnegative, got -2$"),
         (lambda: enumerate_admissible(ChannelModel.sw(1, 3), 3, -1), "^support bound must be nonnegative, got -1$"),
+        (lambda: ErasurePattern.from_support(3, [3]), "^support outside horizon$"),
+        (lambda: ErrorPattern.from_entries(3, 1, {-1: (1,)}), r"^error entry time -1 outside \[0, 3\)$"),
         (lambda: burst_supports(3.0, 1, 1), r"^burst family needs integer n, z and b, got n=3.0, z=1, b=1$"),
         (lambda: burst_supports(3, 1.0, 1), r"^burst family needs integer n, z and b, got n=3, z=1.0, b=1$"),
         (lambda: burst_supports(3, 1, True), r"^burst family needs integer n, z and b, got n=3, z=1, b=True$"),

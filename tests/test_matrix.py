@@ -10,13 +10,14 @@ from streamfec.galois import GF
 from streamfec.matrix import (
     FieldMatrix,
     Packed,
+    _digits_of,
     add,
     form,
     in_span,
     punctured_parity,
     rank,
 )
-from streamfec.streaming import _window
+from streamfec.streaming import _residual_reader
 
 from test_block_code import _dot, _mul
 
@@ -245,24 +246,44 @@ def test_packed_tables_fill_lazily_above_q256():
 
 @pytest.mark.parametrize("q", [8, 7])
 def test_packed_window_syndrome_is_the_error_decoders_base_q_key(q):
-    # The error decoder's window checks, for p = 2 and odd p: the packed
-    # read is the base-q integer of their values, digit 0 most significant.
+    # The error decoder's window syndrome, for p = 2 and odd p: the
+    # residual reader, read at a window packet, is the base-q integer of
+    # its n-k parity residuals, digit 0 most significant, and the window's
+    # packets folded base q^(n-k), packet t first, are the base-q integer
+    # of every residual in that order, which `_digits_of` splits back.
     # The window is n-1 packets before t, then `width` packets, as the
-    # decoder lays it out; no check reads a parity symbol of a packet
-    # before t, so the values equal those with these symbols zeroed.
+    # decoder lays it out; no residual of a window packet reads a parity
+    # symbol of a packet before t, so the values equal those with these
+    # symbols zeroed.
     f = GF(q)
     code = build_mds(5, 3, f)
     n, k = code.n, code.k
+    reader = _residual_reader(code)
     rng = random.Random(q)
+
+    def residuals(window, a):
+        # residual j of packet t+a: its symbol j minus sum_i P[i][j] u_i(t+a-j+i)
+        out = []
+        for j in range(k, n):
+            coeffs = [f.neg(code.P[i, j - k]) for i in range(k)] + [1]
+            values = [window[(n - 1 + a - j + i) * n + i] for i in range(k)] + [window[(n - 1 + a) * n + j]]
+            out.append(_dot(f, coeffs, values))
+        return out
+
     for width in range(1, 6):
-        checks, _, _ = _window(code, width, [()])
-        packed = Packed(f, checks)
         for _ in range(20):
             window = [rng.randrange(q) for _ in range((n - 1 + width) * n)]
             zeroed = [0 if at < (n - 1) * n and at % n >= k else v for at, v in enumerate(window)]
-            digits = [_form_value(f, terms, zeroed) for terms in checks]
-            assert packed.read(window) == _base_q(q, digits)
-            assert packed.digits(packed.read(window)) == digits
+            digits = []
+            syndrome = 0
+            for a in range(width):
+                packet = residuals(zeroed, a)
+                assert reader.read(window, a * n) == reader.read(zeroed, a * n) == _base_q(q, packet)
+                assert reader.digits(reader.read(window, a * n)) == packet
+                digits += packet
+                syndrome = syndrome * q ** (n - k) + reader.read(window, a * n)
+            assert syndrome == _base_q(q, digits)
+            assert _digits_of(syndrome, q, width * (n - k)) == digits
 
 
 def test_matrix_json_literals_roundtrip():

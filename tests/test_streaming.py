@@ -818,32 +818,107 @@ def test_syndrome_verdicts_match_window_candidate_loop(field):
     assert any(r.failures and not r.ambiguities for r in reports)
 
 
+def _window_avail(n, k, width, o):
+    """The observed positions of window diagonal t+o, o in [1-n, width):
+    its message positions before time t, then its positions in the
+    window [t, t+width-1]."""
+    first = max(-o, 0)
+    return (1 << min(first, k)) - 1 | (1 << min(n, width - o)) - (1 << first)
+
+
+def _residual_rows(code, avail):
+    """The rows, over the observation of `avail` in ascending position
+    order, of its parity residuals y_j - sum_i P[i][j] y_i, in ascending
+    j, one per observed parity j."""
+    f, n, k = code.field, code.n, code.k
+    observed = [j for j in range(n) if avail >> j & 1]
+    rows = []
+    for j in observed:
+        if j >= k:
+            coeff = {i: f.neg(code.P[i, j - k]) for i in range(k)}
+            coeff[j] = 1
+            rows.append(tuple(coeff.get(pos, 0) for pos in observed))
+    return tuple(rows)
+
+
+def _residuals_by_encode(code, packets, p):
+    """Packet p's parity residuals in ascending j: its symbol j minus
+    parity j of the messages of diagonal p-j, re-encoded by `encode` from
+    the packets' own message symbols, zero before time 0."""
+    f, n, k = code.field, code.n, code.k
+    out = []
+    for j in range(k, n):
+        u = [packets[p - j + i][i] if p - j + i >= 0 else 0 for i in range(k)]
+        out.append(f.add(packets[p][j], f.neg(code.encode(u)[j])))
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F16], ids=lambda f: f"q{f.q}")
+def test_window_checks_are_parity_residuals(field):
+    # The lemma behind the residual syndrome: whenever a window diagonal
+    # observes a parity it observes every message position, so the checks
+    # `recovery` gives it are exactly the residuals of its observed
+    # parities, in ascending j, on random (mostly non-MDS) codes and at
+    # widths beyond n, where windows outgrow a diagonal.
+    rng = random.Random(field.q)
+    diagonals = 0
+    for _ in range(12):
+        n = rng.randrange(2, 9)
+        k = rng.randrange(1, n)
+        p = FieldMatrix(field, [[rng.choice((0, 1, rng.randrange(field.q))) for _ in range(n - k)] for _ in range(k)])
+        code = SystematicCode(field=field, n=n, k=k, P=p)
+        for width in range(1, n + 4):
+            for o in range(1 - n, width):
+                avail = _window_avail(n, k, width, o)
+                checks, _ = code.recovery(avail)
+                assert checks == _residual_rows(code, avail)
+                diagonals += 1
+    assert diagonals > 400
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7, F8, GF(256)], ids=lambda f: f"q{f.q}")
+def test_residual_reader_matches_re_encode(field):
+    # The residual reader over the zero-padded flat stream, read
+    # at p*n, on random received streams (no codeword, so residuals are
+    # nonzero), at every packet: those whose diagonals reach into the
+    # zero padding before time 0, and the tail after the last message.
+    rng = random.Random(field.q)
+    for n, k in ((2, 1), (4, 1), (4, 3), (5, 3), (8, 4)):
+        p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
+        code = SystematicCode(field=field, n=n, k=k, P=p)
+        reader = streaming._residual_reader(code)
+        for horizon in (1, 3, 2 * n):
+            packets = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(horizon + n - 1)]
+            flat = streaming._check_received(code, packets, horizon, allow_erased=False)
+            for at in range(len(packets)):
+                assert reader.digits(reader.read(flat, at * n)) == _residuals_by_encode(code, packets, at)
+        # a codeword stream has no residual anywhere
+        packets = de_encode(code, _messages(field, 4, k, rng.randrange(1 << 30)))
+        flat = streaming._check_received(code, packets, 4, allow_erased=False)
+        assert not any(reader.read(flat, at * n) for at in range(len(packets)))
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8], ids=lambda f: f"q{f.q}")
 def test_window_rows_decode_the_syndrome(field):
     # `_window` against the recovery core, for every support in the window
     # on random codes, through `_decide`'s verdict on the support alone,
-    # so whatever shape the candidate rows take: a valid window
-    # observation, with random values on the parity symbols of the
-    # packets before t, which no window may read, plus a random error on
-    # the support has a syndrome whose untouched digits vanish, on which the support is consistent, and
-    # which is ambiguous exactly when erasing the support on some
-    # diagonal t-i leaves u_i(t) unpinned, and otherwise corrects u(t) by
-    # minus its error, in error iff packet t is; the digits at the
-    # residual mask are the error on packet t's parity symbols.
+    # so whatever shape the candidate rows take.  The syndrome is the
+    # window packets' parity residuals, packet t's first, each re-encoded
+    # here from a valid window observation (decoded messages before t,
+    # whose parity symbols no residual of a window packet reads, so they
+    # are random) plus a random error on the support.  Its untouched
+    # digits vanish, the support is consistent on it, and it is ambiguous
+    # exactly when erasing the support on some diagonal t-i leaves u_i(t)
+    # unpinned, and otherwise corrects u(t) by minus its error, in error
+    # iff packet t is; its first n-k digits, packet t's residuals, are the
+    # error on packet t's parity symbols.
     rng = random.Random(field.q)
-
-    def value(terms, digits):
-        v = 0
-        for at, mul in terms:
-            v = field.add(v, mul[digits[at]])
-        return v
-
     for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 3)):
         p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
         code = SystematicCode(field=field, n=n, k=k, P=p)
         for width in range(1, n + 3):
             supports = [offs for size in range(width + 1) for offs in combinations(range(width), size)]
-            checks, rows, residuals = streaming._window(code, width, supports)
+            rows = streaming._window(code, width, supports)
             assert list(rows) == supports
             t = n - 1
             streams = []
@@ -859,26 +934,36 @@ def test_window_rows_decode_the_syndrome(field):
                         unpinned.append(i)
                 for msgs, packets in streams:
                     errors = {o: [rng.randrange(field.q) for _ in range(n)] for o in offs}
-                    # Packets t-n+1, ..., t-1 as the decoder holds them:
-                    # decoded messages, and parity symbols no check reads.
-                    window = []
-                    for u in msgs[t - n + 1 : t]:
-                        window += list(u) + [rng.randrange(field.q) for _ in range(n - k)]
+                    # Packets 0, ..., t-1 as the decoder holds them:
+                    # decoded messages, and parity symbols no window
+                    # residual reads.
+                    window = [tuple(u) + tuple(rng.randrange(field.q) for _ in range(n - k)) for u in msgs[:t]]
                     for o, packet in enumerate(packets[t : t + width]):
-                        window += [field.add(v, e) for v, e in zip(packet, errors.get(o, [0] * n))]
-                    digits = [value(c, window) for c in checks]
+                        window.append(tuple(field.add(v, e) for v, e in zip(packet, errors.get(o, [0] * n))))
+                    digits = [v for o in range(width) for v in _residuals_by_encode(code, window, t + o)]
                     untouched = candidate[0]
                     assert not any(digits[at] for at in range(len(digits)) if untouched >> at & 1)
                     error = errors.get(0, [0] * n)
-                    verdict = streaming._decide([candidate], residuals, digits)
+                    verdict = streaming._decide([candidate], n - k, digits)
                     if unpinned:
                         assert verdict == streaming._AMBIGUOUS
                     else:
                         assert verdict == (tuple(field.neg(e) for e in error[:k]), any(error))
-                    # packet t's symbols j >= k, from j = n-1 down, minus
-                    # their parities re-encoded from the clean messages
-                    marked = [v for at, v in enumerate(digits) if residuals >> at & 1]
-                    assert marked == error[k:][::-1]
+                    assert digits[: n - k] == error[k:]
+
+
+def test_error_decoder_at_a_delay_past_the_stream():
+    # No window outgrows the stream, so a delay far past it decodes as
+    # the delay that reaches the last packet does; the decoder's powers
+    # of the syndrome base go up to the widest window, not up to tau.
+    code = build_mds(5, 3, F7)
+    msgs = _messages(F7, 10, 3, seed=7)
+    pattern = ErrorPattern.from_entries(14, 5, {1: (4, 0, 0, 0, 0), 6: (0, 0, 0, 2, 0), 11: (0, 5, 0, 0, 1)})
+    received = apply_errors(code, de_encode(code, msgs), pattern)
+    model = ChannelModel.sw_err(1, 5)
+    reports = [decode_errors(code, tau, received, 10, model) for tau in (13, 10**6)]
+    assert reports[0].messages == reports[1].messages == tuple(map(tuple, msgs))
+    assert reports[0].times == reports[1].times == (13,) * 10
 
 
 def test_error_decision_memo_cap_keeps_reports(monkeypatch):
