@@ -11,8 +11,8 @@ reads on one message and `streaming.de_encode` on every diagonal at once.
 
 Delay semantics: message symbol i of a codeword must be recovered from
 the non-erased code symbols in positions [0, min(i + tau, n-1)].  The
-verifier asks `SystematicCode.recovery`'s elimination, the same one both
-stream decoders ask, which unerased position first fixes u_i: symbol i
+verifier asks `SystematicCode.recovery`'s elimination, the same one the
+erasure decoder asks, which unerased position first fixes u_i: symbol i
 is recoverable iff that pin position exists and is within its deadline.
 """
 
@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bounds import delay_tau_star  # noqa: F401  (callers import it from here too)
-from .channel import _check_int
+from .channel import _check_int, _check_ints
 from .galois import Field
 from .matrix import FieldMatrix, Packed, _insert, _rref, form, rank
 
@@ -87,8 +87,8 @@ class SystematicCode:
         for each coordinate i that y fixes, with u_i == row . y and
         position the smallest observed position whose prefix fixes u_i,
         i itself for an observed systematic symbol.  Nothing is cached
-        here: the verifier asks each question once, and the stream
-        decoders keep the answers in forms of their own.
+        here: the verifier asks each question once, and the erasure
+        decoder keeps the answers in forms of its own.
 
         Each observation is eliminated once: `matrix._insert` adds it to a
         reduced row echelon basis keyed by pivot coordinate, in ascending
@@ -135,6 +135,7 @@ class SystematicCode:
     def encode(self, u: Sequence[int]) -> tuple[int, ...]:
         if len(u) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
+        self.field.check_all(u)
         parities = self._parity_reader
         return tuple(u) + tuple(parities.digits(parities.read(u)))
 
@@ -189,6 +190,7 @@ def build_mds(n: int, k: int, field: Field) -> SystematicCode:
     The degenerate MDS codes, repetition (k = 1) and single parity
     (k = n-1), exist over every field and are emitted directly when the
     field is too small for the Vandermonde route."""
+    _check_ints(n=n, k=k)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     if field.q < n:
@@ -208,6 +210,7 @@ def build_multi_burst(k: int, z: int, b: int, field: Field) -> SystematicCode:
     (z,b)-burst, built as a depth-b interleaving of a [k/b + z, k/b] MDS
     code.  Requires b | k and q >= k/b + z.  Code symbol j*b + r belongs
     to interleaved component r."""
+    _check_ints(k=k, z=z, b=b)
     if k < 1 or z < 1 or b < 1:
         raise ValueError("k, z, b must be positive")
     if k % b != 0:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import ChannelModel
+from .channel import ChannelModel, _check_int, _check_ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +71,7 @@ def de_achievable(z: int, b: int, w: int) -> bool:
     single-burst and random-erasure cases are achievable for all valid
     parameters and return True.
     """
+    _check_ints(z=z, b=b, w=w)
     if z < 1 or b < 1:
         raise ValueError("need z >= 1 and b >= 1")
     if w <= z * b:
@@ -83,6 +84,7 @@ def de_achievable(z: int, b: int, w: int) -> bool:
 def delay_tau_star(k: int, z: int, b: int) -> int:
     """Smallest delay at which an [k+zb, k] code can survive all
     (z,b)-bursts: max(k + (z-1)*b, z*b)."""
+    _check_ints(k=k, z=z, b=b)
     if k < 1 or z < 1 or b < 1:
         raise ValueError("k, z, b must be positive")
     return max(k + (z - 1) * b, z * b)
@@ -100,6 +102,7 @@ def causal_code_exists(k: int, z: int, b: int, tau: int) -> bool:
     at tau = 8, while a ternary one does.
     """
     tau_star = delay_tau_star(k, z, b)
+    _check_int("tau", tau)
     if k < b:
         raise ValueError(f"regime k >= b required, got k={k}, b={b}")
     if tau < tau_star:

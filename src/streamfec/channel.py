@@ -36,6 +36,11 @@ def _check_int(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _check_ints(**values: int) -> None:
+    for name, value in values.items():
+        _check_int(name, value)
+
+
 def _check_count(name: str, value: int) -> None:
     _check_int(name, value)
     if value < 0:
@@ -313,6 +318,8 @@ def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:
         raise ValueError(f"burst family needs integer n, z and b, got n={n}, z={z}, b={b}")
     if z < 1 or b < 1:
         raise ValueError(f"burst family needs z >= 1 and b >= 1, got z={z}, b={b}")
+    if n < 0:
+        raise ValueError(f"burst family needs n >= 0, got n={n}")
     return sorted(_supports(z, b, n, n - 1))
 
 
@@ -345,6 +352,7 @@ def periodic_mbsw_pattern(z: int, b: int, w: int, periods: int) -> ErasurePatter
     erased fraction z*b / (w-1+b) is exactly one minus the multi-burst
     rate bound, which is what lets this pattern pin the bound down.
     """
+    _check_ints(z=z, b=b, w=w, periods=periods)
     if w <= z * b:
         raise ValueError("need w > z*b")
     if periods < 1:

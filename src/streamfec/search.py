@@ -48,7 +48,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .block_code import SystematicCode, VerifyResult, _as_support, _check_range, verify_delay_decodable
-from .channel import _check_int, burst_supports
+from .channel import _check_int, _check_ints, burst_supports
 from .galois import Field
 from .matrix import FieldMatrix, _digits_of, _insert
 
@@ -407,6 +407,7 @@ def search_nonexistence(
     the first witness at or after it.  The scan runs in this process:
     `jobs` stays for callers that pass jobs=1, and accepts nothing else.
     """
+    _check_ints(n=n, k=k, z=z, b=b, tau=tau, start=start)
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     if n != k + z * b:

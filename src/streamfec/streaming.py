@@ -13,56 +13,51 @@ one pass per message column, each shifted to its place on the
 diagonals, and splits out each parity's digit field in one pass more.
 
 Both decoders read the received stream in one layout (`_check_received`),
-where symbol j of diagonal d is at (d + n - 1)*n + j*(n + 1), and ask one
-question of one diagonal codeword at a time: are the symbols observed at
-some of its positions consistent with a codeword, and which coordinates
-do they fix, from which position on?  A known message coordinate is its
-systematic symbol, observed where the stream holds it.
-`SystematicCode.recovery` answers the question for one mask of observed
-positions as parity checks and recovery rows; it caches nothing, and
-each decoder keeps the answers it needs in a table of its own.
+where symbol j of diagonal d is at (d + n - 1)*n + j*(n + 1).
 
-The erasure decoder asks it of each diagonal with every unerased symbol
-observed, the coordinates before time 0 as the zeros of the n-1 padding
-packets; a coordinate is recovered at the diagonal's start plus its pin
-position.  A diagonal's mask is a shift and a mask of the stream's
-arrival bitmask, and the answer for each mask is kept per code as
-`matrix.Packed` readers over the received stream: one for the checks,
-and one per pin.  So a diagonal costs one lookup of its mask and one
-packed read of its checks, a table lookup per observed symbol, which
-must read zero; a pin is read only for an erased message, from the last
-k diagonals' pins, which is all the decoder keeps across diagonals.
-Packets recovered earlier carry no extra information for later ones
-beyond what the received symbols already determine, so per-diagonal
-solving realizes sequential (peeling) recovery exactly.
+The erasure decoder asks the recovery core, `SystematicCode.recovery`,
+one question of each diagonal codeword: are its unerased symbols
+consistent with a codeword, and which coordinates do they fix, from
+which position on?  The coordinates before time 0 are observed as the
+zeros of the n-1 padding packets; a coordinate is recovered at the
+diagonal's start plus its pin position.  A diagonal's mask is a shift
+and a mask of the stream's arrival bitmask, and the answer for each
+mask is kept per code as `matrix.Packed` readers over the received
+stream: one for the checks, and one per pin.  So a diagonal costs one
+lookup of its mask and one packed read of its checks, a table lookup
+per observed symbol, which must read zero; a pin is read only for an
+erased message, from the last k diagonals' pins, which is all the
+decoder keeps across diagonals.  Packets recovered earlier carry no
+extra information for later ones beyond what the received symbols
+already determine, so per-diagonal solving realizes sequential
+(peeling) recovery exactly.
 
 The error decoder is the reference exhaustive one, and it is syndrome
 decoding.  To decode u(t) it assumes all earlier messages are known
-(sequential recovery) and asks the question of every diagonal d touching
-the window [t, t+tau] once, with every window position received: the
-answer's checks H_d give d's slice s_d = H_d y of the window syndrome.
-It then enumerates every candidate set S of error times inside the
-window that is jointly admissible with the already-inferred past errors.
-S is consistent when, on every diagonal, s_d lies in the column span of
-H_d[:, E], E being the positions S erases, and it fixes u(t) when s_d
-also determines the error on each coordinate of u(t).  All consistent
-candidates must agree on u(t); disagreement (or an underdetermined u(t))
-is reported as an ambiguity, never silently resolved.
-
-A window diagonal observes every message position whenever it observes
-a parity, so its checks are the residuals of its observed parities:
-parity j of packet p minus parity j re-encoded from the messages of
-diagonal p-j.  The window syndrome is therefore the n-k residuals of
-each window packet, and nothing else.  The decoder reads a packet's
-residuals once, when the packet enters the window, with one
-`matrix.Packed` read (`_residual_reader`, built once per memo) over
+(sequential recovery), and its syndrome is the parity residuals of the
+window [t, t+tau]'s packets: parity j of packet p minus parity j
+re-encoded from the messages of diagonal p-j.  The decoder reads a
+packet's n-k residuals once, when the packet enters the window, with
+one `matrix.Packed` read (`_residual_reader`, built once per memo) over
 the received stream, over whose message symbols each decoded u(t) is
 written; a nonzero correction re-reads the residuals of the window
 packets that read u(t).  The syndrome is the base-q^(n-k) integer of
 the window's packets, packet t most significant, so it slides by one
-packet per message.  Packet t was in error iff u(t) needed a correction
-or one of its own residuals, the syndrome's first n-k digits, is
-nonzero.
+packet per message.
+
+It then enumerates every candidate set S of error times inside the
+window that is jointly admissible with the already-inferred past errors.
+An error on a parity symbol changes its own residual alone, and an error
+on u_i(p) only the residuals of diagonal p-i, through row i of P.  So S
+is consistent when, on each diagonal that holds a message S erases, the
+residuals of its unerased window parities are P's block on those
+messages times some correction (`_block`), and every other residual
+outside S's packets is zero; S fixes u(t) when the block of each
+diagonal t-i determines the correction to u_i(t).  All consistent
+candidates must agree on u(t); disagreement (or an underdetermined u(t))
+is reported as an ambiguity, never silently resolved.  Packet t was in
+error iff u(t) needed a correction or one of its own residuals, the
+syndrome's first n-k digits, is nonzero.
 
 So the decision, the correction to u(t) and whether packet t was in
 error, depends on the window only through its syndrome, and it is
@@ -70,8 +65,8 @@ memoised under (window width, near-past error offsets, window
 syndrome).  A new key is decided from the key alone: its digits are
 unpacked from it, each candidate of its (width, near-past offsets)
 context is a set of one-form `matrix.Packed` readers over those digits,
-its checks and its corrections, built once per width, and no received
-packet is read.
+its checks and its corrections, read off P once per width (`_window`),
+and no received packet is read.
 
 The stream is its tuple of packets, and a channel realization is
 applied at its pattern's support: `apply_erasures` and `apply_errors`
@@ -319,77 +314,79 @@ def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]])
     (`_residual_reader`), packet t's first, so residual
     j-k of packet t+a is digit a*(n-k) + j-k.
 
-    Diagonal d = t+o, for o in [1-n, width), is checked by the
-    `code.recovery` answer for its window observation: its message
-    positions before time t, decoded in place, and its positions in the
-    window, so a window never reads a parity symbol of a packet before t.
-    That observation holds every message position whenever it holds a
-    parity, so its checks are, in ascending j, the residuals of its
-    observed parities j: packet t+o+j's, digit (o+j)*(n-k) + j-k.  This
-    diagonal's checks H_d, as rows over its observation y, give its
-    slice s_d = H_d y of the syndrome.
+    A candidate is tested only on the diagonals that hold a message it
+    erases, each by the `_block` of the diagonal's offset and the
+    positions it erases there, built once per call and shared by the
+    candidates that erase the same positions.
 
     A candidate is (untouched, checks, corrections).  `untouched` is the
-    bitmask of the digits of the diagonals the candidate leaves
-    untouched, which must all be zero; `checks` are `matrix.Packed`
-    readers of one form each over the digits, which must all read zero;
-    corrections[i] is the one-form reader giving coordinate i of the
-    correction to u(t), and `corrections` is None when the candidate
-    leaves some u_i(t) unpinned.  A one-form reader reads its form
-    through the field's product tables, which every reader shares, so a
-    candidate holds no table of its own: a reader of all its checks at
-    once would hold a table of q values per digit it reads, which over
-    GF(256) multiplies the decoder's memory several times over.
-
-    Each diagonal is decoded by its syndrome: the candidate explains d
-    iff s_d = H_d[:, E] e for some error e on the positions E it erases.
-    Reducing [H_d[:, E] | I] once per E gives the candidate's checks, the
-    records lambda of the rows that vanish on E (lambda . s_d = 0).  When
-    offset 0 is erased, u_i(t) is E's first column on diagonal t-i; its
-    error is determined, as mu . s_d, iff the pivot row of that column
-    is (1, 0, ..., 0) on E, with record mu, and the correction is then
-    -mu . s_d."""
+    bitmask of the digits outside its packets that no block of it reads,
+    which must all be zero; `checks` are `matrix.Packed` readers of one
+    form each over the digits, which must all read zero; corrections[i]
+    is the one-form reader giving coordinate i of the correction to
+    u(t), and `corrections` is None when the candidate leaves some u_i(t)
+    unpinned.  A one-form reader reads its form through the field's
+    product tables, which every reader shares, so a candidate holds no
+    table of its own: a reader of all its checks at once would hold a
+    table of q values per digit it reads, which over GF(256) multiplies
+    the decoder's memory several times over."""
     n, k, f = code.n, code.k, code.field
+    r = n - k
     zero = Packed(f, [])
-    rows = {offs: [0, [], [zero] * k] for offs in candidates}
-    for o in range(1 - n, width):
-        # Diagonal t+o observes its message positions before time t and
-        # its positions in the window, from max(-o, 0) on.
-        first = max(-o, 0)
-        avail = (1 << min(first, k)) - 1 | (1 << min(n, width - o)) - (1 << first)
-        full, _ = code.recovery(avail)
-        observed = [j for j in range(n) if avail >> j & 1]
-        # The digits of this diagonal's syndrome slice.
-        digits = [(o + j) * (n - k) + j - k for j in observed if j >= k]
-        slice_mask = sum(1 << at for at in digits)
+    blocks = {}
+    table = {}
+    for offs in candidates:
+        untouched = (1 << width * r) - 1
+        for a in offs:
+            untouched &= ~(((1 << r) - 1) << a * r)
+        checks: list[Packed] = []
+        corrections: list[Packed | None] = [zero] * k
+        for o in {a - i for a in offs for i in range(k)}:
+            erased = tuple(j for j in range(n) if o + j in offs)
+            block = blocks.get((o, erased))
+            if block is None:
+                block = blocks[o, erased] = _block(code, width, o, erased)
+            reads, block_checks, pin = block
+            untouched &= ~reads
+            checks += block_checks
+            # Position -o of diagonal t+o is u_{-o}(t), erased iff offset 0 is.
+            if -o in erased:
+                corrections[-o] = pin
+        table[offs] = (untouched, tuple(checks), None if None in corrections else tuple(corrections))
+    return table
 
-        # Candidates that erase the same positions of this diagonal share
-        # its readers.
-        by_erased: dict[tuple[int, ...], tuple[tuple[Packed, ...], Packed | None]] = {}
-        for offs, entry in rows.items():
-            # The erased positions, as indices into the observation.
-            erased = tuple(l for l, j in enumerate(observed) if o + j in offs)
-            if not erased:
-                entry[0] |= slice_mask
-                continue
-            if erased not in by_erased:
-                e = len(erased)
-                aug = [[c[at] for at in erased] + [int(l == m) for m in range(len(full))] for l, c in enumerate(full)]
-                reduced, pivots = _rref(f, aug, e)
-                pin = reduced[0] if pivots[:1] == [0] and not any(reduced[0][1:e]) else None
-                correction = None if pin is None else Packed(f, [form(f, [f.neg(a) for a in pin[e:]], digits)])
-                group = tuple(Packed(f, [form(f, row[e:], digits)]) for row in reduced[len(pivots) :])
-                by_erased[erased] = group, correction
-            cand_checks, correction = by_erased[erased]
-            entry[1].extend(cand_checks)
-            # u_i(t), i = -o, is position i of this diagonal, erased
-            # exactly when offset 0 is.
-            if 0 <= -o < k and 0 in offs:
-                entry[2][-o] = correction
-    return {
-        offs: (untouched, tuple(cand_checks), None if None in corrections else tuple(corrections))
-        for offs, (untouched, cand_checks, corrections) in rows.items()
-    }
+
+def _block(
+    code: SystematicCode, width: int, o: int, erased: tuple[int, ...]
+) -> tuple[int, tuple[Packed, ...], Packed | None]:
+    """The test of window diagonal t+o, whose positions `erased`, a
+    message among them, a candidate erases: (reads, checks, pin) over the
+    window syndrome's digits, parity j's residual being digit
+    (o+j)*(n-k) + j-k.
+
+    A correction g_i to each erased message i changes the residual of
+    each unerased window parity j by sum_i P[i][j] g_i, and the candidate
+    explains those residuals iff they are M g for some g, M holding P's
+    entries of the erased messages (columns) and those parities (rows).
+    A parity whose row of M is zero is left to `untouched`, and `reads`
+    masks the others.  Reducing [M | I] gives the checks, the records of
+    the rows that vanish on M, and the first column's pin: its pivot row,
+    when that row vanishes on every other column, whose record reads
+    that column's correction off the syndrome; otherwise None.  When
+    offset 0 is erased, the first column is u_{-o}(t)."""
+    f, n, k, P = code.field, code.n, code.k, code.P
+    columns = [i for i in erased if i < k]
+    rows = [j for j in range(max(k, -o), min(n, width - o)) if j not in erased and any(P[i, j - k] for i in columns)]
+    digits = [(o + j) * (n - k) + j - k for j in rows]
+    e = len(columns)
+    aug = [[P[i, j - k] for i in columns] + [int(l == m) for m in range(len(rows))] for l, j in enumerate(rows)]
+    reduced, pivots = _rref(f, aug, e)
+    pin = reduced[0] if pivots[:1] == [0] and not any(reduced[0][1:e]) else None
+    return (
+        sum(1 << at for at in digits),
+        tuple(Packed(f, [form(f, row[e:], digits)]) for row in reduced[len(pivots) :]),
+        None if pin is None else Packed(f, [form(f, pin[e:], digits)]),
+    )
 
 
 def _decide(
@@ -443,11 +440,8 @@ def decode_errors(
     enters the window; the key then slides by one packet per message, and
     a nonzero correction, written over packet t's message symbols,
     re-reads the residuals that read it.  A miss is decided from the key
-    alone, its digits unpacked from the syndrome, by syndrome decoding:
-    on each diagonal d, a candidate is consistent iff d's syndrome slice
-    lies in the span of d's full-window checks on the positions it
-    erases, and its correction to u_i(t) is minus the error that the
-    slice then determines.  The width and near-past offsets fix the
+    alone, its digits unpacked from the syndrome, by the candidates'
+    blocks of P (`_window`).  The width and near-past offsets fix the
     admissible candidates, so the key fixes the verdict and the
     correction to u(t) exactly; it also fixes whether packet t was in
     error, through packet t's residuals, the syndrome's first n-k digits.
@@ -455,7 +449,7 @@ def decode_errors(
     with the burst sweep's 94-bit keys, and is cleared when full.
     """
     _check_count("tau", tau)
-    if not model.errors:
+    if not isinstance(model, ChannelModel) or not model.errors:
         raise ValueError("decode_errors needs an error-channel model")
     n, k, f = code.n, code.k, code.field
     w = model.w
@@ -640,7 +634,7 @@ def equivalence_sweep(
     """
     _check_count("tau", tau)
     _check_count("message_horizon", message_horizon)
-    if not model.errors:
+    if not isinstance(model, ChannelModel) or not model.errors:
         raise ValueError("error patterns need an error-channel model")
     f, n = code.field, code.n
     rng = random.Random(seed)

@@ -81,6 +81,11 @@ def test_mds_rejects_small_fields():
         build_mds(5, 3, GF(4))
     with pytest.raises(ValueError):
         build_mds(5, 0, F8)
+    # a float length raised TypeError
+    with pytest.raises(ValueError, match="^n must be an int, got 5.0$"):
+        build_mds(5.0, 3, F8)
+    with pytest.raises(ValueError, match="^k must be an int, got True$"):
+        build_mds(5, True, F8)
 
 
 def test_code_invariants():
@@ -126,6 +131,8 @@ def test_multi_burst_preconditions():
         build_multi_burst(5, 2, 2, F8)  # b does not divide k
     with pytest.raises(ValueError):
         build_multi_burst(4, 2, 2, F3)  # q < k/b + z
+    with pytest.raises(ValueError, match="^k must be an int, got 4.0$"):
+        build_multi_burst(4.0, 2, 2, F8)  # raised TypeError
 
 
 # -- causal to systematic ---------------------------------------------------
@@ -141,6 +148,19 @@ def test_encode_matches_generator_product(q):
             for _ in range(20):
                 u = [rng.randrange(q) for _ in range(k)]
                 assert code.encode(u) == _mul(u, code.generator)
+
+
+@pytest.mark.parametrize(
+    "q, u", [(8, (-1, 0, 0)), (8, (True, 0, 0)), (8, (0, 9, 0)), (8, (0, 0, 1.0)), (65536, (-1, 0, 0))]
+)
+def test_encode_rejects_values_outside_the_field(q, u):
+    # -1 read the last entry of each product table and came back in the
+    # codeword, True came back as it was, 9 raised IndexError and 1.0
+    # TypeError.
+    f = GF(q)
+    bad = next(v for v in u if v != 0 or type(v) is not int)
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a value of {re.escape(repr(f))}$"):
+        build_mds(5, 3, f).encode(u)
 
 
 def test_causal_to_systematic_identity_on_systematic_input():

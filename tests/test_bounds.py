@@ -7,6 +7,7 @@ from streamfec.bounds import (
     RateBound,
     causal_code_exists,
     de_achievable,
+    delay_tau_star,
     rate_bound,
 )
 from streamfec.channel import ChannelModel
@@ -109,6 +110,24 @@ def test_de_achievable_examples():
     assert de_achievable(3, 1, 5)  # random erasures: always
     with pytest.raises(ValueError):
         de_achievable(2, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # delay_tau_star(2.5, 1, 1) returned 2.5, and de_achievable(1.5, 1, 3) True
+        (lambda: delay_tau_star(2.5, 1, 1), "^k must be an int, got 2.5$"),
+        (lambda: delay_tau_star(3, True, 1), "^z must be an int, got True$"),
+        (lambda: de_achievable(1.5, 1, 3), "^z must be an int, got 1.5$"),
+        (lambda: de_achievable(2, 2, 5.0), "^w must be an int, got 5.0$"),
+        (lambda: causal_code_exists(4, 2, 2.0, 6), "^b must be an int, got 2.0$"),
+        # causal_code_exists(4, 2, 2, 6.5) returned True
+        (lambda: causal_code_exists(4, 2, 2, 6.5), "^tau must be an int, got 6.5$"),
+    ],
+)
+def test_bounds_take_exact_ints(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_causal_code_exists_examples():

@@ -404,6 +404,10 @@ def test_valid_patterns_hash_and_round_trip():
         (lambda: burst_supports(3, 1.0, 1), r"^burst family needs integer n, z and b, got n=3, z=1.0, b=1$"),
         (lambda: burst_supports(3, 1, True), r"^burst family needs integer n, z and b, got n=3, z=1, b=True$"),
         (lambda: burst_supports(3, 0, 1), r"^burst family needs z >= 1 and b >= 1, got z=0, b=1$"),
+        # burst_supports(-3, 2, 1) returned [()]
+        (lambda: burst_supports(-3, 2, 1), r"^burst family needs n >= 0, got n=-3$"),
+        (lambda: periodic_mbsw_pattern(1.0, 1, 3, 2), "^z must be an int, got 1.0$"),
+        (lambda: periodic_mbsw_pattern(1, 1, 3, True), "^periods must be an int, got True$"),
     ],
 )
 def test_pattern_builders_and_enumeration_take_exact_ints(build, message):

@@ -619,6 +619,8 @@ def test_search_validates_shape():
         search_nonexistence(8, 5, 2, 2, 6, F2)  # n != k + z*b
     with pytest.raises(ValueError):
         search_nonexistence(7, 3, 2, 2, 2, F2)  # tau < k
+    with pytest.raises(ValueError, match="^k must be an int, got 1.0$"):
+        search_nonexistence(3, 1.0, 1, 2, 2, F2)  # raised TypeError
 
 
 def test_search_rejects_cursor_outside_space():
@@ -627,6 +629,10 @@ def test_search_rejects_cursor_outside_space():
     for start in (-5, 4097, 99999):
         with pytest.raises(ValueError):
             search_nonexistence(7, 3, 2, 2, 5, F2, start=start)
+    # start=True scanned from 1, and 1.5 raised TypeError
+    for start in (True, 1.5):
+        with pytest.raises(ValueError, match=f"^start must be an int, got {start}$"):
+            search_nonexistence(3, 1, 1, 2, 2, F2, start=start)
 
 
 def test_witness_confirmation_failure_raises(monkeypatch):

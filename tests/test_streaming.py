@@ -548,11 +548,15 @@ def test_simulate_reports_the_decoders_report_and_its_own_verdict():
     assert verdicts == {(models[0], True), (models[0], False), (None, True), (models[2], True), (models[2], False)}
 
 
-def test_error_decoder_requires_error_model():
+@pytest.mark.parametrize("model", [ChannelModel.sw(2, 5), None, "sw_err:1,5"])
+def test_error_decoder_requires_error_model(model):
+    # None and a model's text raised AttributeError.
     code = build_mds(5, 3, F8)
     packets = de_encode(code, [[0] * 3] * 3)
-    with pytest.raises(ValueError):
-        decode_errors(code, 4, packets, 3, ChannelModel.sw(2, 5))
+    with pytest.raises(ValueError, match="^decode_errors needs an error-channel model$"):
+        decode_errors(code, 4, packets, 3, model)
+    with pytest.raises(ValueError, match="^error patterns need an error-channel model$"):
+        equivalence_sweep(code, model, 4, 3, 0)
 
 
 @pytest.mark.parametrize("tau", [-1, -3])
@@ -818,6 +822,22 @@ def test_syndrome_verdicts_match_window_candidate_loop(field):
     assert any(r.failures and not r.ambiguities for r in reports)
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8], ids=lambda f: f"q{f.q}")
+def test_error_decoder_reads_its_windows_off_p(field, monkeypatch):
+    # The window table is built from P alone: with the recovery core
+    # unavailable, every decode on a cold memo still equals its decode
+    # with it, over corrections, tail windows, ambiguities and streams
+    # with no consistent candidate.
+    cases = _random_error_decodes(field, seed=field.q)
+    expected = [_report_bytes(decode_errors(_fresh(code), *rest)) for code, *rest in cases]
+
+    def refuse(self, avail):
+        raise AssertionError("the error decoder asked the recovery core")
+
+    monkeypatch.setattr(SystematicCode, "recovery", refuse)
+    assert [_report_bytes(decode_errors(_fresh(code), *rest)) for code, *rest in cases] == expected
+
+
 def _window_avail(n, k, width, o):
     """The observed positions of window diagonal t+o, o in [1-n, width):
     its message positions before time t, then its positions in the
@@ -911,11 +931,18 @@ def test_window_rows_decode_the_syndrome(field):
     # exactly when erasing the support on some diagonal t-i leaves u_i(t)
     # unpinned, and otherwise corrects u(t) by minus its error, in error
     # iff packet t is; its first n-k digits, packet t's residuals, are the
-    # error on packet t's parity symbols.
+    # error on packet t's parity symbols.  Half the codes have zero-heavy
+    # P, whose zero rows of a block leave digits untouched, as does the
+    # interleaved multi-burst code.
     rng = random.Random(field.q)
-    for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 3)):
-        p = FieldMatrix(field, [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)])
-        code = SystematicCode(field=field, n=n, k=k, P=p)
+    codes = [build_multi_burst(2, 1, 2, field)]
+    for (n, k), zero_heavy in product(((2, 1), (3, 1), (3, 2), (4, 2), (5, 3)), (False, True)):
+        entries = [[rng.randrange(field.q) for _ in range(n - k)] for _ in range(k)]
+        if zero_heavy:
+            entries = [[rng.choice((0, 0, 1, v)) for v in row] for row in entries]
+        codes.append(SystematicCode(field=field, n=n, k=k, P=FieldMatrix(field, entries)))
+    for code in codes:
+        n, k = code.n, code.k
         for width in range(1, n + 3):
             supports = [offs for size in range(width + 1) for offs in combinations(range(width), size)]
             rows = streaming._window(code, width, supports)
