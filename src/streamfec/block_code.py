@@ -70,6 +70,13 @@ class SystematicCode:
         return {}
 
     @cached_property
+    def _erasure_decisions(self) -> dict:
+        """`streaming.decode_erasures`' decision memo on erased messages,
+        keyed by the message's window of arrivals: None (lost) or its
+        recovery delay and pin readers, those of `_erasure_readers`."""
+        return {}
+
+    @cached_property
     def _error_decisions(self) -> dict:
         """`streaming.decode_errors`' decision memo, per (tau, model)."""
         return {}

@@ -59,6 +59,8 @@ def rate_bound(model: ChannelModel) -> RateBound:
     channel, or of an error channel's erasure twin at 2z bursts.  At
     b = 1 it is the optimal sliding-window rate: (w-a)/w for erasures and
     (w-2a)/w for errors."""
+    if not isinstance(model, ChannelModel):
+        raise ValueError(f"rate_bound needs a ChannelModel, got {type(model).__name__}")
     z, b, w = model.erasure_equivalent.z, model.b, model.w
     return RateBound(w - 1 - (z - 1) * b, w - 1 + b)
 

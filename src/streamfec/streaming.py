@@ -20,17 +20,20 @@ one question of each diagonal codeword: are its unerased symbols
 consistent with a codeword, and which coordinates do they fix, from
 which position on?  The coordinates before time 0 are observed as the
 zeros of the n-1 padding packets; a coordinate is recovered at the
-diagonal's start plus its pin position.  A diagonal's mask is a shift
-and a mask of the stream's arrival bitmask, and the answer for each
-mask is kept per code as `matrix.Packed` readers over the received
-stream: one for the checks, and one per pin.  So a diagonal costs one
-lookup of its mask and one packed read of its checks, a table lookup
-per observed symbol, which must read zero; a pin is read only for an
-erased message, from the last k diagonals' pins, which is all the
-decoder keeps across diagonals.  Packets recovered earlier carry no
-extra information for later ones beyond what the received symbols
-already determine, so per-diagonal solving realizes sequential
-(peeling) recovery exactly.
+diagonal's start plus its pin position.  The decoder slides a window
+of n+k-1 arrival bits, one packet per diagonal, and a diagonal's mask
+is a shift and a mask of it; the answer for each mask is kept per code
+as `matrix.Packed` readers over the received stream: one for the
+checks, and one per pin.  So a diagonal costs one lookup of its mask
+and one packed read of its checks, a table lookup per observed symbol,
+which must read zero.  An erased message u(t) lies on diagonals
+t-k+1, ..., t, whose masks are all read off the window of packets
+t-k+1, ..., t+n-1, so its decision, lost or its recovery delay and k
+pin readers, is memoised per code under that window; it costs one
+lookup and k packed reads.  Packets recovered earlier carry no extra
+information for later ones beyond what the received symbols already
+determine, so per-diagonal solving realizes sequential (peeling)
+recovery exactly.
 
 The error decoder is the reference exhaustive one, and it is syndrome
 decoding.  To decode u(t) it assumes all earlier messages are known
@@ -225,6 +228,37 @@ def _residual_reader(code: SystematicCode) -> Packed:
     )
 
 
+# The erasure decoder's decision memo keeps at most this many decisions
+# per code and is cleared when full.  An entry is its (n+k-1)-bit window
+# key, its dict slot and a (delay, pins) pair whose k readers are shared
+# with `SystematicCode._erasure_readers`: about 250 B for k = 5, so a full
+# memo holds about 1 MiB.
+_ERASURE_DECISION_CAP = 1 << 12
+
+
+def _erasure_decision(code: SystematicCode, window: int) -> tuple[int, tuple[Packed, ...]] | None:
+    """The decision on an erased message u(t) whose arrivals are the
+    (n+k-1)-bit `window`, bit j set iff packet t-k+1+j arrived: None when
+    some u_i(t) has no pin on diagonal t-i, whose mask is
+    window >> k-1-i, else (delay, pins), u(t) being recovered at t + delay
+    and u_i(t) being pins[i] read at diagonal t-i's offset.  The pins are
+    those of `code._erasure_readers`, which holds every diagonal's mask by
+    the time its last message is decided."""
+    n, k = code.n, code.k
+    full = (1 << n) - 1
+    readers = code._erasure_readers
+    delay = 0
+    pins = []
+    for i in range(k):
+        pin = readers[window >> k - 1 - i & full][1].get(i)
+        if pin is None:
+            return None
+        position, reader = pin
+        delay = max(delay, position - i)
+        pins.append(reader)
+    return delay, tuple(pins)
+
+
 def decode_erasures(
     code: SystematicCode,
     tau: int,
@@ -239,37 +273,49 @@ def decode_erasures(
     report records the earliest packet time at which each message packet
     became fully determined.
 
-    Diagonal d's observed mask is read off the arrival bitmask by a
-    shift, the zero packets before time 0 counted as arrived; its checks
-    and pins are built as `matrix.Packed` readers once per mask and code
-    (`_erasure_reader`), and read at offset (d + n - 1)*n of the received
-    stream.  Every diagonal's checks must read zero, or the stream is not
-    a valid one and this raises RuntimeError naming the first diagonal
-    that does not.  Message t is decided right after diagonal t, the last
-    it lies on, is checked; only an erased one reads pins, those of
-    diagonals t-k+1, ..., t.
+    The arrivals of packets d-k+1, ..., d+n-1 are a window of n+k-1
+    bits that slides by one packet per diagonal d, the zero packets
+    before time 0 counted as arrived, so the decode is linear in the
+    horizon.  Diagonal d's observed mask is a shift and a mask of the
+    window; its checks and pins are built as `matrix.Packed` readers
+    once per mask and code (`_erasure_reader`), and read at offset
+    (d + n - 1)*n of the received stream.  Every diagonal's checks must
+    read zero, or the stream is not a valid one and this raises
+    RuntimeError naming the first diagonal that does not.  Message t is
+    decided right after diagonal t, the last it lies on, is checked.  An
+    erased one is decided by its window, which fixes the masks of
+    diagonals t-k+1, ..., t: the decision, None (lost) or its recovery
+    delay and the pin readers of those diagonals (`_erasure_decision`),
+    is memoised per code under the window, and each pin is read at its
+    diagonal's offset.  The memo holds at most `_ERASURE_DECISION_CAP`
+    = 2^12 decisions, about 1 MiB, and is cleared when full.
     """
     _check_count("tau", tau)
-    n, k, f = code.n, code.k, code.field
+    n, k = code.n, code.k
     flat = _check_received(code, received, message_horizon, allow_erased=True)
 
-    # Bit k-1+t is set iff packet t arrived, so diagonal d's observed
-    # positions are a shift and a mask of it, for d < 0 too: the packets
-    # before time 0 arrived, as the zeros of the padding.
-    arrived = int("".join("0" if pkt is None else "1" for pkt in reversed(received)) + "1" * (k - 1), 2)
+    # Bit j of the window is set iff packet d-k+1+j arrived, while
+    # diagonal d is checked: the window covers packets d-k+1, ..., d+n-1,
+    # the packets of diagonals d-k+1, ..., d, and packet d+n-1 enters it
+    # at bit `top` as it slides.  Packets before time 0 arrived, as the
+    # zeros of the padding; arrivals[p + 2k-2] is packet p's bit, from
+    # p = 2-2k on.  The window starts as diagonal -k's.
+    arrivals = [1] * (2 * k - 2) + [pkt is not None for pkt in received]
+    top = n + k - 2
+    window = sum(bit << j + 1 for j, bit in enumerate(arrivals[:top]))
     full = (1 << n) - 1
     readers = code._erasure_readers
-    # The pins of the last k diagonals, diagonal d's at index d % k.
-    recent: list[dict[int, tuple[int, Packed]]] = [{}] * k
+    decisions = code._erasure_decisions
     times: list[int | None] = []
     messages_out: list[tuple[int, ...] | None] = []
     for d in range(1 - k, message_horizon):
-        avail = arrived >> d + k - 1 & full
+        window = window >> 1 | arrivals[d + top + k - 1] << top
+        avail = window >> k - 1 & full
         reader = readers.get(avail)
         if reader is None:
             reader = readers[avail] = _erasure_reader(code, avail)
-        checks, recent[d % k] = reader
-        if checks.read(flat, (d + n - 1) * n):
+        at = (d + n - 1) * n
+        if reader[0].read(flat, at):
             raise RuntimeError(f"received symbols of diagonal {d} conflict; a valid stream cannot")
         if d < 0:
             continue
@@ -279,13 +325,20 @@ def decode_erasures(
             times.append(t)
             messages_out.append(tuple(received[t][:k]))
             continue
-        pins = [recent[(t - i) % k].get(i) for i in range(k)]
-        if None in pins:
+        try:
+            decision = decisions[window]
+        except KeyError:
+            if len(decisions) >= _ERASURE_DECISION_CAP:
+                decisions.clear()
+            decision = decisions[window] = _erasure_decision(code, window)
+        if decision is None:
             times.append(None)
             messages_out.append(None)
             continue
-        times.append(t + max(position - i for i, (position, _) in enumerate(pins)))
-        messages_out.append(tuple(pin.read(flat, (t - i + n - 1) * n) for i, (_, pin) in enumerate(pins)))
+        delay, pins = decision
+        times.append(t + delay)
+        # Pin i is diagonal t-i's, read at that diagonal's offset.
+        messages_out.append(tuple([pin.read(flat, at - i * n) for i, pin in enumerate(pins)]))
 
     return DecodeReport(
         params=_report_params(code, tau, None, message_horizon),

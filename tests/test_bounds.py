@@ -167,3 +167,10 @@ def test_causal_code_exists_matches_search():
                     refuted += 1
                 spaces += 1
     assert (spaces, refuted) == (48, 12)
+
+
+@pytest.mark.parametrize("model", [None, "sw:1,3", (1, 1, 3)], ids=repr)
+def test_rate_bound_needs_a_model(model):
+    # None raised AttributeError on `.erasure_equivalent`.
+    with pytest.raises(ValueError, match="^rate_bound needs a ChannelModel, got "):
+        rate_bound(model)

@@ -421,3 +421,17 @@ def test_model_needs_integer_parameters(z, b, w):
     # 1.5 printed "a": 1.5 and a rate bound of 3.5/5; True printed "a": true.
     with pytest.raises(ValueError, match="needs integer z, b and w"):
         ChannelModel(z, b, w)
+
+
+@pytest.mark.parametrize("b", [0, -1, 1.5, 2.0, True, None], ids=repr)
+def test_min_burst_cover_needs_a_burst_length_of_at_least_one(b):
+    # b = 0 counted [0, 1] as two bursts, and b = -1 or 1.5 as four.
+    with pytest.raises(ValueError, match=f"^burst length b must be an int >= 1, got {b!r}$"):
+        min_burst_cover([0, 1], b)
+
+
+@pytest.mark.parametrize("pattern", [[0, 1], (0, 1), None, "0,1"], ids=repr)
+def test_admits_needs_a_pattern(pattern):
+    # A list raised AttributeError on `.support`.
+    with pytest.raises(ValueError, match="^admits needs an ErasurePattern or ErrorPattern, got "):
+        ChannelModel.sw(1, 3).admits(pattern)

@@ -277,6 +277,22 @@ def test_erasure_report_bytes_are_pinned():
     assert report.to_json() == (GOLDEN / "erasure_decode_report.json").read_text(encoding="utf-8")
 
 
+def test_prime_field_erasure_report_bytes_are_pinned():
+    # The [8,4] multi-burst code over GF(5), whose pins are read mod 5, at
+    # tau = 5 facing nine erasures that overrun mbsw:2,2,7: messages 1, 3
+    # and 5 are lost, messages 0, 4, 8 and 9 are recovered late, and the
+    # erasures at 12 and 13 fall in the last n-1 packets.
+    code = build_multi_burst(4, 2, 2, F5)
+    messages = _messages(F5, 12, 4, seed=26)
+    pattern = ErasurePattern.from_support(19, {0, 1, 3, 4, 5, 8, 9, 12, 13})
+    report = simulate(code, 5, ChannelModel.mbsw(2, 2, 7), pattern, messages)
+    assert report.to_json() == (GOLDEN / "erasure_decode_report_gf5.json").read_text(encoding="utf-8")
+    assert report.messages == (
+        (1, 1, 3, 4), None, (0, 4, 4, 1), None, (0, 1, 1, 1), None,
+        (2, 1, 4, 0), (0, 2, 4, 4), (0, 4, 0, 0), (3, 4, 4, 2), (2, 3, 3, 1), (0, 2, 1, 4),
+    )  # fmt: skip
+
+
 def test_error_report_bytes_are_pinned():
     # An error on u_0(2) of a [5,4] stream: u(0) and u(1) decode at their
     # deadlines, and u(2) is ambiguous, so decoding halts there.
@@ -329,11 +345,14 @@ def _per_diagonal_decode(code, tau, received, message_horizon):
     )
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F16, GF(251), GF(1 << 16)], ids=lambda f: f"q{f.q}")
-def test_erasure_decoder_matches_per_diagonal_oracle(field):
-    # random codes, zero columns in P included, at horizons 0, 1, n and 30;
-    # random patterns of every density, and bursts longer than n - k
-    rng = random.Random(100 + field.q)
+ERASURE_FIELDS = [F2, F3, F4, F5, F7, F8, F16, GF(251), GF(1 << 16)]
+
+
+def _random_erasure_decodes(field, seed):
+    """(code, tau, received, horizon) of random codes, zero columns in P
+    included, at horizons 0, 1, n and 30; random patterns of every
+    density, and bursts longer than n - k."""
+    rng = random.Random(seed)
     for _ in range(8):
         n = rng.randrange(2, 8)
         k = rng.randrange(1, n)
@@ -349,13 +368,91 @@ def test_erasure_decoder_matches_per_diagonal_oracle(field):
             # symbols at times 0..n-k and keep their zeros before time 0.
             supports.append(set(range(min(n - k + 1, last))))
             for support in supports:
-                pattern = ErasurePattern.from_support(last, support)
                 tau = rng.randrange(n + 1)
-                received = apply_erasures(packets, pattern)
-                got = decode_erasures(code, tau, received, horizon)
+                yield code, tau, apply_erasures(packets, ErasurePattern.from_support(last, support)), horizon
+
+
+@pytest.mark.parametrize("field", ERASURE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_erasure_decoder_matches_per_diagonal_oracle(field):
+    for case in _random_erasure_decodes(field, seed=100 + field.q):
+        got = decode_erasures(*case)
+        want = _per_diagonal_decode(*case)
+        assert got.to_json() == want.to_json()
+        assert got.messages == want.messages
+
+
+@pytest.mark.parametrize("field", ERASURE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_erasure_decision_memo_cold_equals_warm(field):
+    # Each report must not depend on what the decision memo already
+    # holds: every decode with empty memos equals the same decode through
+    # the memos warmed by the earlier cases of its code, and by all of
+    # them.
+    cases = list(_random_erasure_decodes(field, seed=200 + field.q))
+    cold = [_report_bytes(decode_erasures(_fresh(code), *rest)) for code, *rest in cases]
+    assert [_report_bytes(decode_erasures(*case)) for case in cases] == cold
+    rewarm = [_report_bytes(decode_erasures(*case)) for case in reversed(cases)]
+    assert rewarm[::-1] == cold
+    # the memos hold decisions of both kinds: lost, and recovered
+    decisions = [v for code in {case[0] for case in cases} for v in code._erasure_decisions.values()]
+    assert None in decisions and any(v is not None for v in decisions)
+
+
+@pytest.mark.parametrize(
+    "code", [build_mds(5, 3, F8), build_multi_burst(4, 2, 2, F5), build_mds(3, 1, F4)], ids=["53q8", "84q5", "31q4"]
+)
+def test_erasure_decoder_at_the_stream_ends(code):
+    # Horizons 0, 1 and n, with erasures in the first k-1 packets, whose
+    # windows reach before time 0, and in the last n-1, whose windows
+    # reach past the last message.
+    n, k = code.n, code.k
+    for horizon in (0, 1, n):
+        packets = de_encode(code, _messages(code.field, horizon, k, seed=horizon))
+        last = len(packets)
+        head, tail = set(range(min(k - 1, last))), set(range(max(last - n + 1, 0), last))
+        for support in (set(), head, tail, head | tail, {0}, {last - 1}, set(range(last))):
+            received = apply_erasures(packets, ErasurePattern.from_support(last, support))
+            for tau in (0, n - 1):
+                got = decode_erasures(_fresh(code), tau, received, horizon)
                 want = _per_diagonal_decode(code, tau, received, horizon)
-                assert got.to_json() == want.to_json()
-                assert got.messages == want.messages
+                assert _report_bytes(got) == _report_bytes(want), (horizon, sorted(support), tau)
+
+
+def test_erasure_decision_memo_cap_keeps_reports(monkeypatch):
+    # A full memo is cleared, so a memo of one or two entries churns on
+    # nearly every erased message, and the reports must stay those of
+    # the uncapped memo.
+    cases = list(_random_erasure_decodes(F3, seed=7))
+    uncapped = [_report_bytes(decode_erasures(_fresh(code), *rest)) for code, *rest in cases]
+    for cap in (1, 2):
+        monkeypatch.setattr(streaming, "_ERASURE_DECISION_CAP", cap)
+        codes = {}
+        capped = [_report_bytes(decode_erasures(codes.setdefault(code, _fresh(code)), *rest)) for code, *rest in cases]
+        assert capped == uncapped
+        assert all(len(code._erasure_decisions) <= cap for code in codes.values())
+
+
+def test_erasure_decoder_asks_recovery_once_per_mask(monkeypatch):
+    # The decisions share the pin readers of `_erasure_readers`, so
+    # `code.recovery` runs once per distinct diagonal mask, through
+    # decision misses and a churning memo alike.
+    asked = []
+    recovery = SystematicCode.recovery
+
+    def counted(self, avail):
+        asked.append(avail)
+        return recovery(self, avail)
+
+    monkeypatch.setattr(SystematicCode, "recovery", counted)
+    cases = list(_random_erasure_decodes(F8, seed=11))
+    for cap in (streaming._ERASURE_DECISION_CAP, 1):
+        monkeypatch.setattr(streaming, "_ERASURE_DECISION_CAP", cap)
+        for code in {case[0] for case in cases}:
+            fresh = _fresh(code)
+            asked.clear()
+            for _, *rest in (case for case in cases if case[0] == code):
+                decode_erasures(fresh, *rest)
+            assert sorted(asked) == sorted(set(asked)) == sorted(fresh._erasure_readers)
+            assert fresh._erasure_decisions
 
 
 def test_erasure_decoder_rejects_conflicting_diagonal():
