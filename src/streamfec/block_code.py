@@ -152,7 +152,7 @@ class SystematicCode:
             "n": self.n,
             "k": self.k,
             "P": self.P.to_lists(),
-            "construction": self.construction or {"kind": "custom"},
+            "construction": {"kind": "custom"} if self.construction is None else self.construction,
         }
 
     @staticmethod
@@ -169,13 +169,10 @@ class SystematicCode:
             raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
         if not (isinstance(p_rows, list) and all(isinstance(row, list) for row in p_rows)):
             raise ValueError("P must be a list of rows, each a list of field values")
-        return SystematicCode(
-            field=fld,
-            n=n,
-            k=k,
-            P=FieldMatrix(fld, p_rows),
-            construction=d.get("construction"),
-        )
+        construction = d.get("construction")
+        if "construction" in d and not isinstance(construction, dict):
+            raise ValueError(f"construction must be an object, got {type(construction).__name__}")
+        return SystematicCode(field=fld, n=n, k=k, P=FieldMatrix(fld, p_rows), construction=construction)
 
 
 def _systematize(g: FieldMatrix) -> SystematicCode:
@@ -317,6 +314,7 @@ def check_full_rank_property(code: SystematicCode, z: int, b: int) -> bool:
     matrix has rank b, for l in [0, z-1] and j in [0, k-b].  A necessary
     property of any [k+zb, k] systematic code that recovers every
     (z,b)-burst."""
+    _check_ints(z=z, b=b)
     n, k = code.n, code.k
     if n != k + z * b:
         raise ValueError(f"expected n = k + z*b, got n={n}, k={k}, z={z}, b={b}")
@@ -355,6 +353,7 @@ def check_window_rank_properties(a: FieldMatrix, b: int, m: int) -> WindowProper
     P4: every width-2b column window starting in [0, (m-2)b] has rank 2.
     Whenever P1-P4 all hold, the last column has no zero entry.
     """
+    _check_ints(b=b, m=m)
     if b < 2 or m < 2:
         raise ValueError("need b >= 2 and m >= 2")
     if a.rows != 2 or a.cols != m * b:

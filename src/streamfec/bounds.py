@@ -23,6 +23,7 @@ class RateBound:
     denominator: int
 
     def __post_init__(self) -> None:
+        _check_ints(numerator=self.numerator, denominator=self.denominator)
         if self.denominator <= 0:
             raise ValueError("denominator must be positive")
         if not 0 <= self.numerator <= self.denominator:

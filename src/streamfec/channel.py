@@ -83,8 +83,13 @@ class ErasurePattern:
 
     @classmethod
     def from_csv(cls, text: str) -> "ErasurePattern":
-        parts = [p for p in text.replace("\n", ",").split(",") if p.strip() != ""]
-        flags = tuple(int(p) for p in parts)
+        # A cell is exactly 0 or 1 up to whitespace: `int` would read
+        # "0_1" as 1 and "+1" or an Arabic-Indic one as 1 too.
+        cells = [c.strip() for c in text.replace("\n", ",").split(",")]
+        bad = next((c for c in cells if c not in ("", "0", "1")), None)
+        if bad is not None:
+            raise ValueError(f"erasure pattern CSV cell {bad!r} is not 0 or 1")
+        flags = tuple(int(c) for c in cells if c)
         return cls(len(flags), flags)
 
 
@@ -220,18 +225,23 @@ class ChannelModel:
         return {"kind": self.kind, "w": self.w, "z": self.z, "b": self.b}
 
 
+def _check_burst_length(b: int) -> None:
+    if type(b) is not int or b < 1:
+        raise ValueError(f"burst length b must be an int >= 1, got {b!r}")
+
+
 def min_burst_cover(support: Sequence[int], b: int) -> int:
     """Fewest disjoint length-<=b intervals covering the given points,
     by the left-anchored greedy rule.  b must be an int >= 1."""
-    if type(b) is not int or b < 1:
-        raise ValueError(f"burst length b must be an int >= 1, got {b!r}")
+    _check_burst_length(b)
     return _burst_cover(support, b)
 
 
 def _burst_cover(support: Sequence[int], b: int) -> int:
-    # `min_burst_cover` for the admissibility loops, whose b their model
-    # or burst family has checked: a check per window made five
-    # `burst_supports` families 5-10 % slower on a 2-core x86-64 machine.
+    # `min_burst_cover` for the admissibility loops, which check b once
+    # per call (`windows_ok`) or whose model or burst family has
+    # (`_supports`): a check per window made five `burst_supports`
+    # families 5-10 % slower on a 2-core x86-64 machine.
     count = 0
     cur_end = None
     for p in sorted(support):
@@ -252,6 +262,7 @@ def windows_ok(points: Sequence[int], z: int, b: int, w: int) -> bool:
     """
     if w < 1:
         raise ValueError("window length must be positive")
+    _check_burst_length(b)
     for i, start in enumerate(points):
         end = bisect_left(points, start + w, i)
         count = end - i

@@ -40,13 +40,14 @@ decoding.  To decode u(t) it assumes all earlier messages are known
 (sequential recovery), and its syndrome is the parity residuals of the
 window [t, t+tau]'s packets: parity j of packet p minus parity j
 re-encoded from the messages of diagonal p-j.  The decoder reads a
-packet's n-k residuals once, when the packet enters the window, with
-one `matrix.Packed` read (`_residual_reader`, built once per memo) over
+packet's n-k residuals when the packet enters the window, with one
+`matrix.Packed` read (`_residual_reader`, built once per memo) over
 the received stream, over whose message symbols each decoded u(t) is
-written; a nonzero correction re-reads the residuals of the window
-packets that read u(t).  The syndrome is the base-q^(n-k) integer of
-the window's packets, packet t most significant, so it slides by one
-packet per message.
+written.  The syndrome is the base-q^(n-k) integer of the window's
+packets, packet t most significant, so it slides by one packet per
+message; after a nonzero correction, which changes what the residuals
+of packets t+1, ..., t+n-1 read, the next window is read afresh from
+packet t+1, each packet again as it enters.
 
 It then enumerates every candidate set S of error times inside the
 window that is jointly admissible with the already-inferred past errors.
@@ -488,13 +489,13 @@ def decode_errors(
     The decision is memoised per (code, tau, model) under (window width,
     near-past error offsets, window syndrome).  The syndrome is the
     window packets' parity residuals, packet t's first, as one base-q
-    integer: each packet's n-k residuals are read once, by
-    `_residual_reader` at offset p*n of the received stream, when packet p
-    enters the window; the key then slides by one packet per message, and
-    a nonzero correction, written over packet t's message symbols,
-    re-reads the residuals that read it.  A miss is decided from the key
-    alone, its digits unpacked from the syndrome, by the candidates'
-    blocks of P (`_window`).  The width and near-past offsets fix the
+    integer: packet p's n-k residuals are read by `_residual_reader` at
+    offset p*n of the received stream when packet p enters the window,
+    and the key slides by one packet per message.  A nonzero correction
+    is written over packet t's message symbols, and the next window is
+    read afresh from packet t+1.  A miss is decided from the key alone,
+    its digits unpacked from the syndrome, by the candidates' blocks of
+    P (`_window`).  The width and near-past offsets fix the
     admissible candidates, so the key fixes the verdict and the
     correction to u(t) exactly; it also fixes whether packet t was in
     error, through packet t's residuals, the syndrome's first n-k digits.
@@ -532,15 +533,13 @@ def decode_errors(
     wend = -1
     syndrome = 0
     for t in range(message_horizon):
-        # Packet t-1 leaves the window, and the packets up to t+tau enter
-        # it while the stream lasts.
+        # Packet t-1 leaves the window (every packet, after a correction),
+        # and the packets up to t+tau enter it while the stream lasts.
         syndrome %= power[wend - t + 1]
         while wend < t + tau and wend < last:
             wend += 1
             syndrome = syndrome * Q + residuals(flat, wend * n)
         width = wend - t + 1
-        if width not in windows:
-            windows[width] = _window(code, width, [p.support for p in enumerate_admissible(model, width)])
         key = syndrome << low_bits | width << w | near_past
         verdict = verdicts.get(key)
         if verdict is None:
@@ -548,7 +547,10 @@ def decode_errors(
             # (width, near-past offsets) context, tested on its syndrome.
             candidates = contexts.get((width, near_past))
             if candidates is None:
-                rows = windows[width]
+                rows = windows.get(width)
+                if rows is None:
+                    supports = [p.support for p in enumerate_admissible(model, width)]
+                    rows = windows[width] = _window(code, width, supports)
                 near = [-d for d in range(w - 1, 0, -1) if near_past >> d & 1]
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
@@ -570,18 +572,14 @@ def decode_errors(
             break
         correction, in_error = verdict
         at = (t + n - 1) * n
-        if any(correction):
-            # Later windows read u(t) from packet t's message symbols,
-            # through the residuals of packets t+1, ..., t+n-1.
-            flat[at : at + k] = add(f, flat[at : at + k], correction)
-            top = min(t + n - 1, wend)
-            kept = syndrome % power[wend - top]
-            syndrome //= power[wend - t]
-            for p in range(t + 1, top + 1):
-                syndrome = syndrome * Q + residuals(flat, p * n)
-            syndrome = syndrome * power[wend - top] + kept
-        messages_out.append(tuple(flat[at : at + k]))
         times.append(wend)
+        if any(correction):
+            # Later windows read u(t) from packet t's message symbols, so
+            # the next window is read afresh from packet t+1; u(t)'s
+            # recovery time, the old wend, is already recorded.
+            flat[at : at + k] = add(f, flat[at : at + k], correction)
+            wend = t
+        messages_out.append(tuple(flat[at : at + k]))
         near_past = ((near_past | in_error) << 1) & ((1 << w) - 1)
 
     return DecodeReport(

@@ -356,6 +356,22 @@ def test_full_rank_property_shape_check():
         check_full_rank_property(build_mds(5, 3, F8), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each raised TypeError from range
+        (lambda: check_full_rank_property(build_multi_burst(4, 1, 2, F8), 1, 2.0), "^b must be an int, got 2.0$"),
+        (lambda: check_full_rank_property(build_multi_burst(4, 1, 2, F8), True, 2), "^z must be an int, got True$"),
+        (lambda: check_window_rank_properties(FieldMatrix(F2, [[0] * 4] * 2), 2.0, 2), "^b must be an int, got 2.0$"),
+        (lambda: check_window_rank_properties(FieldMatrix(F2, [[0] * 4] * 2), 2, 2.0), "^m must be an int, got 2.0$"),
+        (lambda: check_window_rank_properties(FieldMatrix(F2, [[0] * 4] * 2), 2, True), "^m must be an int, got True$"),
+    ],
+)
+def test_window_rank_checks_take_exact_ints(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_window_rank_example_rank_one_overall():
     a = FieldMatrix(F2, [[0, 1, 0, 1], [0, 1, 0, 1]])
     rep = check_window_rank_properties(a, 2, 2)
@@ -534,6 +550,24 @@ def test_descriptor_roundtrip_bit_exact():
         again = SystematicCode.from_descriptor(json.loads(blob))
         assert again == code
         assert json.dumps(again.to_descriptor(), indent=2) == blob
+
+
+@pytest.mark.parametrize("construction", [{}, {"kind": "custom"}, {"kind": "mds", "n": 5, "k": 3}, {"note": [0]}], ids=repr)
+def test_descriptor_construction_round_trips(construction):
+    # An empty construction was emitted as {"kind": "custom"}.
+    d = {**build_mds(5, 3, F8).to_descriptor(), "construction": construction}
+    assert SystematicCode.from_descriptor(d).to_descriptor() == d
+    # A descriptor without one reads as a custom code.
+    del d["construction"]
+    assert SystematicCode.from_descriptor(d).to_descriptor()["construction"] == {"kind": "custom"}
+
+
+@pytest.mark.parametrize("construction", ["x", 0, None, [], True], ids=repr)
+def test_descriptor_construction_is_an_object(construction):
+    # "x" passed through, and 0 was emitted as {"kind": "custom"}.
+    d = {**build_mds(5, 3, F8).to_descriptor(), "construction": construction}
+    with pytest.raises(ValueError, match=f"^construction must be an object, got {type(construction).__name__}$"):
+        SystematicCode.from_descriptor(d)
 
 
 @pytest.mark.parametrize("drop", [("P",), ("field", "k"), ("n", "k", "P")])

@@ -123,6 +123,11 @@ def test_de_achievable_examples():
         (lambda: causal_code_exists(4, 2, 2.0, 6), "^b must be an int, got 2.0$"),
         # causal_code_exists(4, 2, 2, 6.5) returned True
         (lambda: causal_code_exists(4, 2, 2, 6.5), "^tau must be an int, got 6.5$"),
+        # RateBound(1.5, 2) printed 1.5/2, and RateBound(True, 2) True/2
+        (lambda: RateBound(1.5, 2), "^numerator must be an int, got 1.5$"),
+        (lambda: RateBound(True, 2), "^numerator must be an int, got True$"),
+        (lambda: RateBound(1, 2.0), "^denominator must be an int, got 2.0$"),
+        (lambda: RateBound(0, True), "^denominator must be an int, got True$"),
     ],
 )
 def test_bounds_take_exact_ints(call, message):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import pytest
@@ -316,6 +317,20 @@ def test_erasure_pattern_csv_roundtrip():
     assert ErasurePattern.from_csv("0,1\n1,0") == ErasurePattern(4, (0, 1, 1, 0))
 
 
+def test_erasure_pattern_csv_reads_only_0_and_1():
+    # Cells are stripped of whitespace, and empty ones skipped.
+    assert ErasurePattern.from_csv(" 0 ,1\r\n1,\n\n0,,") == ErasurePattern(4, (0, 1, 1, 0))
+    assert ErasurePattern.from_csv("") == ErasurePattern(0, ())
+    # `int` read each of these as a flag: "0_1" as 1, so "0,0_1,1" was
+    # (0, 1, 1), and "+1" and an Arabic-Indic one as 1.
+    for cell in ("0_1", "+1", "\u0661", "1.0", "2", "-0", "x"):
+        with pytest.raises(ValueError, match=f"^erasure pattern CSV cell {re.escape(repr(cell))} is not 0 or 1$"):
+            ErasurePattern.from_csv(f"0,{cell},1")
+    # The first bad cell is the one named.
+    with pytest.raises(ValueError, match="^erasure pattern CSV cell '2' is not 0 or 1$"):
+        ErasurePattern.from_csv("1\n2,+1")
+
+
 def test_error_pattern_json_roundtrip():
     e = ErrorPattern.from_entries(6, 3, {2: (0, 5, 0), 4: (1, 0, 2)})
     assert ErrorPattern.from_json(e.to_json(), GF(8)) == e
@@ -428,6 +443,22 @@ def test_min_burst_cover_needs_a_burst_length_of_at_least_one(b):
     # b = 0 counted [0, 1] as two bursts, and b = -1 or 1.5 as four.
     with pytest.raises(ValueError, match=f"^burst length b must be an int >= 1, got {b!r}$"):
         min_burst_cover([0, 1], b)
+
+
+@pytest.mark.parametrize("b", [0, -1, 1.5, True], ids=repr)
+def test_admissibility_needs_a_burst_length_of_at_least_one(b):
+    # windows_ok([0], 1, 0, 3) was True, though no length-0 burst covers
+    # a point, and is_admissible_mbsw judged by b = 1.5.  windows_ok
+    # checks b once per call, so a pattern with no points is refused too.
+    pattern = ErasurePattern.from_support(4, [0, 1])
+    for check in (
+        lambda: windows_ok([0], 1, b, 3),
+        lambda: windows_ok([], 1, b, 3),
+        lambda: is_admissible_mbsw(pattern, 2, b, 3),
+        lambda: is_admissible_mbsw(_pat(0, 0, 0), 1, b, 3),
+    ):
+        with pytest.raises(ValueError, match=f"^burst length b must be an int >= 1, got {b!r}$"):
+            check()
 
 
 @pytest.mark.parametrize("pattern", [[0, 1], (0, 1), None, "0,1"], ids=repr)

@@ -304,6 +304,17 @@ def test_error_pattern_value_not_in_field_exits_with_its_line(tmp_path, capsys, 
     assert capsys.readouterr().out == ""
 
 
+def test_erasure_csv_cell_that_is_no_flag_exits_with_its_line(tmp_path, capsys):
+    # The pattern "0,0_1,1" was simulated as (0, 1, 1).
+    run(capsys, "construct", "--mds", "5", "3", "--gf", "8", "--out", str(tmp_path / "code53.json"))
+    (tmp_path / "p.csv").write_text("0,0_1,1\n")
+    argv = f"simulate --descriptor {tmp_path}/code53.json --tau 4 --pattern {tmp_path}/p.csv --horizon 2"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == "streamfec simulate: erasure pattern CSV cell '0_1' is not 0 or 1"
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("text", ["[1,2]", "  [1, 2]\n", "[]"])
 def test_top_level_json_array_pattern_is_read_as_json(tmp_path, capsys, text):
     # A pattern file that opens a JSON array is no erasure CSV: it is an

@@ -4,6 +4,7 @@ import re
 from functools import partial
 from itertools import combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -302,6 +303,29 @@ def test_error_report_bytes_are_pinned():
     report = decode_errors(code, 4, apply_errors(code, packets, pattern), 6, ChannelModel.sw_err(1, 5))
     assert report.to_json() == (GOLDEN / "error_decode_report.json").read_text(encoding="utf-8")
     assert report.messages == ((6, 0, 3, 4), (7, 0, 4, 0), None, None, None, None)
+
+
+def _wide_error_stream():
+    # The [5,3] code over GF(7) with the CLI's `--seed 7` messages and
+    # errors at t = 1 (on u_0(1), which needs a correction), 6 (on a
+    # parity) and 11 (past the last message).
+    code = build_mds(5, 3, F7)
+    rng = random.Random(7)
+    messages = [[rng.randrange(7) for _ in range(3)] for _ in range(10)]
+    pattern = ErrorPattern.from_entries(14, 5, {1: (4, 0, 0, 0, 0), 6: (0, 0, 0, 2, 0), 11: (0, 5, 0, 0, 1)})
+    return code, messages, pattern
+
+
+def test_corrected_error_report_bytes_are_pinned():
+    # At tau = 6 > n-1 windows outgrow a diagonal and the tail windows
+    # shrink; every message decodes, u(1) by a correction.
+    code, messages, pattern = _wide_error_stream()
+    report = simulate(code, 6, ChannelModel.sw_err(1, 5), pattern, messages)
+    assert report.to_json() == (GOLDEN / "error_decode_report_wide.json").read_text(encoding="utf-8")
+    assert report.messages == (
+        (2, 1, 3), (5, 0, 0), (6, 4, 0), (2, 4, 0), (4, 1, 0), (0, 3, 3), (0, 1, 0), (4, 3, 0), (6, 4, 0), (1, 5, 5),
+    )  # fmt: skip
+    assert report.times == (6, 7, 8, 9, 10, 11, 12, 13, 13, 13)
 
 
 def _per_diagonal_decode(code, tau, received, message_horizon):
@@ -1088,6 +1112,47 @@ def test_error_decoder_at_a_delay_past_the_stream():
     reports = [decode_errors(code, tau, received, 10, model) for tau in (13, 10**6)]
     assert reports[0].messages == reports[1].messages == tuple(map(tuple, msgs))
     assert reports[0].times == reports[1].times == (13,) * 10
+
+
+def _residual_reads(monkeypatch, code, tau, received, message_horizon, model):
+    # The report, and the packets whose residuals the decoder read, in order.
+    reads = []
+    build = streaming._residual_reader
+
+    def counted(code):
+        read = build(code).read
+
+        def read_packet(flat, at):
+            reads.append(at // code.n)
+            return read(flat, at)
+
+        return SimpleNamespace(read=read_packet)
+
+    monkeypatch.setattr(streaming, "_residual_reader", counted)
+    report = decode_errors(_fresh(code), tau, received, message_horizon, model)
+    return report, reads
+
+
+def test_error_decoder_reads_each_packet_as_it_enters_the_window(monkeypatch):
+    # A packet's residuals are read as it enters the window.  A nonzero
+    # correction to u(t) changes what the residuals of packets t+1, ...,
+    # t+n-1 read, so the next window is read again from packet t+1, by
+    # the same entering read; after the last message nothing is read.
+    code, messages, pattern = _wide_error_stream()
+    model = ChannelModel.sw_err(1, 5)
+    packets = de_encode(code, messages)
+    for tau in (4, 6):
+        report, reads = _residual_reads(monkeypatch, code, tau, packets, 10, model)
+        assert report.success and reads == list(range(14))
+    # u(1) is corrected on its window [1, 7] at tau = 6.
+    report, reads = _residual_reads(monkeypatch, code, 6, apply_errors(code, packets, pattern), 10, model)
+    assert report.success and reads == list(range(8)) + list(range(2, 14))
+    # u(2) is corrected on its window [2, 6] at tau = 4, and u(9), the last
+    # message, on [9, 13].
+    pattern = ErrorPattern.from_entries(14, 5, {2: (0, 3, 0, 0, 0), 9: (5, 0, 0, 0, 0)})
+    report, reads = _residual_reads(monkeypatch, code, 4, apply_errors(code, packets, pattern), 10, model)
+    assert report.messages == tuple(map(tuple, messages))
+    assert reads == list(range(7)) + list(range(3, 14))
 
 
 def test_error_decision_memo_cap_keeps_reports(monkeypatch):
