@@ -10,7 +10,12 @@ projected onto its coordinates, and a check that fails on a prefix of
 rows fails for every completion of it, so the integer cursor skips the
 prefix's whole subtree.  Every candidate the cursor passes is covered;
 the first survivor is the lexicographically first witness, and it is
-re-checked with the reference verifier before it is reported.
+re-checked with the reference verifier before it is reported, on the
+family's maximal supports (`_maximal_supports`).  That re-check is
+exact: erasing fewer positions leaves every remaining erased symbol's
+pin no later, so a code that recovers a support within the delay
+recovers every subset of it, and each dropped support lies inside a
+kept one.
 
 A check's verdict depends only on the projected rows it reads, so each
 check keeps a memo of its verdicts for one scan, keyed by those digits:
@@ -376,6 +381,23 @@ def _scan(field: Field, k: int, r: int, checks, start: int, stop: int, progress=
     return None
 
 
+def _maximal_supports(n: int, supports: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The supports, in their given order, that have no one-point
+    extension in the family.  Every dropped support has one, which is
+    either kept or has one in turn, so each dropped support lies inside
+    a kept one.  For a family closed under taking subsets, such as a
+    burst family, a support with a strict superset in it also has a
+    one-point extension in it, so these are exactly its maximal
+    supports."""
+    masks = [sum(1 << j for j in support) for support in supports]
+    family = set(masks)
+    return [
+        support
+        for support, mask in zip(supports, masks)
+        if not any((mask | 1 << j) in family for j in range(n) if not mask >> j & 1)
+    ]
+
+
 def _code_at(field: Field, n: int, k: int, index: int) -> SystematicCode:
     r = n - k
     digits = _digits_of(index, field.q**r, k)
@@ -404,8 +426,13 @@ def search_nonexistence(
     is row-major lexicographically first, its index determining
     candidates_checked; when none exists, candidates_checked == total.
     `start` is a resume cursor into the same enumeration: the result is
-    the first witness at or after it.  The scan runs in this process:
-    `jobs` stays for callers that pass jobs=1, and accepts nothing else.
+    the first witness at or after it.  The kernel's survivor is
+    re-checked by the reference verifier on the family's maximal
+    supports, which decides the whole family: a code that recovers a
+    support within the delay recovers every subset of it, since erasing
+    fewer positions never delays a pin.  A disagreement raises
+    RuntimeError.  The scan runs in this process: `jobs` stays for
+    callers that pass jobs=1, and accepts nothing else.
     """
     _check_ints(n=n, k=k, z=z, b=b, tau=tau, start=start)
     if k < 1:
@@ -428,7 +455,7 @@ def search_nonexistence(
     if survivor is None:
         return {"found": False, "witness": None, "candidates_checked": total - start, "total": total}
     code = _code_at(field, n, k, survivor)
-    confirmed: VerifyResult = verify_delay_decodable(code, tau, supports)
+    confirmed: VerifyResult = verify_delay_decodable(code, tau, _maximal_supports(n, supports))
     if not confirmed.ok:
         raise RuntimeError(f"kernel survivor {survivor} fails the reference verifier at {confirmed.counterexample}")
     return {

@@ -643,6 +643,85 @@ def test_witness_confirmation_failure_raises(monkeypatch):
         search_nonexistence(4, 2, 1, 2, 2, F2)
 
 
+def _strictly_inside(small, large) -> bool:
+    return set(small) < set(large)
+
+
+def _closed_under_subsets(family) -> bool:
+    sets = {frozenset(s) for s in family}
+    return all(s - {x} in sets for s in sets for x in s)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_maximal_supports_of_burst_families(n):
+    # a burst family is closed under taking subsets, so the supports with
+    # no one-point extension in it are those with no strict superset
+    for z in (1, 2, 3):
+        for b in (1, 2, 3):
+            family = burst_supports(n, z, b)
+            brute = [s for s in family if not any(_strictly_inside(s, t) for t in family)]
+            assert search._maximal_supports(n, family) == brute, (n, z, b)
+
+
+def test_maximal_supports_of_arbitrary_families():
+    # an ordered subsequence of the input, and every dropped support lies
+    # strictly inside a kept one, whether or not the family is closed
+    # under taking subsets
+    rng = random.Random(34)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        family = [
+            tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for _ in range(rng.randint(0, 12))
+        ]
+        kept = search._maximal_supports(n, family)
+        rest = iter(family)
+        assert all(any(s == t for t in rest) for s in kept), (family, kept)
+        for s in family:
+            if s not in kept:
+                assert any(_strictly_inside(s, t) for t in kept), (family, kept, s)
+
+
+def test_maximal_supports_decide_like_the_whole_family():
+    # erasing fewer positions never delays a pin, so the verifier's
+    # verdict on a family is its verdict on the family's maximal supports:
+    # on burst families and on random pattern lists not closed under
+    # taking subsets, over seeded random codes
+    rng = random.Random(340)
+    fields = [GF(q) for q in (2, 3, 4, 5, 8)]
+    verdicts = {"burst": set(), "random": set()}
+    for _ in range(150):
+        f = rng.choice(fields)
+        n = rng.randint(2, 9)
+        k = rng.randint(1, n - 1)
+        p = FieldMatrix(f, [[rng.randrange(f.q) for _ in range(n - k)] for _ in range(k)])
+        code = SystematicCode(field=f, n=n, k=k, P=p)
+        tau = rng.randint(k, n - 1)
+        bursts = burst_supports(n, rng.randint(1, 3), rng.randint(1, 3))
+        patterns = []
+        while _closed_under_subsets(patterns):
+            patterns = [tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(rng.randint(1, 6))]
+        for kind, family in (("burst", bursts), ("random", patterns)):
+            ok = verify_delay_decodable(code, tau, family).ok
+            assert verify_delay_decodable(code, tau, search._maximal_supports(n, family)).ok == ok
+            verdicts[kind].add(ok)
+    assert verdicts == {"burst": {True, False}, "random": {True, False}}
+
+
+@pytest.mark.parametrize("n, k, z, b, tau, q", [(6, 2, 2, 2, 4, 4), (9, 3, 2, 3, 6, 2)])
+def test_witness_is_confirmed_on_the_maximal_supports(monkeypatch, n, k, z, b, tau, q):
+    recorded = []
+
+    def recording(code, delay, patterns):
+        recorded.append(patterns)
+        return verify_delay_decodable(code, delay, patterns)
+
+    monkeypatch.setattr(search, "verify_delay_decodable", recording)
+    assert search_nonexistence(n, k, z, b, tau, GF(q))["found"]
+    family = burst_supports(n, z, b)
+    assert recorded == [search._maximal_supports(n, family)]
+    assert len(recorded[0]) < len(family)
+
+
 def test_search_runs_in_one_process():
     # `jobs` is kept only for callers that pass jobs=1
     for jobs in (0, 2, -2):
