@@ -289,7 +289,11 @@ def is_admissible_mbsw(pattern: ErasurePattern, z: int, b: int, w: int) -> bool:
 def _supports(z: int, b: int, w: int, top: int) -> Iterator[tuple[int, ...]]:
     """Every subset of [0, top] whose points in every length-w window are
     coverable by <= z disjoint intervals of length <= b, in lexicographic
-    order of their flag sequences (0 before 1).
+    order of their flag sequences (0 before 1).  `enumerate_admissible`
+    and `burst_supports` read it, and so, as bare supports with no pattern
+    built, do the error decoder's per-width window table
+    (`streaming.decode_errors`), `streaming.equivalence_sweep` and
+    `verify-code --model`.
 
     The walk steps from one support to the next without recursion: from
     the top slot down, it drops each point it meets (a 1 flag) until it

@@ -21,13 +21,7 @@ from typing import Sequence
 
 from .block_code import SystematicCode, build_mds, build_multi_burst, verify_delay_decodable
 from .bounds import de_achievable, rate_bound
-from .channel import (
-    ChannelModel,
-    ErasurePattern,
-    ErrorPattern,
-    burst_supports,
-    enumerate_admissible,
-)
+from .channel import ChannelModel, ErasurePattern, ErrorPattern, _supports, burst_supports, enumerate_admissible
 from .galois import GF, Field
 from .search import _SEARCH_GUARD, progress_to_stderr, search_nonexistence
 from .streaming import equivalence_sweep, simulate
@@ -97,7 +91,7 @@ def _cmd_verify_code(args) -> int:
         model = _parse_model(args.model)
         if model.errors:
             raise ValueError(f"erasure patterns need an erasure-channel model, got {model.kind}")
-        patterns = [p.support for p in enumerate_admissible(model, code.n)]
+        patterns = list(_supports(model.z, model.b, model.w, code.n - 1))
     result = verify_delay_decodable(code, args.tau, patterns)
     obj = {
         "ok": result.ok,

@@ -87,10 +87,10 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .block_code import SystematicCode
-from .channel import ChannelModel, ErasurePattern, ErrorPattern, _check_count, enumerate_admissible, windows_ok
+from .channel import ChannelModel, ErasurePattern, ErrorPattern, _check_count, _supports, windows_ok
 from .matrix import Packed, _digits_of, _rref, add, form
 
 
@@ -361,7 +361,7 @@ _NO_CANDIDATE = "no consistent candidate"
 _AMBIGUOUS = "ambiguous"
 
 
-def _window(code: SystematicCode, width: int, candidates: list[tuple[int, ...]]) -> dict:
+def _window(code: SystematicCode, width: int, candidates: Iterable[tuple[int, ...]]) -> dict:
     """Each candidate error support (offsets in the window) of a
     width-slot window [t, t+width-1], as rows over the digits of the
     window syndrome: the n-k parity residuals of each window packet
@@ -549,8 +549,7 @@ def decode_errors(
             if candidates is None:
                 rows = windows.get(width)
                 if rows is None:
-                    supports = [p.support for p in enumerate_admissible(model, width)]
-                    rows = windows[width] = _window(code, width, supports)
+                    rows = windows[width] = _window(code, width, _supports(model.z, model.b, w, width - 1))
                 near = [-d for d in range(w - 1, 0, -1) if near_past >> d & 1]
                 candidates = contexts[width, near_past] = [
                     rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
@@ -693,9 +692,9 @@ def equivalence_sweep(
     packets = de_encode(code, messages)
     values = [tuple(s if j == pos else 0 for j in range(n)) for pos in range(n) for s in range(1, f.q)]
     patterns = exact = ambiguities = 0
-    for p in enumerate_admissible(model, message_horizon):
-        for combo in product(values, repeat=len(p.support)):
-            pattern = ErrorPattern.from_entries(message_horizon, n, dict(zip(p.support, combo)))
+    for support in _supports(model.z, model.b, model.w, message_horizon - 1):
+        for combo in product(values, repeat=len(support)):
+            pattern = ErrorPattern.from_entries(message_horizon, n, dict(zip(support, combo)))
             report = decode_errors(code, tau, apply_errors(code, packets, pattern), message_horizon, model)
             patterns += 1
             exact += report.success and report.messages == messages

@@ -9,6 +9,7 @@ from streamfec.channel import (
     ChannelModel,
     ErasurePattern,
     ErrorPattern,
+    _supports,
     burst_supports,
     enumerate_admissible,
     erasure_to_error_split,
@@ -163,6 +164,21 @@ def test_enumerate_matches_brute_force_grid(z, b, w, support_bound):
             and windows_ok([t for t, f in enumerate(flags) if f], z, b, w)
         ]
         assert got == want, horizon  # same patterns, same lexicographic order
+
+
+@pytest.mark.parametrize("kind", ["sw", "mbsw", "sw_err", "mbsw_err"])
+def test_support_walk_yields_the_admissible_patterns_supports_in_order(kind):
+    # The error decoder, the equivalence sweep and `verify-code --model`
+    # take their supports from `_supports` and rely on them being the
+    # supports of `enumerate_admissible`'s patterns, in the same order,
+    # for every kind.
+    errors = kind.endswith("_err")
+    for z, b, w in [(1, 1, 3), (1, 1, 5), (2, 1, 5), (1, 2, 5), (2, 2, 9), (1, 3, 7)]:
+        if (2 if errors else 1) * z * b >= w or (b == 1) != kind.startswith("sw"):
+            continue
+        m = ChannelModel(z, b, w, errors)
+        for h in range(11):
+            assert list(_supports(m.z, m.b, m.w, h - 1)) == [p.support for p in enumerate_admissible(m, h)], (m, h)
 
 
 def test_enumerate_needs_no_frame_per_slot():

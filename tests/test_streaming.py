@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from streamfec import streaming
+from streamfec import channel, cli, streaming
 from streamfec.block_code import SystematicCode, build_mds, build_multi_burst
 from streamfec.channel import ChannelModel, ErasurePattern, ErrorPattern, enumerate_admissible, windows_ok
 from streamfec.galois import GF
@@ -326,6 +326,70 @@ def test_corrected_error_report_bytes_are_pinned():
         (2, 1, 3), (5, 0, 0), (6, 4, 0), (2, 4, 0), (4, 1, 0), (0, 3, 3), (0, 1, 0), (4, 3, 0), (6, 4, 0), (1, 5, 5),
     )  # fmt: skip
     assert report.times == (6, 7, 8, 9, 10, 11, 12, 13, 13, 13)
+
+
+def _tall_error_stream():
+    # CI's `etall` case: the [3,1] code over GF(4) with the CLI's `--seed 7`
+    # messages and five errors, each window of 13 packets holding up to
+    # three of them, as sw_err:1,3 allows.
+    code = build_mds(3, 1, F4)
+    rng = random.Random(7)
+    messages = [[rng.randrange(4)] for _ in range(20)]
+    errors = {0: (1, 0, 0), 3: (0, 2, 0), 6: (3, 0, 1), 13: (0, 0, 3), 20: (2, 0, 0)}
+    return code, messages, ErrorPattern.from_entries(22, 3, errors)
+
+
+def test_tall_window_error_report_bytes_are_pinned():
+    # At tau = 12 each window touches 15 diagonals; the last ten messages
+    # are decoded by tail windows that end at the stream's last packet.
+    code, messages, pattern = _tall_error_stream()
+    report = simulate(code, 12, ChannelModel.sw_err(1, 3), pattern, messages)
+    assert report.to_json() == (GOLDEN / "error_decode_report_tall.json").read_text(encoding="utf-8")
+    assert report.messages == tuple(map(tuple, messages))
+    assert report.times == (*range(12, 22), *[21] * 10)
+
+
+def test_burst_error_report_bytes_are_pinned():
+    # The [8,4] multi-burst code over GF(8) under mbsw_err:1,2,7 at
+    # tau = 9 > n-1: the errors at 2 and 3 hit message symbols and are
+    # corrected, those at 12 and 13 hit parities, and the last three
+    # messages are decoded by tail windows that end at packet 18.
+    code = build_multi_burst(4, 2, 2, F8)
+    rng = random.Random(7)
+    messages = [[rng.randrange(8) for _ in range(4)] for _ in range(12)]
+    errors = {2: (5, 0, 0, 0, 0, 0, 0, 0), 3: (0, 0, 3, 0, 0, 0, 1, 0), 12: (0, 1, 0, 0, 0, 0, 0, 0), 13: (0, 0, 0, 0, 0, 0, 0, 6)}
+    pattern = ErrorPattern.from_entries(19, 8, errors)
+    report = simulate(code, 9, ChannelModel.mbsw_err(1, 2, 7), pattern, messages)
+    assert report.to_json() == (GOLDEN / "error_decode_report_burst.json").read_text(encoding="utf-8")
+    assert report.messages == (
+        (5, 2, 6, 0), (1, 1, 5, 0), (3, 0, 1, 6), (6, 1, 3, 1), (6, 0, 1, 3), (0, 6, 0, 3),
+        (0, 2, 4, 6), (2, 1, 4, 2), (1, 3, 5, 1), (1, 0, 3, 7), (6, 5, 7, 7), (5, 4, 3, 2),
+    )  # fmt: skip
+    assert report.times == (*range(9, 19), 18, 18)
+
+
+def test_support_readers_build_no_erasure_pattern(monkeypatch, tmp_path, capsys):
+    # The error decoder's window table, the equivalence sweep and
+    # `verify-code --model` read the support walk directly: with
+    # `ErasurePattern.from_support` refusing every call they still give
+    # the answers pinned before they stopped building patterns.
+    def refuse(*args):
+        raise AssertionError("an ErasurePattern was built from a support")
+
+    monkeypatch.setattr(channel.ErasurePattern, "from_support", refuse)
+    code, messages, pattern = _tall_error_stream()
+    report = simulate(code, 12, ChannelModel.sw_err(1, 3), pattern, messages)
+    assert report.to_json() == (GOLDEN / "error_decode_report_tall.json").read_text(encoding="utf-8")
+    sweep = equivalence_sweep(build_mds(3, 1, F4), ChannelModel.sw_err(1, 3), 5, 7, seed=3)
+    assert sweep == {"patterns": 1603, "exact": 1603, "ambiguities": 0}
+    desc = tmp_path / "code.json"
+    assert cli.main(["construct", "--mds", "5", "3", "--gf", "8", "--out", str(desc)]) == 0
+    for tau, want in [
+        (4, {"ok": True, "patterns": 16, "counterexample": None}),
+        (3, {"ok": False, "patterns": 16, "counterexample": {"support": [0, 1], "symbol": 0}}),
+    ]:
+        assert cli.main(["verify-code", "--descriptor", str(desc), "--tau", str(tau), "--model", "sw:2,5"]) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 def _per_diagonal_decode(code, tau, received, message_horizon):
