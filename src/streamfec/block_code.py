@@ -78,7 +78,8 @@ class SystematicCode:
 
     @cached_property
     def _error_decisions(self) -> dict:
-        """`streaming.decode_errors`' decision memo, per (tau, model)."""
+        """`streaming.decode_errors`' tables, one `streaming._ErrorTables`
+        per error model, shared by every delay."""
         return {}
 
     def recovery(

@@ -292,8 +292,8 @@ def _supports(z: int, b: int, w: int, top: int) -> Iterator[tuple[int, ...]]:
     order of their flag sequences (0 before 1).  `enumerate_admissible`
     and `burst_supports` read it, and so, as bare supports with no pattern
     built, do the error decoder's per-width window table
-    (`streaming.decode_errors`), `streaming.equivalence_sweep` and
-    `verify-code --model`.
+    (`streaming._ErrorTables`), `streaming.equivalence_sweep`,
+    `verify-code --model` and `enumerate-patterns --count-only`.
 
     The walk steps from one support to the next without recursion: from
     the top slot down, it drops each point it meets (a 1 flag) until it
@@ -327,11 +327,18 @@ def enumerate_admissible(
     in lexicographic order of their flag sequences (0 before 1).
     `support_bound` restricts the support to [0, support_bound].
     """
+    return map(partial(ErasurePattern.from_support, horizon), _admissible_supports(model, horizon, support_bound))
+
+
+def _admissible_supports(model: ChannelModel, horizon: int, support_bound: int | None) -> Iterator[tuple[int, ...]]:
+    """The supports of `enumerate_admissible`'s patterns, as the bare
+    `_supports` walk, which the CLI's `verify-code --model` and
+    `enumerate-patterns --count-only` read."""
     _check_count("horizon", horizon)
     if support_bound is not None:
         _check_count("support bound", support_bound)
     top = horizon - 1 if support_bound is None else min(support_bound, horizon - 1)
-    return map(partial(ErasurePattern.from_support, horizon), _supports(model.z, model.b, model.w, top))
+    return _supports(model.z, model.b, model.w, top)
 
 
 def burst_supports(n: int, z: int, b: int) -> list[tuple[int, ...]]:

@@ -21,7 +21,9 @@ from typing import Sequence
 
 from .block_code import SystematicCode, build_mds, build_multi_burst, verify_delay_decodable
 from .bounds import de_achievable, rate_bound
-from .channel import ChannelModel, ErasurePattern, ErrorPattern, _supports, burst_supports, enumerate_admissible
+from .channel import (
+    ChannelModel, ErasurePattern, ErrorPattern, _admissible_supports, burst_supports, enumerate_admissible
+)
 from .galois import GF, Field
 from .search import _SEARCH_GUARD, progress_to_stderr, search_nonexistence
 from .streaming import equivalence_sweep, simulate
@@ -91,7 +93,7 @@ def _cmd_verify_code(args) -> int:
         model = _parse_model(args.model)
         if model.errors:
             raise ValueError(f"erasure patterns need an erasure-channel model, got {model.kind}")
-        patterns = list(_supports(model.z, model.b, model.w, code.n - 1))
+        patterns = list(_admissible_supports(model, code.n, None))
     result = verify_delay_decodable(code, args.tau, patterns)
     obj = {
         "ok": result.ok,
@@ -161,12 +163,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_enumerate_patterns(args) -> int:
     model = _parse_model(args.model)
-    patterns = enumerate_admissible(model, args.horizon, args.support_bound)
     if args.count_only:
-        count = sum(1 for _ in patterns)
+        count = sum(1 for _ in _admissible_supports(model, args.horizon, args.support_bound))
         _emit(args, json.dumps({"count": count}))
         return 0
-    lines = [p.to_csv() for p in patterns]
+    lines = [p.to_csv() for p in enumerate_admissible(model, args.horizon, args.support_bound)]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -41,7 +41,7 @@ decoding.  To decode u(t) it assumes all earlier messages are known
 window [t, t+tau]'s packets: parity j of packet p minus parity j
 re-encoded from the messages of diagonal p-j.  The decoder reads a
 packet's n-k residuals when the packet enters the window, with one
-`matrix.Packed` read (`_residual_reader`, built once per memo) over
+`matrix.Packed` read (`_residual_reader`, one per `_ErrorTables`) over
 the received stream, over whose message symbols each decoded u(t) is
 written.  The syndrome is the base-q^(n-k) integer of the window's
 packets, packet t most significant, so it slides by one packet per
@@ -61,16 +61,10 @@ diagonal t-i determines the correction to u_i(t).  All consistent
 candidates must agree on u(t); disagreement (or an underdetermined u(t))
 is reported as an ambiguity, never silently resolved.  Packet t was in
 error iff u(t) needed a correction or one of its own residuals, the
-syndrome's first n-k digits, is nonzero.
-
-So the decision, the correction to u(t) and whether packet t was in
-error, depends on the window only through its syndrome, and it is
-memoised under (window width, near-past error offsets, window
-syndrome).  A new key is decided from the key alone: its digits are
-unpacked from it, each candidate of its (width, near-past offsets)
-context is a set of one-form `matrix.Packed` readers over those digits,
-its checks and its corrections, read off P once per width (`_window`),
-and no received packet is read.
+syndrome's first n-k digits, is nonzero.  So the decision, the
+correction to u(t) and whether packet t was in error, depends on the
+window only through its syndrome, from whose digits alone `_ErrorTables`
+decides it, by readers off P, and memoises it per (code, model).
 
 The stream is its tuple of packets, and a channel realization is
 applied at its pattern's support: `apply_erasures` and `apply_errors`
@@ -351,10 +345,10 @@ def decode_erasures(
 
 
 # The error decoder's decision memo keeps at most this many verdicts per
-# (code, tau, model) and is cleared when full.  An entry is its packed key
-# and its dict slot (equal verdicts share one pair through `shared`):
-# about 80 B for the burst sweep's 94-bit keys, plus 4 B per 30 more key
-# bits, so a full memo of such keys holds about 2.5 MiB.
+# (code, model) and is cleared when full.  An entry is its packed key and
+# its dict slot (equal verdicts share one pair through `shared`): about
+# 80 B for the burst sweep's 92-bit keys, plus 4 B per 30 more key bits,
+# so a full memo of such keys holds about 2.5 MiB.
 _DECISION_CAP = 1 << 15
 # Verdicts other than a (correction, packet in error) pair.
 _NO_CANDIDATE = "no consistent candidate"
@@ -469,6 +463,38 @@ def _decide(
     return agreed, any(agreed) or any(s[:r])
 
 
+class _ErrorTables:
+    """The error decoder's tables for one (code, model), shared by every
+    delay, as a verdict depends on tau only through the window width:
+    the residual `reader`, power[e] = Q^e for the syndrome base Q =
+    q^(n-k), each width's candidate rows (`windows`, see `_window`), each
+    context's `candidates` (`contexts`) and the decision memo `verdicts`,
+    keyed (syndrome + Q^width) << w | near_past, bit d of near_past set
+    iff packet t-d was inferred in error: the syndrome is below Q^width,
+    so Q^width marks the width.  The width and near-past offsets fix the
+    admissible candidates, so the key fixes the verdict, the correction
+    to u(t) and, through the syndrome's first n-k digits, whether packet
+    t was in error; a miss is decided from the key alone."""
+
+    def __init__(self, code: SystematicCode, model: ChannelModel):
+        self.code, self.model, self.reader, self.power = code, model, _residual_reader(code), [1]
+        self.windows, self.contexts, self.verdicts, self.shared = {}, {}, {}, {}
+
+    def candidates(self, width: int, near_past: int) -> list:
+        """The rows of `windows[width]` admissible with the errors inferred
+        at the offsets -d, d each bit of `near_past`, in the walk's order."""
+        candidates = self.contexts.get((width, near_past))
+        if candidates is None:
+            z, b, w = self.model.z, self.model.b, self.model.w
+            if (rows := self.windows.get(width)) is None:
+                rows = self.windows[width] = _window(self.code, width, _supports(z, b, w, width - 1))
+            near = [-d for d in range(w - 1, 0, -1) if near_past >> d & 1]
+            candidates = self.contexts[width, near_past] = [
+                rows[offs] for offs in rows if not near or windows_ok(near + list(offs), z, b, w)
+            ]
+        return candidates
+
+
 def decode_errors(
     code: SystematicCode,
     tau: int,
@@ -484,23 +510,8 @@ def decode_errors(
     erased and the remaining window symbols must be linearly consistent
     with some message continuation.  The unique agreed value is
     accepted; disagreement or an underdetermined u(t) becomes an
-    ambiguity record and decoding halts there.
-
-    The decision is memoised per (code, tau, model) under (window width,
-    near-past error offsets, window syndrome).  The syndrome is the
-    window packets' parity residuals, packet t's first, as one base-q
-    integer: packet p's n-k residuals are read by `_residual_reader` at
-    offset p*n of the received stream when packet p enters the window,
-    and the key slides by one packet per message.  A nonzero correction
-    is written over packet t's message symbols, and the next window is
-    read afresh from packet t+1.  A miss is decided from the key alone,
-    its digits unpacked from the syndrome, by the candidates' blocks of
-    P (`_window`).  The width and near-past offsets fix the
-    admissible candidates, so the key fixes the verdict and the
-    correction to u(t) exactly; it also fixes whether packet t was in
-    error, through packet t's residuals, the syndrome's first n-k digits.
-    The memo holds at most `_DECISION_CAP` = 2^15 verdicts, about 2.5 MiB
-    with the burst sweep's 94-bit keys, and is cleared when full.
+    ambiguity record and decoding halts there.  The decisions are kept
+    per (code, model), for every delay, in an `_ErrorTables`.
     """
     _check_count("tau", tau)
     if not isinstance(model, ChannelModel) or not model.errors:
@@ -510,19 +521,17 @@ def decode_errors(
     flat = _check_received(code, received, message_horizon, allow_erased=False)
     last = len(received) - 1
 
-    memo = code._error_decisions.get((tau, model))
-    if memo is None:
-        memo = code._error_decisions[tau, model] = ({}, {}, {}, {}, _residual_reader(code), [1])
-    windows, contexts, verdicts, shared, reader, power = memo
-    residuals = reader.read
+    tables = code._error_decisions.get(model)
+    if tables is None:
+        tables = code._error_decisions[model] = _ErrorTables(code, model)
+    verdicts, shared, power = tables.verdicts, tables.shared, tables.power
+    residuals = tables.reader.read
     # The syndrome of [t, wend] is base Q = q^(n-k), packet p's residuals
     # its digit wend - p; power[e] = Q^e, up to the widest window's width.
     r = n - k
     Q = f.q**r
     while len(power) <= min(tau, last) + 1:
         power.append(power[-1] * Q)
-    # Width and near-past offsets fill the key's low bits.
-    low_bits = w + (tau + 1).bit_length()
 
     # Bit d is set iff packet t - d, 0 < d < w, was inferred in error.
     near_past = 0
@@ -540,21 +549,12 @@ def decode_errors(
             wend += 1
             syndrome = syndrome * Q + residuals(flat, wend * n)
         width = wend - t + 1
-        key = syndrome << low_bits | width << w | near_past
+        key = (syndrome + power[width]) << w | near_past
         verdict = verdicts.get(key)
         if verdict is None:
             # A miss is decided from the key alone: the candidates of its
             # (width, near-past offsets) context, tested on its syndrome.
-            candidates = contexts.get((width, near_past))
-            if candidates is None:
-                rows = windows.get(width)
-                if rows is None:
-                    rows = windows[width] = _window(code, width, _supports(model.z, model.b, w, width - 1))
-                near = [-d for d in range(w - 1, 0, -1) if near_past >> d & 1]
-                candidates = contexts[width, near_past] = [
-                    rows[offs] for offs in rows if not near or windows_ok(near + list(offs), model.z, model.b, w)
-                ]
-            verdict = _decide(candidates, r, _digits_of(syndrome, f.q, width * r))
+            verdict = _decide(tables.candidates(width, near_past), r, _digits_of(syndrome, f.q, width * r))
             if len(verdicts) >= _DECISION_CAP:
                 verdicts.clear()
                 shared.clear()

@@ -57,6 +57,28 @@ def test_verify_code_reports_counterexample(tmp_path, capsys):
     assert result["counterexample"]["support"] == [0, 1, 2]
 
 
+def test_count_only_counts_the_support_walk(monkeypatch, capsys):
+    # `--count-only` counts the admissible supports without building a
+    # pattern: with `ErasurePattern.from_support` refusing every call it
+    # still prints CI's counts, and a bad horizon or support bound exits
+    # with the line it did when the patterns were built.
+    def refuse(*args):
+        raise AssertionError("an ErasurePattern was built from a support")
+
+    monkeypatch.setattr(ErasurePattern, "from_support", refuse)
+    for argv, count in [("--model mbsw:2,3,9 --horizon 20", 69728), ("--model sw:1,5 --horizon 1500 --support-bound 0", 2)]:
+        assert run(capsys, "enumerate-patterns", *argv.split(), "--count-only") == (0, f'{{"count": {count}}}\n')
+    for argv, message in [
+        ("--horizon -2", "horizon must be nonnegative, got -2"),
+        ("--horizon 4 --support-bound -3", "support bound must be nonnegative, got -3"),
+    ]:
+        for count_only in (["--count-only"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(["enumerate-patterns", "--model", "sw:1,3", *argv.split(), *count_only])
+            assert exc.value.code == f"streamfec enumerate-patterns: {message}"
+    assert capsys.readouterr().out == ""
+
+
 def test_bounds_golden_csv(capsys):
     code, out = run(capsys, "bounds", "--grid", "z=2", "b=2", "w=5..7")
     assert code == 0

@@ -349,16 +349,22 @@ def test_tall_window_error_report_bytes_are_pinned():
     assert report.times == (*range(12, 22), *[21] * 10)
 
 
+def _burst_error_stream():
+    # CI's burst case: the [8,4] multi-burst code over GF(8) with the
+    # CLI's `--seed 7` messages and four errors over 19 packets.
+    code = build_multi_burst(4, 2, 2, F8)
+    rng = random.Random(7)
+    messages = [[rng.randrange(8) for _ in range(4)] for _ in range(12)]
+    errors = {2: (5, 0, 0, 0, 0, 0, 0, 0), 3: (0, 0, 3, 0, 0, 0, 1, 0), 12: (0, 1, 0, 0, 0, 0, 0, 0), 13: (0, 0, 0, 0, 0, 0, 0, 6)}
+    return code, messages, ErrorPattern.from_entries(19, 8, errors)
+
+
 def test_burst_error_report_bytes_are_pinned():
     # The [8,4] multi-burst code over GF(8) under mbsw_err:1,2,7 at
     # tau = 9 > n-1: the errors at 2 and 3 hit message symbols and are
     # corrected, those at 12 and 13 hit parities, and the last three
     # messages are decoded by tail windows that end at packet 18.
-    code = build_multi_burst(4, 2, 2, F8)
-    rng = random.Random(7)
-    messages = [[rng.randrange(8) for _ in range(4)] for _ in range(12)]
-    errors = {2: (5, 0, 0, 0, 0, 0, 0, 0), 3: (0, 0, 3, 0, 0, 0, 1, 0), 12: (0, 1, 0, 0, 0, 0, 0, 0), 13: (0, 0, 0, 0, 0, 0, 0, 6)}
-    pattern = ErrorPattern.from_entries(19, 8, errors)
+    code, messages, pattern = _burst_error_stream()
     report = simulate(code, 9, ChannelModel.mbsw_err(1, 2, 7), pattern, messages)
     assert report.to_json() == (GOLDEN / "error_decode_report_burst.json").read_text(encoding="utf-8")
     assert report.messages == (
@@ -1229,7 +1235,53 @@ def test_error_decision_memo_cap_keeps_reports(monkeypatch):
         codes = {}
         capped = [_report_bytes(decode_errors(codes.setdefault(code, _fresh(code)), *rest)) for code, *rest in cases]
         assert capped == uncapped
-        assert all(len(memo[2]) <= cap for code in codes.values() for memo in code._error_decisions.values())
+        assert all(len(tables.verdicts) <= cap for code in codes.values() for tables in code._error_decisions.values())
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ChannelModel.sw_err(1, 3), ChannelModel.sw_err(2, 5), ChannelModel.mbsw_err(1, 2, 5)],
+    ids=["sw_err:1,3", "sw_err:2,5", "mbsw_err:1,2,5"],
+)
+def test_error_tables_candidates_match_subset_filter(model):
+    # A context's candidates are the window rows whose supports are
+    # admissible with its near-past errors.  Here every subset of the
+    # window is tested on its own, and the candidates must be the very
+    # rows of the window table, in the order of their flag sequences.
+    rng = random.Random(11)
+    p = FieldMatrix(F8, [[rng.randrange(8) for _ in range(2)] for _ in range(3)])
+    code = SystematicCode(field=F8, n=5, k=3, P=p)
+    tables = streaming._ErrorTables(code, model)
+    z, b, w = model.z, model.b, model.w
+    contexts = {}
+    for mask in range(0, 1 << w, 2):
+        near = [-d for d in range(w - 1, 0, -1) if mask >> d & 1]
+        if windows_ok(near, z, b, w):
+            contexts[mask] = near
+    assert len(contexts) > 1
+    for width in range(1, code.n + 3):
+        subsets = [offs for size in range(width + 1) for offs in combinations(range(width), size)]
+        subsets.sort(key=lambda offs: [int(a in offs) for a in range(width)])
+        for mask, near in contexts.items():
+            want = [offs for offs in subsets if windows_ok(sorted(near + list(offs)), z, b, w)]
+            got = tables.candidates(width, mask)
+            assert len(got) == len(want)
+            assert all(row is tables.windows[width][offs] for row, offs in zip(got, want))
+
+
+def test_one_error_table_serves_every_delay():
+    # A verdict depends on tau only through the window width, so every
+    # delay decodes through one `_ErrorTables` per (code, model), and the
+    # decodes at other delays before it leave the pinned report as it is.
+    for stream, model, taus, golden in [
+        (_tall_error_stream, ChannelModel.sw_err(1, 3), (4, 20, 12), "error_decode_report_tall.json"),
+        (_burst_error_stream, ChannelModel.mbsw_err(1, 2, 7), (6, 12, 9), "error_decode_report_burst.json"),
+    ]:
+        code, messages, pattern = stream()
+        for tau in taus:
+            report = simulate(code, tau, model, pattern, messages)
+        assert report.to_json() == (GOLDEN / golden).read_text(encoding="utf-8")
+        assert len(code._error_decisions) == 1
 
 
 def test_error_value_grid_small_sweep():
