@@ -17,14 +17,17 @@ pin no later, so a code that recovers a support within the delay
 recovers every subset of it, and each dropped support lies inside a
 kept one.
 
+A check is dropped when another of its target row and depth, on a
+subset of its coords and with a superset of its other rows, fails
+wherever it does: every verdict, and so the traversal, stays the same.
 A check's verdict depends only on the projected rows it reads, so each
 check keeps a memo of its verdicts for one scan, keyed by those digits:
 the elimination runs once per distinct projection, not once per node
 (up to `_VERDICT_CAP` verdicts held, then every memo is cleared).  The
-cursor steps as an odometer over the digits of the index: moving past
-a node adds 1 to its row's last digit, moving past a run of siblings
-adds 1 to the last digit they share, and either carries upward; the
-scan resumes at the shallowest row that changed.
+cursor steps as an odometer over the digits of the index: moving past a
+node adds 1 to its row's last digit, moving past a run of siblings adds
+1 to the last digit they share, and either carries upward; the scan
+resumes at the shallowest row that changed.
 
 Over q > 2 the scan also skips nodes by symmetries of the code space
 that keep every verdict.  Scaling a parity column by a nonzero constant
@@ -111,38 +114,35 @@ def brute_force_decodable(
 
 
 def _build_checks(n: int, k: int, tau: int, supports: Sequence[tuple[int, ...]]):
-    """Distill the burst family into deduplicated recoverability checks.
+    """Distill the burst family into the span checks no other dominates.
 
     Each check is (target_row, coords, other_rows): candidate coefficient
     rows projected onto `coords` must keep the target row outside the
     span of the other rows.  The projection folds away the parity
-    columns, whose punctured-parity columns are unit vectors.
+    columns, whose punctured-parity columns are unit vectors.  A check
+    meets its dominators first in the sort below, and dominance is
+    transitive, so the kept checks decide whether it is dropped.
     """
-    r = n - k
-    seen = set()
-    checks = []
+    r, rest = n - k, (1 << k) - 1
+    reads = [(1 << min(tau - k + i + 1, r)) - 1 for i in range(k)]
+    # (i, depth, mask), first seen first.  The mask holds the coords in
+    # bits 0..r-1 and the unerased messages above them, so a check dominates
+    # another of its (i, depth) iff its mask lies within the other's.
+    found = {}
     for support in supports:
+        erased = sum(1 << j for j in support)
+        msgs, parity = erased & rest, erased >> k
         for i in support:
-            if i >= k:
-                continue
-            row_limit = (tau - k + i + 1) if i <= n - tau - 2 else r
-            limit = tau + i
-            pivots = set()
-            msg_js = []
-            for j in support:
-                if j == i or j > limit:
-                    continue
-                if j >= k:
-                    rr = j - k
-                    if rr < row_limit:
-                        pivots.add(rr)
-                else:
-                    msg_js.append(j)
-            coords = tuple(rr for rr in range(row_limit) if rr not in pivots)
-            key = (i, coords, tuple(sorted(msg_js)))
-            if key not in seen:
-                seen.add(key)
-                checks.append(key)
+            if i < k:
+                found[i, msgs.bit_length() - 1, reads[i] & ~parity | (rest ^ msgs) << r] = None
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, depth, mask in sorted(found, key=lambda c: (c[0], c[1], c[2].bit_count())):
+        group = groups.setdefault((i, depth), [])
+        if all(kept & ~mask for kept in group):
+            group.append(mask)
+            coords = tuple(c for c in range(r) if mask >> c & 1)
+            found[i, depth, mask] = (i, coords, tuple(j for j in range(k) if j != i and not mask >> r + j & 1))
+    checks = [check for check in found.values() if check]
     # Most-constrained first: small projections with many helper rows
     # reject random candidates fastest.  The scan keeps this order among
     # the checks it evaluates at each depth.

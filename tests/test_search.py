@@ -18,6 +18,39 @@ from streamfec.search import (
 F2, F3, F8 = GF(2), GF(3), GF(8)
 
 
+def _all_checks(n, k, tau, supports):
+    """Every distinct (target_row, coords, other_rows) check of the burst
+    family, none dropped, in the kernel's most-constrained-first order:
+    the unfiltered list `search._build_checks` keeps a part of."""
+    r = n - k
+    seen = set()
+    checks = []
+    for support in supports:
+        for i in support:
+            if i >= k:
+                continue
+            row_limit = (tau - k + i + 1) if i <= n - tau - 2 else r
+            limit = tau + i
+            pivots = set()
+            msg_js = []
+            for j in support:
+                if j == i or j > limit:
+                    continue
+                if j >= k:
+                    rr = j - k
+                    if rr < row_limit:
+                        pivots.add(rr)
+                else:
+                    msg_js.append(j)
+            coords = tuple(rr for rr in range(row_limit) if rr not in pivots)
+            key = (i, coords, tuple(sorted(msg_js)))
+            if key not in seen:
+                seen.add(key)
+                checks.append(key)
+    checks.sort(key=lambda c: (len(c[1]) - len(c[2]), len(c[1]), c[0]))
+    return checks
+
+
 def _flat_scan(field, n, k, checks, start, stop):
     """Independent oracle for the search kernel: every candidate in
     [start, stop), in index order, against every check by rank, with no
@@ -158,6 +191,88 @@ def test_checks_decide_like_the_verifier_on_random_codes():
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
+def _depth(check):
+    i, _, msg_js = check
+    return max((i, *msg_js))
+
+
+def _dominates(strong, weak) -> bool:
+    """True iff `strong` fails wherever `weak` does, at the same node: the
+    same target row and depth, coords within weak's and other rows
+    including weak's (equal checks dominate each other)."""
+    return (
+        strong[0] == weak[0]
+        and _depth(strong) == _depth(weak)
+        and set(strong[1]) <= set(weak[1])
+        and set(strong[2]) >= set(weak[2])
+    )
+
+
+# n, k, z, b, tau: the five code-search spaces first, with how many
+# checks the kernel keeps of how many distinct ones the family gives
+CHECK_COUNTS = [
+    (6, 2, 2, 2, 4, 9, 32),
+    (8, 4, 2, 2, 6, 34, 112),
+    (9, 3, 2, 3, 6, 25, 248),
+    (9, 5, 2, 2, 7, 51, 170),
+    (7, 3, 2, 2, 5, 18, 66),
+    (10, 4, 2, 3, 7, 42, 456),
+    (12, 8, 2, 2, 10, 126, 416),
+    (13, 7, 2, 3, 10, 144, 1440),
+    (12, 6, 3, 2, 10, 267, 2048),
+    (14, 8, 3, 2, 12, 582, 4340),
+]
+
+
+def _assert_strongest_checks(n, k, tau, supports):
+    """The kept checks are an ordered part of the oracle's list, every
+    oracle check is dominated by a kept one, and no kept check dominates
+    another.  Returns (kept, oracle)."""
+    kept, oracle = search._build_checks(n, k, tau, supports), _all_checks(n, k, tau, supports)
+    rest = iter(oracle)
+    assert all(any(c == d for d in rest) for c in kept), (n, k, tau)
+    groups = {}
+    for c in kept:
+        groups.setdefault((c[0], _depth(c)), []).append(c)
+    for c in oracle:
+        assert any(_dominates(s, c) for s in groups[c[0], _depth(c)]), (n, k, tau, c)
+    for group in groups.values():
+        for a, b in combinations(group, 2):
+            assert not _dominates(a, b) and not _dominates(b, a), (n, k, tau, a, b)
+    return kept, oracle
+
+
+@pytest.mark.parametrize("n, k, z, b, tau, kept, distinct", CHECK_COUNTS)
+def test_kernel_keeps_the_strongest_checks(n, k, z, b, tau, kept, distinct):
+    # A check that another of the same target row and depth dominates is
+    # dropped: the five code-search spaces keep 9, 34, 25, 51 and 18 of
+    # their 32, 112, 248, 170 and 66 distinct checks.
+    checks, oracle = _assert_strongest_checks(n, k, tau, burst_supports(n, z, b))
+    assert (len(checks), len(oracle)) == (kept, distinct)
+
+
+def test_kernel_keeps_the_strongest_checks_on_random_cells():
+    # seeded (z, b, k, tau) cells with n <= 13; on random rows a dominated
+    # check never fails where its kept dominator passes
+    rng = random.Random(37)
+    fields = [GF(q) for q in (2, 3, 4)]
+    dropped = 0
+    for _ in range(60):
+        z, b = rng.randint(1, 3), rng.randint(1, 3)
+        n = rng.randint(z * b + 1, 13)
+        k = n - z * b
+        tau = rng.randrange(k, n)
+        supports = burst_supports(n, z, b)
+        kept, oracle = _assert_strongest_checks(n, k, tau, supports)
+        dropped += len(oracle) - len(kept)
+        f = rng.choice(fields)
+        rows = [[rng.randrange(f.q) for _ in range(n - k)] for _ in range(k)]
+        for c in oracle:
+            if search._fails(f, rows, c):
+                assert any(_dominates(s, c) and search._fails(f, rows, s) for s in kept), (n, k, tau, c)
+    assert dropped
+
+
 def test_search_determinism():
     r1 = search_nonexistence(7, 3, 2, 2, 5, F3)
     r2 = search_nonexistence(7, 3, 2, 2, 5, F3)
@@ -189,10 +304,10 @@ def test_kernel_matches_flat_scan_on_random_spaces():
         # 2^16-candidate space reports its one progress cursor
         stop = total if rng.randrange(4) == 0 else rng.randrange(start, total + 1)
         field = GF(q)
-        checks = search._build_checks(n, k, tau, burst_supports(n, z, b))
+        supports = burst_supports(n, z, b)
         ticks = []
-        got = search._scan(field, k, n - k, checks, start, stop, ticks.append)
-        want = _flat_scan(field, n, k, checks, start, stop)
+        got = search._scan(field, k, n - k, search._build_checks(n, k, tau, supports), start, stop, ticks.append)
+        want = _flat_scan(field, n, k, _all_checks(n, k, tau, supports), start, stop)
         assert (got, ticks) == want, (n, k, z, b, tau, q, start, stop)
         survivors += got is not None
         ticked += bool(ticks)
@@ -221,10 +336,10 @@ def _match_flat_scan(rng, qs, runs, largest):
         start = rng.randrange(total + 1)
         stop = total if rng.randrange(4) == 0 else rng.randrange(start, total + 1)
         field = GF(q)
-        checks = search._build_checks(n, k, tau, burst_supports(n, z, b))
+        supports = burst_supports(n, z, b)
         ticks = []
-        got = search._scan(field, k, n - k, checks, start, stop, ticks.append)
-        want = _flat_scan(field, n, k, checks, start, stop)
+        got = search._scan(field, k, n - k, search._build_checks(n, k, tau, supports), start, stop, ticks.append)
+        want = _flat_scan(field, n, k, _all_checks(n, k, tau, supports), start, stop)
         assert (got, ticks) == want, (n, k, z, b, tau, q, start, stop)
         survivors += got is not None
         ticked += bool(ticks)
@@ -273,13 +388,13 @@ def test_kernel_matches_flat_scan_with_a_tiny_verdict_memo(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, k, z, b, tau, q, distinct",
-    [(8, 4, 2, 2, 6, 2, 84), (7, 3, 2, 2, 5, 3, 108)],
+    [(8, 4, 2, 2, 6, 2, 42), (7, 3, 2, 2, 5, 3, 49)],
 )
 def test_each_check_is_eliminated_once_per_projection(monkeypatch, n, k, z, b, tau, q, distinct):
     # A check's verdict depends only on its projected rows, so the scan
     # runs `_fails` once per distinct (check, projected rows) and reads
-    # every repeat from the check's memo: 84 and 108 eliminations, where
-    # a scan without the memo makes 508 and 838.
+    # every repeat from the check's memo: 42 and 49 eliminations, where
+    # a scan without the memo makes 388 and 648.
     keys = _record_projections(monkeypatch)
     total = q ** (k * (n - k))
     res = search_nonexistence(n, k, z, b, tau, GF(q))
@@ -363,8 +478,9 @@ def test_scaling_keeps_every_resumed_answer(q, n, k, z, b, tau):
     # after it.
     field, r = GF(q), n - k
     total = q ** (k * r)
-    checks = search._build_checks(n, k, tau, burst_supports(n, z, b))
-    witnesses = _flat_witnesses(field, n, k, checks)
+    supports = burst_supports(n, z, b)
+    checks = search._build_checks(n, k, tau, supports)
+    witnesses = _flat_witnesses(field, n, k, _all_checks(n, k, tau, supports))
     assert any(not _column_normalized(_matrix_at(q, k, r, w)) for w in witnesses)
     chained, start = [], 0
     while (found := search._scan(field, k, r, checks, start, total)) is not None:
@@ -427,8 +543,9 @@ def test_row_scaling_keeps_every_resumed_answer(q, n, k, z, b, tau):
     # start returns the first witness at or after it.
     field, r = GF(q), n - k
     total = q ** (k * r)
-    checks = search._build_checks(n, k, tau, burst_supports(n, z, b))
-    witnesses = _flat_witnesses(field, n, k, checks)
+    supports = burst_supports(n, z, b)
+    checks = search._build_checks(n, k, tau, supports)
+    witnesses = _flat_witnesses(field, n, k, _all_checks(n, k, tau, supports))
     assert any(_leading(row) > 1 for w in witnesses for row in _matrix_at(q, k, r, w)[1:])
     chained, start = [], 0
     while (found := search._scan(field, k, r, checks, start, total)) is not None:
@@ -579,23 +696,24 @@ def test_scans_resumed_in_a_skipped_run_match_flat_scan(q, prefix):
     total = q ** (k * r)
     # At tau = 6 witnesses are dense: chained scans from the start find
     # the flat oracle's next 8 witnesses, with the same cursors.
-    checks = search._build_checks(n, k, 6, burst_supports(n, 2, 2))
+    supports = burst_supports(n, 2, 2)
+    checks, oracle = search._build_checks(n, k, 6, supports), _all_checks(n, k, 6, supports)
     start = _index(q, rows)
     for _ in range(8):
         ticks = []
         got = search._scan(field, k, r, checks, start, total, ticks.append)
-        assert (got, ticks) == _flat_scan(field, n, k, checks, start, total), (start, got)
+        assert (got, ticks) == _flat_scan(field, n, k, oracle, start, total), (start, got)
         start = got + 1
     # At tau = 5 there is none: a scan from 6000 before a multiple of 2^16
     # inside the start's row-0 node reports that multiple.
-    checks = search._build_checks(n, k, 5, burst_supports(n, 2, 2))
+    checks, oracle = search._build_checks(n, k, 5, supports), _all_checks(n, k, 5, supports)
     if len(prefix) == 1:
         tick = (_index(q, rows) + 6000) // 65536 * 65536 + 65536
         start, stop = tick - 6000, tick + 1000
         assert _matrix_at(q, k, r, start)[0] == rows[0]
         ticks = []
         got = search._scan(field, k, r, checks, start, stop, ticks.append)
-        assert (got, ticks) == _flat_scan(field, n, k, checks, start, stop) == (None, [tick])
+        assert (got, ticks) == _flat_scan(field, n, k, oracle, start, stop) == (None, [tick])
 
 
 def test_search_resume_cursor():
